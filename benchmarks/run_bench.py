@@ -138,21 +138,6 @@ WORKLOADS = {
          {"n_sessions": 3, "n_transmitters": 3},
          {"n_sessions": 3, "n_transmitters": 4}],
     ),
-    # Matrix-free variants: same models, assembled as a compositional
-    # Kronecker descriptor instead of a materialised CSR matrix, so the
-    # ``assemble`` stage and the ``generator_bytes`` column track the
-    # matrix-free path release over release.
-    "client_server_descriptor": (
-        "pepa-descriptor",
-        client_server_model,
-        [{"n_clients": 3}, {"n_clients": 5}, {"n_clients": 7}],
-    ),
-    "tandem_queue_descriptor": (
-        "pepa-descriptor",
-        tandem_queue_model,
-        [{"stages": 2, "capacity": 3}, {"stages": 3, "capacity": 3},
-         {"stages": 3, "capacity": 5}],
-    ),
     # Exploration throughput (states/sec) of the repro.core.explore
     # kernel on the exploding scaling model — derive only, no solve, so
     # the ``derive`` stage time gates kernel regressions directly.
@@ -190,7 +175,6 @@ STAGE_SPANS = {
     "pepa.statespace": "derive",
     "pepanet.markingspace": "derive",
     "ctmc.assemble": "assemble",
-    "ctmc.assemble.descriptor": "assemble",
     "ctmc.solve": "solve",
     "ctmc.solve.fallback": "solve",
     "fluid.compile": "compile",
@@ -198,8 +182,7 @@ STAGE_SPANS = {
 }
 
 
-def run_one(workload: str, kind: str, builder, size: dict, solver: str, *,
-            generator: str = "csr") -> dict:
+def run_one(workload: str, kind: str, builder, size: dict, solver: str) -> dict:
     """One benchmark run: build, derive, assemble, solve, all traced.
 
     ``kind == "explore"`` measures pure state-space exploration
@@ -208,15 +191,11 @@ def run_one(workload: str, kind: str, builder, size: dict, solver: str, *,
     ``--solver``.  ``kind == "fluid"`` compiles the numerical vector
     form and solves the fluid steady state at ``size["replicas"]``
     (stages ``compile`` + ``solve``; the solver identity records the
-    fluid method that converged).  ``kind == "pepa-descriptor"`` is the PEPA pipeline
-    assembled through the matrix-free Kronecker backend (``generator``
-    may also force the representation directly).  Chain-building runs
-    report the generator representation and its stored size
-    (``generator`` / ``generator_bytes``) so regressions in generator
-    memory are as visible as regressions in time.
+    fluid method that converged).  Chain-building runs report the
+    generator representation and its stored size (``generator`` /
+    ``generator_bytes``) so regressions in generator memory are as
+    visible as regressions in time.
     """
-    if kind == "pepa-descriptor":
-        generator = "descriptor"
     model = builder(**size)
     chain = None
     t0 = time.perf_counter()
@@ -230,18 +209,14 @@ def run_one(workload: str, kind: str, builder, size: dict, solver: str, *,
             nvf, _shape, n_replicas = nvf_of_model(
                 model, replicas=size.get("replicas"))
             _x, fluid_diagnostics = steady_fluid(nvf, n_replicas)
-        elif kind in ("pepa", "pepa-descriptor"):
+        elif kind == "pepa":
             space = derive(model)
-            chain = ctmc_from_statespace(
-                space, generator=generator, environment=model.environment
-            )
+            chain = ctmc_from_statespace(space)
         else:
             space, chain = ctmc_of_net(model)
         if chain is not None:
-            generator_bytes = int(chain.generator.stored_bytes)
-            generator_used = (
-                "descriptor" if not chain.materialized else "csr"
-            )
+            Q = chain.Q
+            generator_bytes = int(Q.data.nbytes + Q.indices.nbytes + Q.indptr.nbytes)
             steady_state(chain, method=solver, reducible="bscc")
     total = time.perf_counter() - t0
     if kind == "explore":
@@ -275,7 +250,7 @@ def run_one(workload: str, kind: str, builder, size: dict, solver: str, *,
         "peak_rss_kb": peak_rss_kib(),
     }
     if chain is not None:
-        record["generator"] = generator_used
+        record["generator"] = "csr"
         record["generator_bytes"] = generator_bytes
     return record
 

@@ -117,7 +117,6 @@ def _run_pepa(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict
         max_states=payload.get("max_states", 1_000_000),
         policy=payload.get("solver_policy"),
         budget=budget,
-        generator=payload.get("generator", "csr"),
     )
     analysis = workbench.solve_source(payload["source"])
     return {

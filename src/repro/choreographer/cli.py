@@ -17,7 +17,6 @@ from pathlib import Path
 
 from repro.choreographer.platform import Choreographer
 from repro.choreographer.workbench import PepaNetWorkbench, PepaWorkbench
-from repro.core.ctmcgen import GENERATOR_MODES
 from repro.ctmc.export import write_prism_files
 from repro.ctmc.steady import SOLVERS
 from repro.exceptions import ReproError
@@ -98,11 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     pepa = sub.add_parser("pepa", help="solve a textual PEPA model")
     pepa.add_argument("model", type=Path)
     pepa.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
-    pepa.add_argument(
-        "--generator", choices=list(GENERATOR_MODES), default="csr",
-        help="generator representation: materialised CSR matrix, "
-             "matrix-free Kronecker descriptor, or auto "
-             "(descriptor when the system equation supports it)")
     pepa.add_argument("--export-prism", type=Path, metavar="STEM",
                       help="also write PRISM .tra/.sta/.lab files")
     pepa.add_argument(
@@ -261,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replicas", type=int, metavar="N",
         help="with --fluid, replica-count override applied to every "
              "PEPA task")
-    batch.add_argument(
-        "--generator", choices=list(GENERATOR_MODES), default="csr",
-        help="generator representation for PEPA tasks (csr, descriptor "
-             "or auto); nets and XMI pipelines always materialise")
     batch.add_argument(
         "--deadline", type=float, metavar="SECONDS",
         help="per-task wall-clock budget (the clock starts when the task does)")
@@ -485,7 +475,6 @@ def _cmd_pepa(args: argparse.Namespace) -> int:
         return 2
     workbench = PepaWorkbench(
         solver=args.solver, policy=args.solver_policy, deadline=args.deadline,
-        generator=getattr(args, "generator", "csr"),
         fluid=args.fluid, replicas=args.replicas,
     )
     analysis = workbench.solve_source(args.model.read_text())
@@ -679,9 +668,6 @@ def _batch_tasks(args: argparse.Namespace) -> list:
             kind, payload = "net", {"source": text, "solver": args.solver}
         else:
             kind, payload = "pepa", {"source": text, "solver": args.solver}
-            generator = getattr(args, "generator", "csr")
-            if generator != "csr":
-                payload["generator"] = generator
             if getattr(args, "fluid", False):
                 payload["fluid"] = True
                 if getattr(args, "replicas", None) is not None:

@@ -36,7 +36,7 @@ class PepaWorkbench:
 
     def __init__(self, *, solver: str = "direct", max_states: int = 1_000_000,
                  reducible: str = "error", policy=None, deadline: float | None = None,
-                 budget: ExecutionBudget | None = None, generator: str = "csr",
+                 budget: ExecutionBudget | None = None,
                  fluid: bool = False, replicas: int | None = None):
         self.solver = solver
         self.max_states = max_states
@@ -44,10 +44,6 @@ class PepaWorkbench:
         self.policy = policy
         self.deadline = deadline
         self.budget = budget
-        #: Generator representation: ``"csr"``, ``"descriptor"`` or
-        #: ``"auto"`` (matrix-free Kronecker descriptor when the system
-        #: equation supports it).
-        self.generator = generator
         #: Mean-field route: solve the fluid ODE limit instead of the
         #: exact CTMC, scaling the population to ``replicas`` when set.
         self.fluid = fluid
@@ -75,7 +71,6 @@ class PepaWorkbench:
         return analyse(
             model, solver=self.solver, max_states=self.max_states,
             reducible=self.reducible, policy=self.policy, budget=self._budget(),
-            generator=self.generator,
         )
 
     def solve_source(self, source: str) -> ModelAnalysis:

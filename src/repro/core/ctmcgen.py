@@ -6,32 +6,15 @@ of parallel arcs between the same pair summing under the race condition
 (:func:`repro.pepa.ctmcgen.ctmc_from_statespace`, which now delegates
 here) and the GSPN route (:func:`repro.petri.gspn.spn_to_ctmc`) feed
 :func:`repro.ctmc.chain.build_ctmc` through this single function.
-
-The ``generator`` knob selects the generator representation:
-
-* ``"csr"`` (default) — materialise the global sparse matrix;
-* ``"descriptor"`` — build a matrix-free Kronecker descriptor via the
-  caller-supplied ``descriptor_builder`` (raises if the model is not
-  descriptor-representable);
-* ``"auto"`` — try the descriptor, fall back to CSR on
-  :class:`~repro.ctmc.operator.DescriptorUnsupported` with a
-  ``generator.fallback`` event.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 from repro.core.lts import Lts
 from repro.ctmc.chain import CTMC, build_ctmc
-from repro.ctmc.operator import DescriptorUnsupported
-from repro.exceptions import SolverError
 from repro.obs import get_events, get_metrics, get_tracer
 
-__all__ = ["ctmc_from_lts", "GENERATOR_MODES"]
-
-#: Valid values of the ``generator`` knob, in CLI/bench order.
-GENERATOR_MODES = ("csr", "descriptor", "auto")
+__all__ = ["ctmc_from_lts"]
 
 
 def _cached_chain(cache, child):
@@ -60,12 +43,7 @@ def _cached_chain(cache, child):
         return None
 
 
-def ctmc_from_lts(
-    lts: Lts,
-    *,
-    generator: str = "csr",
-    descriptor_builder: Callable[[Lts], CTMC] | None = None,
-) -> CTMC:
+def ctmc_from_lts(lts: Lts) -> CTMC:
     """Build the CTMC (generator + labels + action-rate vectors) of an
     explored LTS, under a ``ctmc.assemble`` tracer span.
 
@@ -73,54 +51,13 @@ def ctmc_from_lts(
     :class:`~repro.core.keys.DerivationKey` as ``cache_key``; when an
     ambient :class:`~repro.batch.cache.DerivationCache` is installed the
     assembled generator is cached too — under the ``"ctmc"`` child of
-    that key for the CSR path and ``"ctmc-descriptor"`` for the
-    matrix-free path (serialised via :mod:`repro.ctmc.serialize`) — so a
-    fully cached analysis skips both exploration *and* assembly.
+    that key, serialised via :mod:`repro.ctmc.serialize` — so a fully
+    cached analysis skips both exploration *and* assembly.
     """
-    if generator not in GENERATOR_MODES:
-        raise SolverError(
-            f"unknown generator mode {generator!r}; choose from {GENERATOR_MODES}"
-        )
-    if generator == "descriptor" and descriptor_builder is None:
-        raise SolverError(
-            "generator='descriptor' needs a descriptor builder; this "
-            "formalism only supports the materialised CSR path"
-        )
     from repro.batch.cache import get_cache
 
     cache = get_cache()
     key = getattr(lts, "cache_key", None)
-
-    if descriptor_builder is not None and generator in ("descriptor", "auto"):
-        child = (
-            key.child("ctmc-descriptor") if cache is not None and key is not None else None
-        )
-        if child is not None:
-            chain = _cached_chain(cache, child)
-            if chain is not None:
-                return chain
-        try:
-            with get_tracer().span(
-                "ctmc.assemble.descriptor", states=lts.size, arcs=len(lts.arcs)
-            ) as sp:
-                chain = descriptor_builder(lts)
-                op = chain.generator
-                sp.set(
-                    terms=len(getattr(op, "terms", ())),
-                    stored_bytes=int(op.stored_bytes),
-                )
-        except DescriptorUnsupported as exc:
-            if generator == "descriptor":
-                raise
-            get_events().emit("generator.fallback", reason=str(exc))
-            get_metrics().counter("generator.fallback").inc()
-        else:
-            if child is not None:
-                from repro.ctmc.serialize import ctmc_to_payload
-
-                cache.store(child, ctmc_to_payload(chain))
-            return chain
-
     child = key.child("ctmc") if cache is not None and key is not None else None
     if child is not None:
         chain = _cached_chain(cache, child)

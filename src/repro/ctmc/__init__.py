@@ -6,13 +6,6 @@ passage times, exact lumping and explicit-state export formats.
 """
 
 from repro.ctmc.chain import CTMC, build_ctmc
-from repro.ctmc.operator import (
-    CsrGenerator,
-    DescriptorUnsupported,
-    GeneratorOperator,
-    KroneckerDescriptor,
-    KroneckerTerm,
-)
 from repro.ctmc.cumulative import accumulated_reward, reward_to_absorption, time_average_reward
 from repro.ctmc.sensitivity import measure_sensitivity, stationary_derivative
 from repro.ctmc.dtmc import ctmc_pi_from_embedded, dtmc_stationary, embedded_dtmc
@@ -39,11 +32,6 @@ from repro.ctmc.transient import expected_rewards_at, transient_curve, transient
 __all__ = [
     "CTMC",
     "build_ctmc",
-    "GeneratorOperator",
-    "CsrGenerator",
-    "KroneckerDescriptor",
-    "KroneckerTerm",
-    "DescriptorUnsupported",
     "steady_state",
     "SOLVERS",
     "transient_distribution",

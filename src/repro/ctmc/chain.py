@@ -1,16 +1,8 @@
-"""Continuous-Time Markov Chains over abstract generator operators.
+"""Continuous-Time Markov Chains over a sparse generator matrix.
 
-A chain carries its generator behind the :class:`GeneratorOperator`
-interface (:mod:`repro.ctmc.operator`): either a materialised CSR
-matrix (off-diagonal entries are transition rates, the diagonal makes
-rows sum to zero — the classic assemble-in-COO, convert-once layout) or
-a matrix-free Kronecker descriptor built compositionally from the
-model.  Consumers that only need SpMV products use :attr:`generator`
-and stay representation-agnostic; consumers that genuinely need the
-matrix (direct solves, ILU, graph analyses) read :attr:`Q`, which
-materialises a descriptor on first access and announces it with a
-``solver.materialize`` event so the fallback is observable rather than
-silent.
+The generator ``Q`` is a ``scipy.sparse`` CSR matrix: off-diagonal
+entries are transition rates and the diagonal makes rows sum to zero
+(the classic assemble-in-COO, convert-once layout).
 
 Besides the generator the chain optionally carries:
 
@@ -27,99 +19,48 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from repro.ctmc.operator import CsrGenerator, GeneratorOperator
 from repro.exceptions import SolverError
 
 __all__ = ["CTMC", "build_ctmc"]
 
 
 class CTMC:
-    """A finite CTMC with optional state labels and action-rate vectors.
-
-    Construct either from a materialised generator (``CTMC(Q, ...)``,
-    unchanged from the historical dataclass) or from a matrix-free
-    operator (``CTMC(operator=descriptor, ...)``).
-    """
+    """A finite CTMC with optional state labels and action-rate vectors."""
 
     def __init__(
         self,
-        Q: sp.spmatrix | None = None,
+        Q: sp.spmatrix,
         labels: list[str] | None = None,
         action_rates: dict[str, np.ndarray] | None = None,
         initial: int = 0,
-        *,
-        operator: GeneratorOperator | None = None,
     ):
-        if Q is None and operator is None:
-            raise SolverError("a CTMC needs a generator matrix or operator")
-        self._Q: sp.csr_matrix | None = None if Q is None else sp.csr_matrix(Q)
-        self._operator: GeneratorOperator | None = operator
+        self.Q: sp.csr_matrix = sp.csr_matrix(Q)
         self.labels = list(labels or [])
         self.action_rates = dict(action_rates or {})
         self.initial = initial
 
-        n, m = self.generator.shape if self._Q is None else self._Q.shape
+        n, m = self.Q.shape
         if n != m:
             raise SolverError(f"generator must be square, got {(n, m)}")
         if self.labels and len(self.labels) != n:
             raise SolverError("label count does not match state count")
-        self._n = n
-
-    # ------------------------------------------------------------------
-    # Generator access
-    # ------------------------------------------------------------------
-    @property
-    def materialized(self) -> bool:
-        """True when the CSR generator matrix already exists."""
-        return self._Q is not None
-
-    @property
-    def generator(self) -> GeneratorOperator:
-        """The representation-agnostic generator operator."""
-        if self._operator is None:
-            self._operator = CsrGenerator(self._Q)
-        return self._operator
-
-    @property
-    def Q(self) -> sp.csr_matrix:
-        """The materialised generator.  For descriptor-backed chains
-        the first access builds the matrix and emits a
-        ``solver.materialize`` event (plus a ``generator.materialize``
-        counter) — the observable escape hatch for consumers that
-        cannot work matrix-free."""
-        if self._Q is None:
-            from repro.obs import get_events, get_metrics
-
-            op = self._operator
-            self._Q = op.to_csr()
-            get_events().emit(
-                "solver.materialize",
-                states=self._Q.shape[0],
-                nnz=int(self._Q.nnz),
-                generator=op.description,
-            )
-            get_metrics().counter("generator.materialize").inc()
-        return self._Q
 
     @property
     def n_states(self) -> int:
-        return self._n
+        return self.Q.shape[0]
 
     def __len__(self) -> int:
-        return self._n
+        return self.n_states
 
     def __repr__(self) -> str:
-        backend = "csr" if self.materialized else self.generator.description
-        return f"CTMC(n_states={self._n}, generator={backend})"
+        return f"CTMC(n_states={self.n_states}, nnz={self.Q.nnz})"
 
     # ------------------------------------------------------------------
     # Structure
     # ------------------------------------------------------------------
     def exit_rates(self) -> np.ndarray:
         """Total outgoing rate per state (``-diag(Q)``)."""
-        if self._Q is not None:
-            return -self._Q.diagonal()
-        return self.generator.exit_rates()
+        return -self.Q.diagonal()
 
     def max_exit_rate(self) -> float:
         """The largest exit rate (the uniformization constant's floor)."""
@@ -131,38 +72,9 @@ class CTMC:
         return np.flatnonzero(self.exit_rates() == 0.0)
 
     def is_irreducible(self) -> bool:
-        """True when the chain is one strongly connected component.
-
-        Matrix-free chains answer via support propagation (forward and
-        backward reachability closure from state 0 through repeated
-        SpMV), so irreducibility checks never force materialisation.
-        """
-        if self.materialized:
-            n_comp, _ = connected_components(self._Q, directed=True, connection="strong")
-            return bool(n_comp == 1)
-        return bool(
-            self._support_closure(forward=True).all()
-            and self._support_closure(forward=False).all()
-        )
-
-    def _support_closure(self, *, forward: bool) -> np.ndarray:
-        """Boolean reachability closure from state 0 along (or against)
-        the transition relation, using only generator products."""
-        op = self.generator
-        exits = self.exit_rates()
-        # Qx + exit*x reconstructs the rate-matrix product; tiny
-        # cancellation noise is filtered against the rate scale.
-        eps = 1e-9 * max(1.0, float(exits.max()) if exits.size else 1.0)
-        reached = np.zeros(self._n, dtype=bool)
-        reached[0] = True
-        frontier = True
-        while frontier:
-            x = reached.astype(float)
-            y = (op.rmatvec(x) if forward else op.matvec(x)) + exits * x
-            new = (y > eps) & ~reached
-            frontier = bool(new.any())
-            reached |= new
-        return reached
+        """True when the chain is one strongly connected component."""
+        n_comp, _ = connected_components(self.Q, directed=True, connection="strong")
+        return bool(n_comp == 1)
 
     def strongly_connected_components(self) -> list[np.ndarray]:
         """SCCs as arrays of state indices, in component-label order."""
@@ -173,11 +85,10 @@ class CTMC:
         """Bottom strongly connected components (closed recurrent classes)."""
         n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
         coo = self.Q.tocoo()
-        leaves = set(range(n_comp))
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if v > 0 and labels[i] != labels[j]:
-                leaves.discard(int(labels[i]))
-        return [np.flatnonzero(labels == c) for c in sorted(leaves)]
+        leaving = (coo.data > 0) & (labels[coo.row] != labels[coo.col])
+        has_exit = np.zeros(n_comp, dtype=bool)
+        has_exit[labels[coo.row[leaving]]] = True
+        return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
     def restricted_to(self, states: np.ndarray) -> "CTMC":
         """The sub-chain on ``states`` (rates leaving the set are dropped

@@ -7,20 +7,9 @@ must be bit-identical to the fresh one — and (b) independent of scipy's
 internal sparse classes, so a cache written by one scipy version loads
 under another.
 
-Two schemas coexist:
-
-* ``repro-ctmc/1`` — the materialised path.  The CSR triple (``data``,
-  ``indices``, ``indptr``) plus the shape *is* the generator, exactly.
-* ``repro-ctmc/2`` — matrix-free Kronecker descriptors: component
-  dimensions, the per-term local factor matrices / scale groups, and
-  the reachable-state projection.  Loading rebuilds the
-  :class:`~repro.ctmc.operator.KroneckerDescriptor` (its derived
-  row-total/action-rate vectors are recomputed deterministically), so a
-  cached descriptor chain stays matrix-free.
-
-:func:`ctmc_from_payload` reads both; :func:`ctmc_to_payload` writes
-whichever schema matches the chain's backend, so old readers keep
-working on every matrix-backed cache entry.
+The ``repro-ctmc/1`` schema stores the CSR triple (``data``,
+``indices``, ``indptr``) plus the shape, which *is* the generator,
+exactly.
 """
 
 from __future__ import annotations
@@ -31,33 +20,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.operator import KroneckerDescriptor, KroneckerTerm
 
-__all__ = [
-    "CTMC_PAYLOAD_SCHEMA",
-    "CTMC_DESCRIPTOR_SCHEMA",
-    "ctmc_to_payload",
-    "ctmc_from_payload",
-]
+__all__ = ["CTMC_PAYLOAD_SCHEMA", "ctmc_to_payload", "ctmc_from_payload"]
 
-#: Schema tag of materialised-generator payloads; bump on incompatible
-#: changes.
+#: Schema tag of generator payloads; bump on incompatible changes.
 CTMC_PAYLOAD_SCHEMA = "repro-ctmc/1"
-
-#: Schema tag of Kronecker-descriptor payloads.
-CTMC_DESCRIPTOR_SCHEMA = "repro-ctmc/2"
 
 
 def ctmc_to_payload(chain: CTMC) -> dict[str, Any]:
-    """A plain-dict rendering of ``chain``.
-
-    Descriptor-backed chains serialise symbolically (``repro-ctmc/2``)
-    so the round trip never materialises; everything else serialises as
-    CSR arrays (``repro-ctmc/1``).
-    """
-    if not chain.materialized and isinstance(chain.generator, KroneckerDescriptor):
-        return _descriptor_payload(chain)
-    Q = chain.Q.tocsr()
+    """A plain-dict rendering of ``chain`` (CSR arrays)."""
+    Q = chain.Q
     return {
         "schema": CTMC_PAYLOAD_SCHEMA,
         "shape": [int(Q.shape[0]), int(Q.shape[1])],
@@ -73,58 +45,12 @@ def ctmc_to_payload(chain: CTMC) -> dict[str, Any]:
     }
 
 
-def _descriptor_payload(chain: CTMC) -> dict[str, Any]:
-    descriptor = chain.generator
-    assert isinstance(descriptor, KroneckerDescriptor)
-    return {
-        "schema": CTMC_DESCRIPTOR_SCHEMA,
-        "dims": [int(d) for d in descriptor.dims],
-        "projection": np.asarray(descriptor.projection, dtype=np.int64),
-        "terms": [
-            {
-                "action": term.action,
-                "coeff": float(term.coeff),
-                "factors": [
-                    [int(pos), np.asarray(mat, dtype=np.float64)]
-                    for pos, mat in sorted(term.factors.items())
-                ],
-                "scales": [
-                    [[int(pos), np.asarray(vec, dtype=np.float64)] for pos, vec in group]
-                    for group in term.scales
-                ],
-            }
-            for term in descriptor.terms
-        ],
-        "labels": list(chain.labels),
-        "initial": int(chain.initial),
-    }
-
-
 def ctmc_from_payload(payload: dict[str, Any]) -> CTMC:
-    """Rebuild the exact CTMC serialised by :func:`ctmc_to_payload`
-    (either schema)."""
+    """Rebuild the exact CTMC serialised by :func:`ctmc_to_payload`."""
     schema = payload.get("schema")
-    if schema == CTMC_DESCRIPTOR_SCHEMA:
-        terms = [
-            KroneckerTerm(
-                entry["action"],
-                entry["coeff"],
-                {pos: mat for pos, mat in entry["factors"]},
-                tuple(tuple((pos, vec) for pos, vec in group) for group in entry["scales"]),
-            )
-            for entry in payload["terms"]
-        ]
-        descriptor = KroneckerDescriptor(payload["dims"], terms, payload["projection"])
-        return CTMC(
-            labels=list(payload["labels"]),
-            action_rates=dict(descriptor.action_rates),
-            initial=int(payload.get("initial", 0)),
-            operator=descriptor,
-        )
     if schema != CTMC_PAYLOAD_SCHEMA:
         raise ValueError(
-            f"not a {CTMC_PAYLOAD_SCHEMA}/{CTMC_DESCRIPTOR_SCHEMA} payload: "
-            f"schema={schema!r}"
+            f"not a {CTMC_PAYLOAD_SCHEMA} payload: schema={schema!r}"
         )
     shape = tuple(payload["shape"])
     Q = sp.csr_matrix(

@@ -15,16 +15,10 @@ paper builds on, and following the HPC guide's advice to prefer
   both as a baseline for the solver benchmark and because Gauss–Seidel
   is what the original Workbench shipped.
 
-Every iterative method consumes the chain through its
-:class:`~repro.ctmc.operator.GeneratorOperator`, so a matrix-free
-Kronecker-descriptor chain solves without ever materialising the
-global generator.  Only the direct solver, Gauss–Seidel (which needs
-random row access) and the ILU preconditioner require the matrix:
-``direct``/``gauss_seidel`` materialise transparently (announced by the
-chain's ``solver.materialize`` event), while the Krylov methods on a
-descriptor simply skip ILU and solve unpreconditioned — the
-preconditioner path actually taken is reported through the
-``options["info"]`` dict (and surfaces in the fallback layer's
+The Krylov methods precondition with ILU; when the factorisation
+fails they solve unpreconditioned, and the preconditioner path actually
+taken is reported through the ``options["info"]`` dict (it surfaces in
+the fallback layer's
 :class:`~repro.resilience.fallback.SolveDiagnostics`).
 
 All methods require an irreducible chain; hand a reducible one to
@@ -146,7 +140,7 @@ def steady_state(
         pi = _call_solver(solver, chain, tol, max_iterations, solver_options)
         pi = _normalise(pi, method, tol)
         if tracer.enabled:
-            residual = float(np.abs(chain.generator.rmatvec(pi)).max())
+            residual = float(np.abs(chain.Q.T @ pi).max())
             sp.set(residual=residual)
             get_metrics().gauge("residual").set(residual)
     return pi
@@ -239,41 +233,24 @@ def _krylov(name: str) -> Callable[..., np.ndarray]:
         n = chain.n_states
         b = np.zeros(n)
         b[n - 1] = 1.0
-        if chain.materialized:
-            A = chain.Q.transpose().tocsr(copy=True).tolil()
-            A[n - 1, :] = np.ones(n)
-            A = A.tocsc()
-            try:
-                ilu = spla.spilu(
-                    A,
-                    drop_tol=options.get("ilu_drop_tol", 1e-5),
-                    fill_factor=options.get("ilu_fill_factor", 20),
-                )
-                M = spla.LinearOperator((n, n), ilu.solve)
-                info_out["preconditioner"] = "ilu"
-            except (RuntimeError, ValueError, MemoryError):
-                # spilu raises RuntimeError on exactly-singular factors, but
-                # near-singular or very large systems can also surface as
-                # ValueError/MemoryError — an unpreconditioned solve beats a
-                # crashed one in every case.
-                M = None
-                info_out["preconditioner"] = "none-fallback"
-        else:
-            # Matrix-free backend: the normal system's operator is
-            # Qᵀx with the last row replaced by Σx — ILU would need
-            # the matrix, so the solve runs unpreconditioned rather
-            # than forcing materialisation.
-            op = chain.generator
-
-            def normal_matvec(x):
-                x = np.asarray(x, dtype=float).ravel()
-                y = op.rmatvec(x)
-                y[n - 1] = x.sum()
-                return y
-
-            A = spla.LinearOperator((n, n), matvec=normal_matvec, dtype=float)
+        A = chain.Q.transpose().tocsr(copy=True).tolil()
+        A[n - 1, :] = np.ones(n)
+        A = A.tocsc()
+        try:
+            ilu = spla.spilu(
+                A,
+                drop_tol=options.get("ilu_drop_tol", 1e-5),
+                fill_factor=options.get("ilu_fill_factor", 20),
+            )
+            M = spla.LinearOperator((n, n), ilu.solve)
+            info_out["preconditioner"] = "ilu"
+        except (RuntimeError, ValueError, MemoryError):
+            # spilu raises RuntimeError on exactly-singular factors, but
+            # near-singular or very large systems can also surface as
+            # ValueError/MemoryError — an unpreconditioned solve beats a
+            # crashed one in every case.
             M = None
-            info_out["preconditioner"] = "none-operator"
+            info_out["preconditioner"] = "none-fallback"
         x0 = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
         fn = _KRYLOV_FNS[name]
         iterations = [0]
@@ -327,11 +304,11 @@ def _solve_power(chain: CTMC, tol: float, max_iterations: int,
                  options: Mapping | None = None) -> np.ndarray:
     """Power iteration on the uniformized DTMC ``P = I + Q/Λ``.
 
-    ``Pᵀπ = π + Qᵀπ/Λ`` needs only the generator's ``rmatvec``, so the
-    iteration runs matrix-free on either backend (Λ is 1.02× the
-    maximum exit rate, strictly above it for aperiodicity)."""
+    Each step is ``Pᵀπ = π + Qᵀπ/Λ``: one SpMV with ``Qᵀ``, transposed
+    to CSR once per solve (Λ is 1.02× the maximum exit rate, strictly
+    above it for aperiodicity)."""
     options = options or {}
-    op = chain.generator
+    QT = chain.Q.transpose().tocsr()
     lam = max(chain.max_exit_rate() * 1.02, 1e-12)
     n = chain.n_states
     pi = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
@@ -342,7 +319,7 @@ def _solve_power(chain: CTMC, tol: float, max_iterations: int,
     it = 0
     try:
         for it in range(1, max_iterations + 1):
-            nxt = pi + op.rmatvec(pi) / lam
+            nxt = pi + QT @ pi / lam
             nxt /= nxt.sum()
             delta = np.abs(nxt - pi).max()
             if events.enabled:
@@ -366,9 +343,7 @@ def _solve_gauss_seidel(chain: CTMC, tol: float, max_iterations: int,
     """Gauss–Seidel on ``πQ = 0``.
 
     Written over the transposed generator in CSR so each state's update
-    streams one contiguous row (cache-friendly per the HPC guide).  The
-    in-place latest-value sweep needs random row access, so this is one
-    of the two methods that materialise a descriptor-backed chain.
+    streams one contiguous row (cache-friendly per the HPC guide).
     """
     n = chain.n_states
     QT = chain.Q.transpose().tocsr()
@@ -417,9 +392,10 @@ def _solve_gauss_seidel(chain: CTMC, tol: float, max_iterations: int,
 
 def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
                   options: Mapping | None = None) -> np.ndarray:
-    """Damped Jacobi on ``πQ = 0``, matrix-free.
+    """Damped Jacobi on ``πQ = 0``.
 
-    The whole sweep is one ``rmatvec``: the off-diagonal accumulation
+    The whole sweep is one SpMV with ``Qᵀ`` (transposed to CSR once per
+    solve): the off-diagonal accumulation
     ``Σ_{j≠i} Qᵀ[i,j]·π_j`` equals ``(Qᵀπ)_i + exit_i·π_i`` because the
     diagonal of ``Q`` is ``-exit``.  Undamped Jacobi has
     iteration-matrix spectral radius 1 on this singular system and
@@ -428,7 +404,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     """
     omega = 0.7
     n = chain.n_states
-    op = chain.generator
+    QT = chain.Q.transpose().tocsr()
     exits = chain.exit_rates()
     if np.any(exits == 0.0):
         raise SolverError("stationary iteration requires every state to have an exit rate")
@@ -438,7 +414,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     sweeps = 0
     try:
         for sweeps in range(1, max_iterations + 1):
-            acc = op.rmatvec(pi) + exits * pi
+            acc = QT @ pi + exits * pi
             new = omega * (acc / exits) + (1.0 - omega) * pi
             max_delta = float(np.abs(new - pi).max())
             pi = new

@@ -15,9 +15,8 @@ is written with a handful of replicas, and ``--replicas N`` rescales
 the population without ever rebuilding an ``N``-wide expression.
 
 Models outside the shape raise :class:`FluidUnsupported` with a
-diagnostic naming the offending subterm — mirroring
-:class:`~repro.ctmc.operator.DescriptorUnsupported`, these are
-capability boundaries for the caller to fall back on, not bugs.
+diagnostic naming the offending subterm: these are capability
+boundaries for the caller to fall back on, not bugs.
 """
 
 from __future__ import annotations

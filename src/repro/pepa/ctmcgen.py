@@ -5,13 +5,6 @@ the same pair of derivatives race, so their rates sum.  The per-action
 outgoing-rate vectors needed for throughput are collected here too,
 *including* self-loop activities, which do not affect the generator but
 do count as completed work.
-
-PEPA is the one formalism with a compositional system equation, so it
-is also the one route that can ask for the matrix-free Kronecker
-backend: pass ``generator="descriptor"`` (or ``"auto"``) together with
-the model's environment and the chain is built by
-:func:`repro.pepa.kronecker.descriptor_chain` instead of materialising
-the global CSR matrix.
 """
 
 from __future__ import annotations
@@ -19,45 +12,22 @@ from __future__ import annotations
 from repro.core.ctmcgen import ctmc_from_lts
 from repro.core.explore import DEFAULT_MAX_STATES
 from repro.ctmc.chain import CTMC
-from repro.exceptions import SolverError
-from repro.pepa.environment import Environment, PepaModel
+from repro.pepa.environment import PepaModel
 from repro.pepa.statespace import StateSpace, derive
 
 __all__ = ["ctmc_from_statespace", "ctmc_of_model"]
 
 
-def ctmc_from_statespace(
-    space: StateSpace,
-    *,
-    generator: str = "csr",
-    environment: Environment | None = None,
-) -> CTMC:
+def ctmc_from_statespace(space: StateSpace) -> CTMC:
     """Build the CTMC (generator + labels + action-rate vectors)."""
-    builder = None
-    if generator in ("descriptor", "auto"):
-        if environment is None:
-            if generator == "descriptor":
-                raise SolverError(
-                    "generator='descriptor' needs the model environment to "
-                    "decompose the system equation"
-                )
-        else:
-            from repro.pepa.kronecker import descriptor_chain
-
-            def builder(lts):
-                return descriptor_chain(lts, environment)
-
-    return ctmc_from_lts(space, generator=generator, descriptor_builder=builder)
+    return ctmc_from_lts(space)
 
 
 def ctmc_of_model(
     model: PepaModel,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    generator: str = "csr",
 ) -> tuple[StateSpace, CTMC]:
     """Derive the state space of ``model`` and its CTMC in one call."""
     space = derive(model, max_states=max_states)
-    return space, ctmc_from_statespace(
-        space, generator=generator, environment=model.environment
-    )
+    return space, ctmc_from_statespace(space)

@@ -111,7 +111,6 @@ def analyse(
     reducible: str = "error",
     budget: "ExecutionBudget | None" = None,
     policy: "FallbackPolicy | str | None" = None,
-    generator: str = "csr",
     fluid: bool = False,
     replicas: int | None = None,
 ):
@@ -124,9 +123,6 @@ def analyse(
     (:class:`~repro.resilience.fallback.FallbackPolicy` or a
     comma-separated method list) solves through the resilient fallback
     chain and records per-attempt diagnostics on the returned analysis.
-    ``generator`` selects the generator representation (``"csr"``,
-    ``"descriptor"`` or ``"auto"`` — see
-    :func:`repro.pepa.ctmcgen.ctmc_from_statespace`).
 
     ``fluid=True`` switches to the mean-field route: the model must
     have the replicated population shape, the (optional) ``replicas``
@@ -144,9 +140,7 @@ def analyse(
             "replicas is only meaningful on the fluid route; pass fluid=True"
         )
     space = derive(model, max_states=max_states, budget=budget)
-    chain = ctmc_from_statespace(
-        space, generator=generator, environment=model.environment
-    )
+    chain = ctmc_from_statespace(space)
     diagnostics = None
     if policy is not None:
         from repro.resilience.fallback import solve_with_fallback

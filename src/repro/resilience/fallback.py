@@ -123,10 +123,9 @@ class AttemptRecord:
     elapsed: float
     residual: float | None = None
     detail: str = ""
-    #: Which preconditioner path a Krylov attempt took: ``"ilu"``,
-    #: ``"none-fallback"`` (ILU factorisation failed) or
-    #: ``"none-operator"`` (matrix-free backend, ILU skipped).  Empty
-    #: for non-Krylov methods.
+    #: Which preconditioner path a Krylov attempt took: ``"ilu"`` or
+    #: ``"none-fallback"`` (ILU factorisation failed).  Empty for
+    #: non-Krylov methods.
     preconditioner: str = ""
 
     @property
@@ -266,8 +265,6 @@ def solve_with_fallback(
 
     deadline = Deadline.after(policy.deadline)
     start = time.monotonic()
-    # max |diag(Q)| is the maximum exit rate — available on either
-    # backend without materialising the generator.
     rate_scale = max(1.0, chain.max_exit_rate())
     residual_bound = policy.residual_tol * rate_scale
 
@@ -309,7 +306,7 @@ def solve_with_fallback(
                         )
                         pi = _normalise(raw, method, policy.tol)
                         elapsed = time.monotonic() - t0
-                        residual = float(np.abs(chain.generator.rmatvec(pi)).max())
+                        residual = float(np.abs(chain.Q.T @ pi).max())
                         preconditioner = info.get("preconditioner", "")
                         if not np.isfinite(residual) or residual > residual_bound:
                             diag.record(

@@ -3,9 +3,21 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from repro.ctmc import CTMC, build_ctmc
 from repro.exceptions import SolverError
+
+
+def bottom_sccs_by_loop(chain):
+    """Reference: bottom SCCs found by visiting every generator arc."""
+    n_comp, labels = connected_components(chain.Q, directed=True, connection="strong")
+    coo = chain.Q.tocoo()
+    leaves = set(range(n_comp))
+    for i, j, v in zip(coo.row, coo.col, coo.data):
+        if v > 0 and labels[i] != labels[j]:
+            leaves.discard(int(labels[i]))
+    return [np.flatnonzero(labels == c) for c in sorted(leaves)]
 
 
 def two_state():
@@ -63,11 +75,22 @@ class TestStructure:
         assert not chain.is_irreducible()
 
     def test_bottom_sccs(self):
-        # 0 -> 1 <-> 2 : the bottom SCC is {1, 2}
-        c = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 1.0, 2), (2, "c", 1.0, 1)])
-        bsccs = c.bottom_sccs()
-        assert len(bsccs) == 1
-        assert sorted(bsccs[0].tolist()) == [1, 2]
+        cases = [
+            # 0 -> 1 <-> 2 : the bottom SCC is {1, 2}
+            (3, [(0, "a", 1.0, 1), (1, "b", 1.0, 2), (2, "c", 1.0, 1)], [[1, 2]]),
+            # transient 0 <-> 1 feeds the bottom components {2, 3} and {4, 5}
+            (6, [(0, "a", 1.0, 1), (1, "b", 1.0, 0), (0, "l", 1.0, 2),
+                 (1, "r", 1.0, 4), (2, "c", 1.0, 3), (3, "d", 1.0, 2),
+                 (4, "e", 1.0, 5), (5, "f", 1.0, 4)], [[2, 3], [4, 5]]),
+        ]
+        for n, transitions, expected in cases:
+            c = build_ctmc(n, transitions)
+            bsccs = c.bottom_sccs()
+            assert sorted(b.tolist() for b in bsccs) == expected
+            # same arrays, same order as the per-arc loop it replaced
+            assert [b.tolist() for b in bsccs] == [
+                b.tolist() for b in bottom_sccs_by_loop(c)
+            ]
 
     def test_restricted_to_rebuilds_diagonal(self):
         c = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 1.0, 2), (2, "c", 1.0, 1),

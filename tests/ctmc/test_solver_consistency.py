@@ -29,11 +29,6 @@ AGREEMENT_ATOL = 1e-8
 FAST_METHODS = sorted(set(SOLVERS) & {"direct", "gmres", "bicgstab", "lgmres"})
 SLOW_METHODS = sorted(set(SOLVERS) - set(FAST_METHODS))
 
-#: methods that must stay matrix-free on an operator-backed chain
-MATRIX_FREE_METHODS = sorted(
-    set(SOLVERS) - {"direct", "gauss_seidel"}
-)
-
 
 def random_ergodic_ctmc(n: int, seed: int, extra_density: float = 0.4) -> CTMC:
     """A seeded random irreducible CTMC on ``n`` states.
@@ -140,62 +135,6 @@ class TestPropertyAgreement:
         pi = reference_pi(chain)
         residual = np.abs(chain.Q.transpose() @ pi).max()
         assert residual < 1e-9
-
-
-class TestMatrixFreeBackend:
-    """The same seeded chains through the operator-only backend.
-
-    Wrapping the CSR matrix in a :class:`CsrGenerator` and handing only
-    the operator to the chain exercises the matrix-free solver path on
-    arbitrary (non-compositional) generators: answers must agree with
-    the materialised backend to the same tolerance, and no iterative
-    method may trigger materialisation.
-    """
-
-    @staticmethod
-    def operator_only(chain: CTMC) -> CTMC:
-        from repro.ctmc.operator import CsrGenerator
-
-        return CTMC(
-            labels=list(chain.labels),
-            action_rates=dict(chain.action_rates),
-            initial=chain.initial,
-            operator=CsrGenerator(chain.Q),
-        )
-
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("method", sorted(set(MATRIX_FREE_METHODS) & set(FAST_METHODS)))
-    def test_krylov_methods_stay_matrix_free(self, method, seed):
-        chain = random_ergodic_ctmc(25, seed)
-        wrapped = self.operator_only(chain)
-        assert_consistent(steady_state(wrapped, method), reference_pi(chain))
-        assert not wrapped.materialized
-
-    @pytest.mark.parametrize("seed", [0, 1, 7])
-    @pytest.mark.parametrize("method", sorted(set(MATRIX_FREE_METHODS) - set(FAST_METHODS)))
-    def test_slow_methods_stay_matrix_free(self, method, seed):
-        chain = random_ergodic_ctmc(8, seed)
-        wrapped = self.operator_only(chain)
-        assert_consistent(steady_state(wrapped, method), reference_pi(chain))
-        assert not wrapped.materialized
-
-    @pytest.mark.parametrize("method", sorted(set(SOLVERS) - set(MATRIX_FREE_METHODS)))
-    def test_materialising_methods_agree_too(self, method):
-        chain = random_ergodic_ctmc(8, 3)
-        wrapped = self.operator_only(chain)
-        assert_consistent(steady_state(wrapped, method), reference_pi(chain))
-        assert wrapped.materialized
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_fallback_chain_on_operator_backend(self, seed):
-        chain = random_ergodic_ctmc(12, seed)
-        wrapped = self.operator_only(chain)
-        pi, diag = solve_with_fallback(
-            wrapped, FallbackPolicy(methods=("gmres", "bicgstab", "power"))
-        )
-        assert diag.succeeded
-        assert_consistent(pi, reference_pi(chain))
-        assert not wrapped.materialized
 
 
 def test_registry_is_covered():

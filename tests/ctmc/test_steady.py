@@ -241,9 +241,8 @@ class TestPreconditionerFallback:
 
 class TestPreconditionerReporting:
     """Krylov attempts must report which preconditioner path ran via
-    ``solver_options["info"]`` — ILU on a materialised chain, the
-    unpreconditioned fallback when the factorisation fails, and the
-    operator path (ILU impossible) on matrix-free chains."""
+    ``solver_options["info"]`` — ILU by default, the unpreconditioned
+    fallback when the factorisation fails."""
 
     def test_materialised_chain_reports_ilu(self):
         chain = birth_death(6, 1.0, 2.0)
@@ -262,15 +261,3 @@ class TestPreconditionerReporting:
         info: dict = {}
         steady_state(chain, "bicgstab", solver_options={"info": info})
         assert info["preconditioner"] == "none-fallback"
-
-    def test_operator_backed_chain_reports_none_operator(self):
-        from repro.ctmc.chain import CTMC
-        from repro.ctmc.operator import CsrGenerator
-
-        base = birth_death(6, 1.0, 2.0)
-        chain = CTMC(labels=list(base.labels), operator=CsrGenerator(base.Q))
-        info: dict = {}
-        pi = steady_state(chain, "lgmres", solver_options={"info": info})
-        assert info["preconditioner"] == "none-operator"
-        assert not chain.materialized
-        assert np.allclose(pi, geometric_pi(6, 0.5), atol=1e-6)

@@ -28,7 +28,7 @@ RUN_KEYS = {
     "workload", "kind", "size", "solver",
     "n_states", "n_transitions", "stages", "total_s", "peak_rss_kb",
 }
-#: present on chain-building runs only (pepa / pepa-descriptor / net)
+#: present on chain-building runs only (pepa / net)
 OPTIONAL_RUN_KEYS = {"generator", "generator_bytes"}
 
 
@@ -42,7 +42,7 @@ FAULT_COUNTER_KEYS = {"retries", "quarantined", "cache_evictions", "cache_corrup
 def test_workload_table_shape(run_bench):
     assert len(run_bench.WORKLOADS) >= 3
     for name, (kind, builder, sizes) in run_bench.WORKLOADS.items():
-        assert kind in {"pepa", "pepa-descriptor", "net", "explore", "fluid"}
+        assert kind in {"pepa", "net", "explore", "fluid"}
         assert callable(builder)
         assert len(sizes) >= 2, f"{name} needs >= 2 sizes for the sweep"
     # the kernel-throughput workload is part of the sweep
@@ -267,35 +267,6 @@ def test_profiled_sweep_writes_collapsed_stacks(run_bench, monkeypatch,
                            "--profile-interval", "0.001",
                            "--profile-out", str(folded)]) == 0
     assert folded.exists()
-
-
-def test_run_one_descriptor_record(run_bench):
-    from repro.workloads import client_server_model
-
-    record = run_bench.run_one(
-        "client_server_descriptor", "pepa-descriptor", client_server_model,
-        {"n_clients": 3}, "gmres",
-    )
-    assert_run_keys(record)
-    assert record["kind"] == "pepa-descriptor"
-    assert record["generator"] == "descriptor"
-    assert record["generator_bytes"] > 0
-    assert set(record["stages"]) == {"derive", "assemble", "solve"}
-    assert json.dumps(record)
-
-
-def test_descriptor_stores_fewer_bytes_than_csr(run_bench):
-    """The point of the matrix-free backend: at the largest bench size
-    the descriptor's local matrices are smaller than the global CSR."""
-    from repro.workloads import client_server_model
-
-    size = {"n_clients": 7}
-    csr = run_bench.run_one("client_server", "pepa", client_server_model,
-                            size, "gmres")
-    desc = run_bench.run_one("client_server_descriptor", "pepa-descriptor",
-                             client_server_model, size, "gmres")
-    assert desc["n_states"] == csr["n_states"]
-    assert desc["generator_bytes"] < csr["generator_bytes"]
 
 
 def test_pr9_baseline_contains_descriptor_workloads(run_bench):

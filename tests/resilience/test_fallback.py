@@ -176,17 +176,6 @@ class TestPreconditionerDiagnostics:
         assert diag.succeeded
         assert diag.attempts[0].preconditioner == "ilu"
 
-    def test_operator_chain_records_operator_path(self, chain):
-        from repro.ctmc.chain import CTMC
-        from repro.ctmc.operator import CsrGenerator
-
-        wrapped = CTMC(labels=list(chain.labels), operator=CsrGenerator(chain.Q),
-                       action_rates=dict(chain.action_rates))
-        pi, diag = solve_with_fallback(wrapped, FallbackPolicy(methods=("bicgstab",)))
-        assert diag.succeeded
-        assert diag.attempts[0].preconditioner == "none-operator"
-        assert not wrapped.materialized
-
     def test_non_krylov_attempts_leave_field_empty(self, chain):
         pi, diag = solve_with_fallback(chain, FallbackPolicy(methods=("direct",)))
         assert diag.attempts[0].preconditioner == ""
