@@ -176,7 +176,6 @@ STAGE_SPANS = {
     "pepanet.markingspace": "derive",
     "ctmc.assemble": "assemble",
     "ctmc.solve": "solve",
-    "ctmc.solve.fallback": "solve",
     "fluid.compile": "compile",
     "fluid.solve": "solve",
 }

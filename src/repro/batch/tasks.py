@@ -11,8 +11,10 @@ Kinds:
 ``xmi``
     The full Figure 4 Choreographer pipeline over a Poseidon document:
     ``{"text": ..., "rates": {...}, "loop": true, "reset_rate": 1.0,
-    "solver": "direct", "solver_policy": null, "strict": false}``;
-    ``rates_text`` (raw ``.rates`` file content) may replace ``rates``.
+    "solver": "direct", "strict": false}``; ``solver`` is a method name
+    or a comma-separated fallback chain such as ``"direct,gmres,power"``
+    (as in every kind that solves); ``rates_text`` (raw ``.rates`` file
+    content) may replace ``rates``.
 ``pepa`` / ``net``
     Parse-and-solve of a textual PEPA model / PEPA net:
     ``{"source": ..., "solver": "direct"}``.  A PEPA payload with
@@ -63,7 +65,6 @@ def _run_xmi(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict[
     platform = Choreographer(
         solver=payload.get("solver", "direct"),
         max_states=payload.get("max_states", 1_000_000),
-        solver_policy=payload.get("solver_policy"),
         strict=payload.get("strict", False),
         budget=budget,
     )
@@ -115,7 +116,6 @@ def _run_pepa(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict
     workbench = PepaWorkbench(
         solver=payload.get("solver", "direct"),
         max_states=payload.get("max_states", 1_000_000),
-        policy=payload.get("solver_policy"),
         budget=budget,
     )
     analysis = workbench.solve_source(payload["source"])
@@ -132,7 +132,6 @@ def _run_net(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict[
     workbench = PepaNetWorkbench(
         solver=payload.get("solver", "direct"),
         max_states=payload.get("max_states", 1_000_000),
-        policy=payload.get("solver_policy"),
         budget=budget,
     )
     analysis = workbench.solve_source(payload["source"])

@@ -4,6 +4,7 @@ Sub-commands mirror the tool-chain stages::
 
     choreographer analyse model.xmi --rates tomcat.rates -o reflected.xmi
     choreographer pepa model.pepa --solver gmres
+    choreographer pepa model.pepa --solver direct,gmres,power -v
     choreographer fluid model.pepa --replicas 100000
     choreographer net model.pepanet --export-prism out/model
     choreographer validate model.xmi
@@ -18,13 +19,23 @@ from pathlib import Path
 from repro.choreographer.platform import Choreographer
 from repro.choreographer.workbench import PepaNetWorkbench, PepaWorkbench
 from repro.ctmc.export import write_prism_files
-from repro.ctmc.steady import SOLVERS
-from repro.exceptions import ReproError
+from repro.exceptions import ReproError, SolverError
 from repro.extract.rates import RateTable, load_rates
+from repro.resilience.fallback import FallbackPolicy
 from repro.uml.validate import validate_for_extraction
 from repro.utils.formatting import format_table
 
 __all__ = ["main", "build_parser"]
+
+
+def _solver_spec(text: str) -> str:
+    """The ``--solver`` type: a method name or a comma-separated fallback
+    chain, checked against the solver registry in O(1)."""
+    try:
+        FallbackPolicy.parse(text).validate()
+    except SolverError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,11 +68,15 @@ def build_parser() -> argparse.ArgumentParser:
             help="write collapsed-stack samples here "
                  "(flamegraph.pl / speedscope format)")
 
-    def add_resilience_flags(cmd: argparse.ArgumentParser) -> None:
+    def add_solver_flag(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--solver-policy", metavar="METHODS",
-            help="comma-separated fallback chain (e.g. direct,gmres,power); "
-                 "overrides --solver and retries/falls back on failure")
+            "--solver", type=_solver_spec, default="direct", metavar="METHODS",
+            help="steady-state method, or a comma-separated fallback chain "
+                 "tried in order with retries (e.g. direct,gmres,power); "
+                 "default: direct")
+
+    def add_resilience_flags(cmd: argparse.ArgumentParser) -> None:
+        add_solver_flag(cmd)
         cmd.add_argument(
             "--deadline", type=float, metavar="SECONDS",
             help="cooperative wall-clock budget for derivation and solving")
@@ -85,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyse.add_argument("model", type=Path, help="Poseidon-flavoured XMI file")
     analyse.add_argument("--rates", type=Path, help=".rates file")
     analyse.add_argument("-o", "--output", type=Path, help="write the reflected XMI here")
-    analyse.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
     analyse.add_argument("--reset-rate", type=float, default=1.0,
                          help="rate of synthetic token-return firings")
     analyse.add_argument(
@@ -96,7 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pepa = sub.add_parser("pepa", help="solve a textual PEPA model")
     pepa.add_argument("model", type=Path)
-    pepa.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
     pepa.add_argument("--export-prism", type=Path, metavar="STEM",
                       help="also write PRISM .tra/.sta/.lab files")
     pepa.add_argument(
@@ -157,7 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     net = sub.add_parser("net", help="solve a textual PEPA net")
     net.add_argument("model", type=Path)
-    net.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
     net.add_argument("--export-prism", type=Path, metavar="STEM")
     add_resilience_flags(net)
 
@@ -246,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inject a deterministic batch fault, e.g. 'kill:taskid@1', "
              "'hang:taskid@1:30', 'cache-enospc:*'; repeatable (drills only)")
     batch.add_argument("--rates", type=Path, help=".rates file for XMI tasks")
-    batch.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
+    add_solver_flag(batch)
     batch.add_argument(
         "--fluid", action="store_true",
         help="solve PEPA tasks on the mean-field fluid route instead of "
@@ -312,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument(
         "--no-minimise", action="store_true",
         help="skip shrinking divergent specs (faster triage)")
-    fuzz.add_argument("--solver", choices=sorted(SOLVERS), default="direct")
+    add_solver_flag(fuzz)
     add_warehouse_flags(fuzz)
 
     runs = sub.add_parser(
@@ -418,7 +430,7 @@ def _ledger_config(args: argparse.Namespace) -> dict:
 
 
 def _print_diagnostics(analysis, verbose: bool) -> None:
-    """On --verbose, print the fallback solver's attempt table."""
+    """On --verbose, print the solve's attempt table."""
     diagnostics = getattr(analysis, "diagnostics", None)
     if verbose and diagnostics is not None:
         print(diagnostics.summary())
@@ -428,8 +440,7 @@ def _print_diagnostics(analysis, verbose: bool) -> None:
 
 def _cmd_analyse(args: argparse.Namespace) -> int:
     platform = Choreographer(
-        solver=args.solver, solver_policy=args.solver_policy,
-        deadline=args.deadline, strict=args.strict,
+        solver=args.solver, deadline=args.deadline, strict=args.strict,
     )
     text = args.model.read_text()
     result = platform.process_xmi(
@@ -474,7 +485,7 @@ def _cmd_pepa(args: argparse.Namespace) -> int:
               "drop --export-prism or --fluid", file=sys.stderr)
         return 2
     workbench = PepaWorkbench(
-        solver=args.solver, policy=args.solver_policy, deadline=args.deadline,
+        solver=args.solver, deadline=args.deadline,
         fluid=args.fluid, replicas=args.replicas,
     )
     analysis = workbench.solve_source(args.model.read_text())
@@ -496,8 +507,6 @@ def _cmd_fluid(args: argparse.Namespace) -> int:
     from repro.fluid.ode import FLUID_METHODS, analyse_fluid
     from repro.pepa.parser import parse_model
 
-    methods = (tuple(m.strip() for m in args.methods.split(",") if m.strip())
-               if args.methods else FLUID_METHODS)
     if args.crossval:
         families = None
         if args.families:
@@ -526,15 +535,14 @@ def _cmd_fluid(args: argparse.Namespace) -> int:
         print("error: pass a .pepa model file or --crossval", file=sys.stderr)
         return 2
     model = parse_model(args.model.read_text())
-    analysis = analyse_fluid(model, replicas=args.replicas, methods=methods)
+    analysis = analyse_fluid(model, replicas=args.replicas,
+                             methods=args.methods or FLUID_METHODS)
     _print_fluid_analysis(analysis, args.verbose)
     return 0
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
-    workbench = PepaNetWorkbench(
-        solver=args.solver, policy=args.solver_policy, deadline=args.deadline
-    )
+    workbench = PepaNetWorkbench(solver=args.solver, deadline=args.deadline)
     analysis = workbench.solve_source(args.model.read_text())
     print(f"{analysis.n_states} markings, solver={analysis.solver}")
     _print_diagnostics(analysis, args.verbose)

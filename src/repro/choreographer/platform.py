@@ -170,42 +170,35 @@ class PipelineResult:
 class Choreographer:
     """The design platform facade.
 
-    Parameters pick the numerical back end: ``solver`` is any method of
-    :data:`repro.ctmc.steady.SOLVERS`; ``max_states`` bounds derivation.
+    Parameters pick the numerical back end: ``solver`` is a method of
+    :data:`repro.ctmc.steady.SOLVERS`, a comma-separated fallback chain
+    such as ``"direct,gmres,power"`` or a
+    :class:`~repro.resilience.fallback.FallbackPolicy`, parsed once into
+    the policy every solve runs; ``max_states`` bounds derivation.
 
-    Resilience knobs: ``solver_policy`` (a
-    :class:`~repro.resilience.fallback.FallbackPolicy` or a
-    comma-separated method list such as ``"direct,gmres,power"``)
-    routes every solve through the fallback chain; ``deadline``
-    (seconds) puts a cooperative budget on each derivation — or pass a
-    pre-built :class:`~repro.resilience.budget.ExecutionBudget` as
-    ``budget`` to share one task-wide budget across every solve (the
-    batch engine's per-task budgets arrive this way); ``strict``
-    sets the default failure policy of :meth:`process_xmi` — ``True``
+    Resilience knobs: ``deadline`` (seconds) puts a cooperative budget
+    on each derivation — or pass a pre-built
+    :class:`~repro.resilience.budget.ExecutionBudget` as ``budget`` to
+    share one task-wide budget across every solve (the batch engine's
+    per-task budgets arrive this way); ``strict`` sets the default
+    failure policy of :meth:`process_xmi` — ``True``
     fail-fast, ``False`` capture per-diagram failures into the
     :class:`PipelineReport` and keep going.
     """
 
-    def __init__(self, *, solver: str = "direct", max_states: int = 1_000_000,
-                 solver_policy=None, deadline: float | None = None,
-                 strict: bool = True, budget=None):
-        if isinstance(solver_policy, str):
-            from repro.resilience.fallback import FallbackPolicy
-
-            solver_policy = FallbackPolicy.parse(solver_policy)
-        self.solver = solver
+    def __init__(self, *, solver="direct", max_states: int = 1_000_000,
+                 deadline: float | None = None, strict: bool = True, budget=None):
         self.max_states = max_states
-        self.solver_policy = solver_policy
         self.deadline = deadline
         self.strict = strict
         self.budget = budget
         self.pepa_workbench = PepaWorkbench(
-            solver=solver, max_states=max_states,
-            policy=solver_policy, deadline=deadline, budget=budget,
+            solver=solver, max_states=max_states, deadline=deadline, budget=budget,
         )
+        self.solver = self.pepa_workbench.solver
         self.net_workbench = PepaNetWorkbench(
-            solver=solver, max_states=max_states,
-            policy=solver_policy, deadline=deadline, budget=budget,
+            solver=self.solver, max_states=max_states, deadline=deadline,
+            budget=budget,
         )
 
     # ------------------------------------------------------------------

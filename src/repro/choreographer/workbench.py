@@ -5,10 +5,11 @@ models and the PEPA Workbench for PEPA nets [23].  These classes are
 their API images: parse/check/derive/solve with a chosen numerical
 method, caching nothing, raising early.
 
-Both facades optionally take a resilience configuration: ``policy``
-(a :class:`~repro.resilience.fallback.FallbackPolicy` or a
-comma-separated method list) routes the numerical solve through the
-fallback chain, and ``deadline`` (seconds) puts a fresh cooperative
+Both facades take the numerical method as ``solver``: a method name, a
+comma-separated fallback chain or a
+:class:`~repro.resilience.fallback.FallbackPolicy`, parsed and checked
+when the facade is built, so a typo fails before any model is read.
+``deadline`` (seconds) puts a fresh cooperative
 :class:`~repro.resilience.budget.ExecutionBudget` on each solve's
 state-space derivation.  Alternatively ``budget`` installs one
 *shared* pre-built budget across every solve of the workbench — the
@@ -27,21 +28,29 @@ from repro.pepanets.parser import parse_net
 from repro.pepanets.syntax import PepaNet
 from repro.pepanets.wellformed import assert_net_well_formed
 from repro.resilience.budget import ExecutionBudget
+from repro.resilience.fallback import FallbackPolicy
 
 __all__ = ["PepaWorkbench", "PepaNetWorkbench"]
+
+
+def _parse_solver(solver: FallbackPolicy | str) -> FallbackPolicy:
+    """Parse and check a ``solver`` argument (O(1), before any solve)."""
+    policy = FallbackPolicy.of(solver)
+    policy.validate()
+    return policy
 
 
 class PepaWorkbench:
     """Solve plain PEPA models (the Java-edition Workbench stand-in)."""
 
-    def __init__(self, *, solver: str = "direct", max_states: int = 1_000_000,
-                 reducible: str = "error", policy=None, deadline: float | None = None,
+    def __init__(self, *, solver: FallbackPolicy | str = "direct",
+                 max_states: int = 1_000_000, reducible: str = "error",
+                 deadline: float | None = None,
                  budget: ExecutionBudget | None = None,
                  fluid: bool = False, replicas: int | None = None):
-        self.solver = solver
+        self.solver = _parse_solver(solver)
         self.max_states = max_states
         self.reducible = reducible
-        self.policy = policy
         self.deadline = deadline
         self.budget = budget
         #: Mean-field route: solve the fluid ODE limit instead of the
@@ -70,7 +79,7 @@ class PepaWorkbench:
             return analyse(model, fluid=True, replicas=self.replicas)
         return analyse(
             model, solver=self.solver, max_states=self.max_states,
-            reducible=self.reducible, policy=self.policy, budget=self._budget(),
+            reducible=self.reducible, budget=self._budget(),
         )
 
     def solve_source(self, source: str) -> ModelAnalysis:
@@ -81,13 +90,13 @@ class PepaWorkbench:
 class PepaNetWorkbench:
     """Solve PEPA nets (the PEPA Workbench for PEPA nets stand-in)."""
 
-    def __init__(self, *, solver: str = "direct", max_states: int = 1_000_000,
-                 reducible: str = "bscc", policy=None, deadline: float | None = None,
+    def __init__(self, *, solver: FallbackPolicy | str = "direct",
+                 max_states: int = 1_000_000, reducible: str = "bscc",
+                 deadline: float | None = None,
                  budget: ExecutionBudget | None = None):
-        self.solver = solver
+        self.solver = _parse_solver(solver)
         self.max_states = max_states
         self.reducible = reducible
-        self.policy = policy
         self.deadline = deadline
         self.budget = budget
 
@@ -109,7 +118,7 @@ class PepaNetWorkbench:
         assert_net_well_formed(net)
         return analyse_net(
             net, solver=self.solver, max_states=self.max_states,
-            reducible=self.reducible, policy=self.policy, budget=self._budget(),
+            reducible=self.reducible, budget=self._budget(),
         )
 
     def solve_source(self, source: str) -> NetAnalysis:

@@ -18,25 +18,28 @@ paper builds on, and following the HPC guide's advice to prefer
 The Krylov methods precondition with ILU; when the factorisation
 fails they solve unpreconditioned, and the preconditioner path actually
 taken is reported through the ``options["info"]`` dict (it surfaces in
-the fallback layer's
+the attempt records of
 :class:`~repro.resilience.fallback.SolveDiagnostics`).
 
-All methods require an irreducible chain; hand a reducible one to
+:func:`steady_state` runs the one solve path,
+:func:`repro.resilience.fallback.solve_with_fallback`: a method name is
+a one-element policy, a comma-separated list such as
+``"direct,gmres,power"`` an ordered fallback chain, and every answer
+must pass the residual check ``‖πQ‖∞ ≤ 1e-6 × max exit rate``.  All
+methods require an irreducible chain; hand a reducible one to
 :func:`steady_state` and you get a :class:`SolverError` naming the
 offending structure (use :meth:`CTMC.bottom_sccs` to analyse further).
 
-Every solver callable takes ``(chain, tol, max_iterations)`` plus an
-optional fourth ``options`` mapping carrying per-attempt hints
-(``x0``, ``ilu_drop_tol``, ``ilu_fill_factor``) — the retry layer of
-:mod:`repro.resilience.fallback` uses these to perturb the starting
-vector and relax the preconditioner between attempts.  The pseudo
-method ``"fallback"`` routes through that fallback chain.
+Every solver callable takes ``(chain, tol, max_iterations, options)``;
+``options`` carries per-attempt hints (``x0``, ``ilu_drop_tol``,
+``ilu_fill_factor``) that the retry layer uses to perturb the starting
+vector and relax the preconditioner between attempts.
 """
 
 from __future__ import annotations
 
-import inspect
 from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -45,7 +48,10 @@ import time
 
 from repro.ctmc.chain import CTMC
 from repro.exceptions import SolverError
-from repro.obs import get_events, get_metrics, get_tracer
+from repro.obs import get_events, get_metrics
+
+if TYPE_CHECKING:  # pragma: no cover — typing only; the import is circular
+    from repro.resilience.fallback import FallbackPolicy
 
 __all__ = ["steady_state", "SOLVERS"]
 
@@ -55,94 +61,28 @@ _DEFAULT_MAXITER = 200_000
 
 def steady_state(
     chain: CTMC,
-    method: str = "direct",
+    method: str | FallbackPolicy = "direct",
     *,
     tol: float = _DEFAULT_TOL,
     max_iterations: int = _DEFAULT_MAXITER,
     check_irreducible: bool = True,
     reducible: str = "error",
-    policy=None,
-    solver_options: Mapping | None = None,
 ) -> np.ndarray:
     """The stationary distribution π of a CTMC.
 
     Returns a dense probability vector of length ``chain.n_states``.
-
-    ``reducible`` selects the policy for chains that are not
-    irreducible: ``"error"`` (the default) raises; ``"bscc"`` solves on
-    the chain's unique bottom strongly connected component and assigns
-    probability zero to the transient states — the correct long-run
-    distribution for models with a start-up phase, such as the paper's
-    one-shot instant-message transmission.  A chain with *several*
-    bottom components has no initial-state-independent steady state and
-    always raises.
-
-    ``method="fallback"`` (or any non-``None`` ``policy``) solves
-    through the resilient fallback chain of
-    :func:`repro.resilience.fallback.solve_with_fallback`: an ordered
-    list of methods tried in turn with bounded retries; ``policy`` may
-    be a :class:`~repro.resilience.fallback.FallbackPolicy` or a
-    comma-separated method list such as ``"direct,gmres,power"``.
-    Use :func:`~repro.resilience.fallback.solve_with_fallback` directly
-    when you also want the per-attempt diagnostics record.
-
-    ``solver_options`` forwards per-attempt hints (``x0``,
-    ``ilu_drop_tol``, ``ilu_fill_factor``) to solvers that accept them.
+    ``method`` is a method name, a comma-separated fallback chain or a
+    :class:`~repro.resilience.fallback.FallbackPolicy`; ``tol`` and
+    ``max_iterations`` apply to a policy built from a name.
+    ``reducible`` and ``check_irreducible`` are those of
+    :func:`~repro.resilience.fallback.solve_with_fallback`, which also
+    returns the per-attempt diagnostics this function drops.
     """
-    if reducible not in ("error", "bscc"):
-        raise SolverError(f"unknown reducible policy {reducible!r}")
-    if method == "fallback" or policy is not None:
-        from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
+    from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
 
-        if policy is None:
-            policy = FallbackPolicy(tol=tol, max_iterations=max_iterations)
-        elif isinstance(policy, str):
-            policy = FallbackPolicy.parse(
-                policy, tol=tol, max_iterations=max_iterations
-            )
-        pi, _ = solve_with_fallback(
-            chain, policy,
-            check_irreducible=check_irreducible, reducible=reducible,
-        )
-        return pi
-    # Validate the method name first: a typo must fail in O(1), not
-    # after a full SCC analysis of a large chain.
-    try:
-        solver = SOLVERS[method]
-    except KeyError:
-        raise SolverError(
-            f"unknown steady-state method {method!r}; choose from {sorted(SOLVERS)}"
-        ) from None
-    if chain.n_states == 0:
-        raise SolverError("cannot solve an empty chain")
-    if chain.n_states == 1:
-        return np.ones(1)
-    if check_irreducible and not chain.is_irreducible():
-        if reducible == "bscc":
-            bsccs = chain.bottom_sccs()
-            if len(bsccs) != 1:
-                raise SolverError(
-                    f"the chain has {len(bsccs)} bottom strongly connected "
-                    "components; the steady state depends on the initial state"
-                )
-            members = bsccs[0]
-            sub = chain.restricted_to(members)
-            pi_sub = steady_state(
-                sub, method, tol=tol, max_iterations=max_iterations,
-                check_irreducible=False, solver_options=solver_options,
-            )
-            pi = np.zeros(chain.n_states)
-            pi[members] = pi_sub
-            return pi
-        raise _irreducibility_failure(chain)
-    tracer = get_tracer()
-    with tracer.span("ctmc.solve", method=method, states=chain.n_states) as sp:
-        pi = _call_solver(solver, chain, tol, max_iterations, solver_options)
-        pi = _normalise(pi, method, tol)
-        if tracer.enabled:
-            residual = float(np.abs(chain.Q.T @ pi).max())
-            sp.set(residual=residual)
-            get_metrics().gauge("residual").set(residual)
+    policy = FallbackPolicy.of(method, tol=tol, max_iterations=max_iterations)
+    pi, _ = solve_with_fallback(chain, policy, check_irreducible=check_irreducible,
+                                reducible=reducible)
     return pi
 
 
@@ -158,33 +98,6 @@ def _irreducibility_failure(chain: CTMC) -> SolverError:
     return SolverError(
         "steady-state analysis requires an irreducible chain" + detail
     ).with_context(stage="solve")
-
-
-def _call_solver(solver, chain: CTMC, tol: float, max_iterations: int,
-                 options: Mapping | None) -> np.ndarray:
-    """Invoke a solver callable, passing ``options`` only if it takes them.
-
-    Keeps third-party three-argument solvers registered in
-    :data:`SOLVERS` working while the built-in solvers (and the
-    fault-injection wrappers) accept the fourth ``options`` parameter.
-    """
-    if options is None:
-        return solver(chain, tol, max_iterations)
-    try:
-        sig = inspect.signature(solver)
-    except (TypeError, ValueError):
-        return solver(chain, tol, max_iterations)
-    params = list(sig.parameters.values())
-    variadic = any(
-        p.kind in (p.VAR_POSITIONAL, p.VAR_KEYWORD) for p in params
-    )
-    positional = [
-        p for p in params
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-    ]
-    if variadic or len(positional) >= 4:
-        return solver(chain, tol, max_iterations, options)
-    return solver(chain, tol, max_iterations)
 
 
 def _normalise(pi: np.ndarray, method: str, tol: float) -> np.ndarray:
@@ -439,7 +352,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
 
 
 #: The solver registry: name → callable ``(chain, tol, max_iterations,
-#: options=None)``.  :mod:`repro.resilience.faultinject` swaps entries
+#: options)``.  :mod:`repro.resilience.faultinject` swaps entries
 #: in and out to inject failures, so callers should look a method up at
 #: call time rather than caching the callable.
 SOLVERS: dict[str, Callable[..., np.ndarray]] = {

@@ -3,8 +3,8 @@
 The NVF's vector field is a small autonomous ODE system — dimension =
 local states, not global states — so both transient trajectories and
 steady states are millisecond work at any replica count.  Steady states
-are found through an ordered fallback chain in the style of
-:func:`repro.resilience.fallback.solve_with_fallback`:
+are found by the same chain runner as the CTMC solve,
+:func:`repro.resilience.fallback.run_chain`, over these methods:
 
 * ``newton`` — damped Newton iteration on ``F(x) = 0`` with a
   finite-difference Jacobian and one conservation row substituted per
@@ -17,19 +17,18 @@ are found through an ordered fallback chain in the style of
 * ``damped`` — a conservative explicit Euler fixed-point iteration,
   the always-converging-slowly safety net.
 
-Every attempt is recorded in a
-:class:`~repro.resilience.fallback.SolveDiagnostics`, and a candidate
-is only accepted if ``‖F(x)‖∞`` passes a scale-aware residual bound —
+The runner records every attempt in a
+:class:`~repro.resilience.fallback.SolveDiagnostics` and accepts a
+candidate only if ``‖F(x)‖∞`` passes a scale-aware residual bound —
 the same trust-but-verify discipline as the CTMC chain.  Progress is
 observable as ``fluid.step`` events (sampled per RHS evaluation batch)
-under a ``fluid.solve`` span, and :func:`analyse_fluid` caches the
-solved vector under the model's :class:`~repro.core.keys.DerivationKey`
-with variant ``fluid`` so batch reruns skip the solve entirely.
+and one ``solve.attempt`` span per try under a ``fluid.solve`` span,
+and :func:`analyse_fluid` caches the solved vector under the model's
+:class:`~repro.core.keys.DerivationKey` with variant ``fluid`` so batch
+reruns skip the solve entirely.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -37,7 +36,7 @@ from repro.exceptions import SolverError
 from repro.fluid.nvf import NumericalVectorForm, nvf_of_model
 from repro.obs import get_events, get_tracer
 from repro.pepa.environment import PepaModel
-from repro.resilience.fallback import SolveDiagnostics
+from repro.resilience.fallback import FallbackPolicy, SolveDiagnostics, run_chain
 
 __all__ = ["FluidAnalysis", "FLUID_METHODS", "steady_fluid", "analyse_fluid"]
 
@@ -173,9 +172,9 @@ def _steady_ode(nvf: NumericalVectorForm, x0: np.ndarray, n: int,
     horizon = 1.0 / max(1.0, nvf.rate_scale)
     last_error: Exception | None = None
     for _ in range(40):  # horizons up to ~2^40 / rate_scale
-        for method in ("LSODA", "Radau", "RK45"):
+        for stepper in ("LSODA", "Radau", "RK45"):
             try:
-                sol = solve_ivp(rhs, (0.0, horizon), x, method=method,
+                sol = solve_ivp(rhs, (0.0, horizon), x, method=stepper,
                                 rtol=1e-10, atol=1e-12 * max(1.0, float(n)))
                 break
             except Exception as exc:  # noqa: BLE001 — try the next stepper
@@ -299,64 +298,33 @@ def steady_fluid(
     methods: tuple[str, ...] | str = FLUID_METHODS,
     residual_tol: float = 1e-10,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the fluid steady state through the fallback chain.
+    """Solve the fluid steady state through the method chain.
 
-    Returns ``(x, diagnostics)``; raises :class:`SolverError` (with the
-    diagnostics attached) only when every method failed.
+    ``methods`` is a sequence or comma-separated list of
+    :data:`FLUID_METHODS` names.  Returns ``(x, diagnostics)``; raises
+    :class:`SolverError` (with the diagnostics attached) only when
+    every method failed.
     """
-    if isinstance(methods, str):
-        methods = tuple(m.strip() for m in methods.split(",") if m.strip())
-    unknown = [m for m in methods if m not in _METHOD_FNS]
-    if unknown or not methods:
-        raise SolverError(
-            f"unknown fluid method(s) {unknown} in {methods!r}; "
-            f"choose from {sorted(_METHOD_FNS)}"
-        )
+    policy = FallbackPolicy.of(methods)
+    policy.validate(_METHOD_FNS)
     bound = _residual_bound(nvf, n_replicas, residual_tol)
     x0 = nvf.initial_vector(n_replicas)
-    diag = SolveDiagnostics(n_states=nvf.dimension)
     counter = {"nfev": 0}
-    start = time.monotonic()
-    tracer = get_tracer()
-    with tracer.span("fluid.solve", dimension=nvf.dimension,
-                     replicas=n_replicas, methods=",".join(methods)) as span:
-        for method in methods:
-            t0 = time.monotonic()
-            try:
-                x = _METHOD_FNS[method](nvf, x0, n_replicas, bound, counter)
-            except SolverError as exc:
-                diag.record(method, 1, "failed", time.monotonic() - t0,
-                            detail=str(exc))
-                continue
-            except Exception as exc:  # noqa: BLE001 — any back-end blow-up
-                diag.record(method, 1, "error", time.monotonic() - t0,
-                            detail=f"{type(exc).__name__}: {exc}")
-                continue
-            residual = float(np.abs(nvf.vector_field(x)).max())
-            if not np.isfinite(residual) or residual > bound:
-                diag.record(
-                    method, 1, "bad-residual", time.monotonic() - t0,
-                    residual=residual,
-                    detail=f"‖F(x)‖∞ = {residual:.3e} above bound {bound:.3e}",
-                )
-                continue
-            diag.record(method, 1, "converged", time.monotonic() - t0,
-                        residual=residual)
-            diag.method = method
-            diag.elapsed = time.monotonic() - start
-            span.set(solved_by=method, residual=residual, nfev=counter["nfev"])
-            return x, diag
-        diag.elapsed = time.monotonic() - start
-        span.set(solved_by="none", nfev=counter["nfev"])
-        failures = "; ".join(
-            f"{a.method}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
-            for a in diag.attempts
-        )
-        exc = SolverError(
-            f"all {len(methods)} fluid method(s) failed: {failures}"
-        ).with_context(stage="fluid.solve")
-        exc.diagnostics = diag
-        raise exc
+
+    def attempt(method: str, k: int, info: dict) -> np.ndarray:
+        return _METHOD_FNS[method](nvf, x0, n_replicas, bound, counter)
+
+    def residual(x: np.ndarray) -> float:
+        return float(np.abs(nvf.vector_field(x)).max())
+
+    with get_tracer().span("fluid.solve", dimension=nvf.dimension,
+                           replicas=n_replicas,
+                           methods=",".join(policy.methods)) as span:
+        try:
+            return run_chain(policy, attempt, residual, bound,
+                             n_states=nvf.dimension, span=span, stage="fluid.solve")
+        finally:
+            span.set(nfev=counter["nfev"])
 
 
 def trajectory(

@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.ctmc import rewards
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import steady_state
 from repro.exceptions import SolverError
+from repro.resilience.fallback import solve_with_fallback
 from repro.pepa.ctmcgen import ctmc_from_statespace
 from repro.pepa.environment import PepaModel
 from repro.pepa.statespace import DEFAULT_MAX_STATES, StateSpace, derive
@@ -42,8 +42,8 @@ class ModelAnalysis:
         self.chain = chain
         self.pi = pi
         self.solver = solver
-        #: :class:`~repro.resilience.fallback.SolveDiagnostics` when the
-        #: model was solved through a fallback policy, else ``None``.
+        #: The :class:`~repro.resilience.fallback.SolveDiagnostics` of the
+        #: solve: winning method, every attempt, the residual.
         self.diagnostics = diagnostics
 
     # ------------------------------------------------------------------
@@ -106,23 +106,23 @@ class ModelAnalysis:
 def analyse(
     model: PepaModel,
     *,
-    solver: str = "direct",
+    solver: "FallbackPolicy | str" = "direct",
     max_states: int = DEFAULT_MAX_STATES,
     reducible: str = "error",
     budget: "ExecutionBudget | None" = None,
-    policy: "FallbackPolicy | str | None" = None,
     fluid: bool = False,
     replicas: int | None = None,
 ):
     """Derive and solve ``model``; returns a :class:`ModelAnalysis`.
 
     ``reducible="bscc"`` permits models with a transient start-up phase
-    (see :func:`repro.ctmc.steady.steady_state`).  ``budget`` is an
-    optional :class:`~repro.resilience.budget.ExecutionBudget` bounding
-    the derivation; a non-``None`` ``policy``
-    (:class:`~repro.resilience.fallback.FallbackPolicy` or a
-    comma-separated method list) solves through the resilient fallback
-    chain and records per-attempt diagnostics on the returned analysis.
+    (see :func:`repro.resilience.fallback.solve_with_fallback`).
+    ``budget`` is an optional
+    :class:`~repro.resilience.budget.ExecutionBudget` bounding the
+    derivation.  ``solver`` is a method name, a comma-separated fallback
+    chain or a :class:`~repro.resilience.fallback.FallbackPolicy`; the
+    returned analysis carries the solve's diagnostics, and its
+    ``solver`` names the method that produced the answer.
 
     ``fluid=True`` switches to the mean-field route: the model must
     have the replicated population shape, the (optional) ``replicas``
@@ -141,13 +141,6 @@ def analyse(
         )
     space = derive(model, max_states=max_states, budget=budget)
     chain = ctmc_from_statespace(space)
-    diagnostics = None
-    if policy is not None:
-        from repro.resilience.fallback import solve_with_fallback
-
-        pi, diagnostics = solve_with_fallback(chain, policy, reducible=reducible)
-        solver = diagnostics.method or solver
-    else:
-        pi = steady_state(chain, method=solver, reducible=reducible)
-    return ModelAnalysis(model, space, chain, pi, solver=solver,
+    pi, diagnostics = solve_with_fallback(chain, solver, reducible=reducible)
+    return ModelAnalysis(model, space, chain, pi, solver=diagnostics.method,
                          diagnostics=diagnostics)

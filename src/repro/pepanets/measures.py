@@ -18,8 +18,8 @@ from repro.core.ctmcgen import ctmc_from_lts
 from repro.core.explore import DEFAULT_MAX_STATES
 from repro.ctmc import rewards
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import steady_state
 from repro.exceptions import SolverError
+from repro.resilience.fallback import solve_with_fallback
 from repro.pepanets.semantics import NetStateSpace, explore_net
 from repro.pepanets.syntax import NetMarking, PepaNet, find_cells
 
@@ -53,8 +53,8 @@ class NetAnalysis:
         self.chain = chain
         self.pi = pi
         self.solver = solver
-        #: :class:`~repro.resilience.fallback.SolveDiagnostics` when the
-        #: net was solved through a fallback policy, else ``None``.
+        #: The :class:`~repro.resilience.fallback.SolveDiagnostics` of the
+        #: solve: winning method, every attempt, the residual.
         self.diagnostics = diagnostics
 
     @property
@@ -166,11 +166,10 @@ class NetAnalysis:
 def analyse_net(
     net: PepaNet,
     *,
-    solver: str = "direct",
+    solver: "FallbackPolicy | str" = "direct",
     max_states: int = DEFAULT_MAX_STATES,
     reducible: str = "bscc",
     budget: "ExecutionBudget | None" = None,
-    policy: "FallbackPolicy | str | None" = None,
 ) -> NetAnalysis:
     """Derive and solve a PEPA net; returns a :class:`NetAnalysis`.
 
@@ -180,17 +179,10 @@ def analyse_net(
     recurrent class.  Pass ``reducible="error"`` to insist on a fully
     irreducible marking space.
 
-    ``budget`` bounds the marking-space derivation cooperatively; a
-    non-``None`` ``policy`` solves through the resilient fallback chain
-    (see :func:`repro.pepa.measures.analyse`).
+    ``budget`` bounds the marking-space derivation cooperatively;
+    ``solver`` is as in :func:`repro.pepa.measures.analyse`.
     """
     space, chain = ctmc_of_net(net, max_states=max_states, budget=budget)
-    diagnostics = None
-    if policy is not None:
-        from repro.resilience.fallback import solve_with_fallback
-
-        pi, diagnostics = solve_with_fallback(chain, policy, reducible=reducible)
-        solver = diagnostics.method or solver
-    else:
-        pi = steady_state(chain, method=solver, reducible=reducible)
-    return NetAnalysis(net, space, chain, pi, solver=solver, diagnostics=diagnostics)
+    pi, diagnostics = solve_with_fallback(chain, solver, reducible=reducible)
+    return NetAnalysis(net, space, chain, pi, solver=diagnostics.method,
+                       diagnostics=diagnostics)

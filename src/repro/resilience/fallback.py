@@ -1,35 +1,33 @@
-"""Fallback-chain steady-state solving with bounded retries.
+"""The one steady-state solve path: an ordered method chain with bounded
+retries and an always-on residual check.
 
 A production service cannot abort a whole request because ``gmres``
 returned ``info != 0`` — numerical back ends are fallible,
 interchangeable components behind a uniform interface (Ding & Hillston,
-arXiv:1012.3040).  :func:`solve_with_fallback` therefore tries an
-ordered :class:`FallbackPolicy` of methods from
-:data:`repro.ctmc.steady.SOLVERS`; each attempt is bounded by the
-policy's iteration budget and a cooperative wall-clock deadline, and
-iterative methods get bounded retry-with-backoff (perturbed starting
-vector, relaxed ILU preconditioner) before the chain moves on.  Every
-attempt — successful or not — is recorded in a structured
-:class:`SolveDiagnostics`, and a converged result is only accepted if
-its balance-equation residual ``‖πQ‖∞`` passes a scale-aware sanity
-check, so an iterative method that silently stagnated cannot hand back
-a wrong answer.
+arXiv:1012.3040).  :func:`run_chain` is that interface's loop: it tries
+the methods of a :class:`FallbackPolicy` in order, gives iterative
+methods bounded retry-with-backoff, stops at a cooperative wall-clock
+deadline, records every attempt in a :class:`SolveDiagnostics`, and
+accepts a candidate only if its residual passes a scale-aware bound —
+so a method that silently stagnated cannot hand back a wrong answer.
+
+Two solves run on it: :func:`solve_with_fallback` (the CTMC balance
+equations ``πQ = 0``, residual ``‖πQ‖∞``; what
+:func:`repro.ctmc.steady.steady_state` and every analysis call) and
+:func:`repro.fluid.ode.steady_fluid` (the fluid fixed point
+``F(x) = 0``, residual ``‖F(x)‖∞``).
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import (
-    SOLVERS,
-    _call_solver,
-    _irreducibility_failure,
-    _normalise,
-)
+from repro.ctmc.steady import SOLVERS, _irreducibility_failure, _normalise
 from repro.exceptions import SolverError
 from repro.obs import get_metrics, get_tracer
 from repro.resilience.budget import Deadline
@@ -40,6 +38,7 @@ __all__ = [
     "FallbackPolicy",
     "SolveDiagnostics",
     "ITERATIVE_METHODS",
+    "run_chain",
     "solve_with_fallback",
 ]
 
@@ -75,14 +74,32 @@ class FallbackPolicy:
     perturbation: float = 1e-3
 
     @classmethod
-    def parse(cls, spec: str, **overrides) -> "FallbackPolicy":
+    def of(cls, spec: "FallbackPolicy | str | Sequence[str] | None" = None,
+           **overrides) -> "FallbackPolicy":
+        """The policy a ``solver`` argument names — the one place a
+        spec is parsed.
+
+        ``spec`` is a method name (a one-element policy), a
+        comma-separated method list, a sequence of names, ``None`` (the
+        default chain) or a ready policy, which is returned unchanged.
+        ``overrides`` fill the remaining fields of a policy built here.
+        """
+        if isinstance(spec, cls):
+            return spec
+        if spec is None:
+            return cls(**overrides)
+        return cls.parse(spec, **overrides)
+
+    @classmethod
+    def parse(cls, spec: "str | Sequence[str]", **overrides) -> "FallbackPolicy":
         """Build a policy from a comma-separated method list.
 
         ``FallbackPolicy.parse("direct,gmres,power", deadline=30.0)``
-        is the CLI's ``--solver-policy`` syntax; remaining fields come
-        from ``overrides`` or the defaults.
+        is the CLI's ``--solver`` syntax; remaining fields come from
+        ``overrides`` or the defaults.
         """
-        methods = tuple(m.strip() for m in spec.split(",") if m.strip())
+        names = spec.split(",") if isinstance(spec, str) else spec
+        methods = tuple(m.strip() for m in names if m.strip())
         if not methods:
             raise SolverError(f"empty solver policy spec {spec!r}")
         return cls(methods=methods, **overrides)
@@ -96,7 +113,7 @@ class FallbackPolicy:
         unknown = [m for m in self.methods if m not in known]
         if unknown:
             raise SolverError(
-                f"unknown steady-state method(s) {unknown} in fallback policy; "
+                f"unknown steady-state method(s) {unknown}; "
                 f"choose from {sorted(known)}"
             )
         if not self.methods:
@@ -136,7 +153,7 @@ class AttemptRecord:
 
 @dataclass
 class SolveDiagnostics:
-    """The structured story of one fallback-chain solve.
+    """The structured story of one :func:`run_chain` solve.
 
     ``attempts`` lists every try in order; ``method`` names the solver
     that produced the accepted answer (``None`` if the whole chain
@@ -152,6 +169,11 @@ class SolveDiagnostics:
     def succeeded(self) -> bool:
         """True once some attempt converged and passed the residual check."""
         return self.method is not None
+
+    @property
+    def residual(self) -> float | None:
+        """The accepted answer's residual (``None`` if nothing was accepted)."""
+        return self.attempts[-1].residual if self.succeeded else None
 
     def record(self, method: str, attempt: int, outcome: str, elapsed: float,
                *, residual: float | None = None, detail: str = "",
@@ -187,11 +209,11 @@ class SolveDiagnostics:
         )
 
 
-def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict | None:
+def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict:
     """Per-attempt solver hints: none on the first try, a perturbed
     start vector and a relaxed preconditioner on retries."""
     if attempt == 1:
-        return None
+        return {}
     rng = np.random.default_rng(7919 * attempt + n)
     x0 = np.full(n, 1.0 / n) * (
         1.0 + policy.perturbation * attempt * rng.standard_normal(n)
@@ -205,6 +227,95 @@ def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict | None:
     }
 
 
+def run_chain(
+    policy: FallbackPolicy,
+    attempt: Callable[[str, int, dict], np.ndarray],
+    residual: Callable[[np.ndarray], float],
+    bound: float,
+    *,
+    n_states: int,
+    span,
+    stage: str = "solve",
+) -> tuple[np.ndarray, SolveDiagnostics]:
+    """Try ``policy.methods`` in order until one yields an accepted answer.
+
+    ``attempt(method, k, info)`` runs try ``k`` (1-based) of ``method``
+    and returns a candidate vector; it may write
+    ``info["preconditioner"]``.  A candidate is accepted when
+    ``residual(candidate)`` is finite and at most ``bound``.  A
+    :class:`SolverError` from an attempt is a ``"failed"`` attempt, any
+    other exception an ``"error"``; both move the chain on.  Each try
+    opens a ``solve.attempt`` span; ``span`` (the caller's enclosing
+    span) receives ``solved_by``, ``attempts`` and ``residual``.
+
+    Returns ``(candidate, diagnostics)``.  Raises :class:`SolverError`
+    with ``exc.diagnostics`` attached, ``stage`` in its context, when
+    every attempt failed or the policy's deadline ran out.
+    """
+    diag = SolveDiagnostics(n_states=n_states)
+    deadline = Deadline.after(policy.deadline)
+    start = time.monotonic()
+    tracer = get_tracer()
+    try:
+        for method in policy.methods:
+            for k in range(1, policy.attempts_for(method) + 1):
+                if deadline.expired:
+                    diag.record(
+                        method, k, "deadline", 0.0,
+                        detail=f"skipped: {policy.deadline:g}s budget exhausted",
+                    )
+                    raise _chain_failure(
+                        f"steady-state deadline of {policy.deadline:g}s exhausted "
+                        f"after {len(diag.attempts)} attempt(s)", diag, stage)
+                if k > 1 and policy.backoff > 0:
+                    time.sleep(min(policy.backoff * 2.0 ** (k - 2),
+                                   max(deadline.remaining(), 0.0)))
+                info: dict = {}
+                res = None
+                t0 = time.monotonic()
+                with tracer.span("solve.attempt", method=method, attempt=k) as asp:
+                    try:
+                        value = attempt(method, k, info)
+                        res = float(residual(value))
+                    except Exception as exc:  # noqa: BLE001 — any back-end blow-up
+                        if isinstance(exc, SolverError):
+                            outcome, detail = "failed", str(exc)
+                        else:
+                            outcome, detail = "error", f"{type(exc).__name__}: {exc}"
+                        asp.set(outcome=outcome, error=type(exc).__name__)
+                    else:
+                        if np.isfinite(res) and res <= bound:
+                            outcome, detail = "converged", ""
+                        else:
+                            outcome = "bad-residual"
+                            detail = f"residual {res:.3e} above bound {bound:.3e}"
+                        asp.set(outcome=outcome, residual=res)
+                diag.record(method, k, outcome, time.monotonic() - t0,
+                            residual=res, detail=detail,
+                            preconditioner=info.get("preconditioner", ""))
+                if outcome == "converged":
+                    diag.method = method
+                    return value, diag
+        failures = "; ".join(
+            f"{a.method}#{a.attempt}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
+            for a in diag.attempts
+        )
+        raise _chain_failure(
+            f"all {len(policy.methods)} fallback method(s) failed "
+            f"({len(diag.attempts)} attempts): {failures}", diag, stage)
+    finally:
+        diag.elapsed = time.monotonic() - start
+        span.set(solved_by=diag.method or "none", attempts=len(diag.attempts))
+        if diag.succeeded:
+            span.set(residual=diag.residual)
+
+
+def _chain_failure(message: str, diag: SolveDiagnostics, stage: str) -> SolverError:
+    exc = SolverError(message).with_context(stage=stage, attempt=len(diag.attempts))
+    exc.diagnostics = diag
+    return exc
+
+
 def solve_with_fallback(
     chain: CTMC,
     policy: FallbackPolicy | str | None = None,
@@ -213,148 +324,81 @@ def solve_with_fallback(
     reducible: str = "error",
     solvers: dict | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve ``πQ = 0, Σπ = 1`` through an ordered fallback chain.
+    """Solve ``πQ = 0, Σπ = 1``; returns ``(pi, diagnostics)``.
 
-    Returns ``(pi, diagnostics)``.  ``policy`` may be a
-    :class:`FallbackPolicy`, a comma-separated method list, or ``None``
-    for the default ``direct → gmres → bicgstab → power`` chain.
-    ``reducible`` has the same semantics as in
-    :func:`repro.ctmc.steady.steady_state`.  ``solvers`` overrides the
-    registry (tests use this); entries are looked up per attempt so
-    fault-injection wrappers installed mid-run are honoured.
+    ``policy`` is anything :meth:`FallbackPolicy.of` accepts; ``None``
+    is the default ``direct → gmres → bicgstab → power`` chain.  Method
+    names are checked first, so a typo fails in O(1), before any
+    structural analysis of the chain.
+
+    ``reducible`` selects the policy for chains that are not
+    irreducible: ``"error"`` raises, naming an absorbing state if there
+    is one; ``"bscc"`` solves on the chain's unique bottom strongly
+    connected component and gives the transient states probability
+    zero — the long-run distribution of a model with a start-up phase.
+    A chain with several bottom components has no
+    initial-state-independent steady state and always raises.
+    ``check_irreducible=False`` skips the analysis for chains known to
+    be irreducible.
+
+    ``solvers`` overrides the registry (tests use this); entries are
+    looked up per attempt so fault-injection wrappers installed mid-run
+    are honoured.  A one-state chain needs no solver: its π is ``[1]``
+    and the diagnostics credit the policy's first method, so
+    ``diagnostics.method`` names the requested method on every chain.
 
     Raises :class:`SolverError` — with the full :class:`SolveDiagnostics`
-    attached as ``exc.diagnostics`` and summarised in ``exc.context`` —
-    only when *every* method of the policy has been exhausted or the
-    deadline ran out.
+    attached as ``exc.diagnostics`` — when every method of the policy
+    has been exhausted or the deadline ran out.
     """
-    if isinstance(policy, str):
-        policy = FallbackPolicy.parse(policy)
-    if policy is None:
-        policy = FallbackPolicy()
+    policy = FallbackPolicy.of(policy)
     registry = SOLVERS if solvers is None else solvers
     policy.validate(registry)
     if reducible not in ("error", "bscc"):
         raise SolverError(f"unknown reducible policy {reducible!r}")
-
-    diag = SolveDiagnostics(n_states=chain.n_states)
-    if chain.n_states == 0:
+    n = chain.n_states
+    if n == 0:
         raise SolverError("cannot solve an empty chain").with_context(stage="solve")
-    if chain.n_states == 1:
-        diag.method = "trivial"
+    if n == 1 or not check_irreducible or chain.is_irreducible():
+        return _solve_irreducible(chain, policy, registry)
+    if reducible != "bscc":
+        raise _irreducibility_failure(chain)
+    bsccs = chain.bottom_sccs()
+    if len(bsccs) != 1:
+        raise SolverError(
+            f"the chain has {len(bsccs)} bottom strongly connected "
+            "components; the steady state depends on the initial state"
+        ).with_context(stage="solve")
+    members = bsccs[0]
+    pi_sub, diag = _solve_irreducible(chain.restricted_to(members), policy, registry)
+    pi = np.zeros(n)
+    pi[members] = pi_sub
+    diag.n_states = n
+    return pi, diag
+
+
+def _solve_irreducible(chain: CTMC, policy: FallbackPolicy,
+                       registry: dict) -> tuple[np.ndarray, SolveDiagnostics]:
+    """:func:`run_chain` over an irreducible chain, in a ``ctmc.solve`` span."""
+    n = chain.n_states
+    if n == 1:
+        diag = SolveDiagnostics(n_states=1, method=policy.methods[0])
+        diag.record(policy.methods[0], 1, "converged", 0.0, residual=0.0,
+                    detail="one state")
         return np.ones(1), diag
 
-    if check_irreducible and not chain.is_irreducible():
-        if reducible != "bscc":
-            raise _irreducibility_failure(chain)
-        bsccs = chain.bottom_sccs()
-        if len(bsccs) != 1:
-            raise SolverError(
-                f"the chain has {len(bsccs)} bottom strongly connected "
-                "components; the steady state depends on the initial state"
-            ).with_context(stage="solve")
-        members = bsccs[0]
-        pi_sub, diag = solve_with_fallback(
-            chain.restricted_to(members), policy,
-            check_irreducible=False, solvers=solvers,
-        )
-        pi = np.zeros(chain.n_states)
-        pi[members] = pi_sub
-        diag.n_states = chain.n_states
-        return pi, diag
+    def attempt(method: str, k: int, info: dict) -> np.ndarray:
+        options = _retry_options(n, k, policy)
+        options["info"] = info
+        raw = registry[method](chain, policy.tol, policy.max_iterations, options)
+        return _normalise(raw, method, policy.tol)
 
-    deadline = Deadline.after(policy.deadline)
-    start = time.monotonic()
-    rate_scale = max(1.0, chain.max_exit_rate())
-    residual_bound = policy.residual_tol * rate_scale
+    def residual(pi: np.ndarray) -> float:
+        return float(np.abs(chain.Q.T @ pi).max())
 
-    tracer = get_tracer()
-    with tracer.span("ctmc.solve.fallback", states=chain.n_states,
-                     methods=",".join(policy.methods)) as fsp:
-        for method in policy.methods:
-            for attempt in range(1, policy.attempts_for(method) + 1):
-                if deadline.expired:
-                    diag.record(
-                        method, attempt, "deadline", 0.0,
-                        detail=f"skipped: {policy.deadline:g}s budget exhausted",
-                    )
-                    diag.elapsed = time.monotonic() - start
-                    _annotate_span(fsp, diag)
-                    exc = SolverError(
-                        f"steady-state deadline of {policy.deadline:g}s exhausted "
-                        f"after {len(diag.attempts)} attempt(s); {diag.summary()}"
-                    ).with_context(stage="solve", attempt=len(diag.attempts))
-                    exc.diagnostics = diag
-                    raise exc
-                if attempt > 1 and policy.backoff > 0:
-                    time.sleep(
-                        min(policy.backoff * 2.0 ** (attempt - 2),
-                            max(deadline.remaining(), 0.0))
-                    )
-                options = dict(_retry_options(chain.n_states, attempt, policy) or {})
-                # Solvers report back through this dict — currently the
-                # Krylov methods record which preconditioner path ran.
-                info: dict = {}
-                options["info"] = info
-                t0 = time.monotonic()
-                with tracer.span("solve.attempt", method=method,
-                                 attempt=attempt) as asp:
-                    try:
-                        solver = registry[method]
-                        raw = _call_solver(
-                            solver, chain, policy.tol, policy.max_iterations, options
-                        )
-                        pi = _normalise(raw, method, policy.tol)
-                        elapsed = time.monotonic() - t0
-                        residual = float(np.abs(chain.Q.T @ pi).max())
-                        preconditioner = info.get("preconditioner", "")
-                        if not np.isfinite(residual) or residual > residual_bound:
-                            diag.record(
-                                method, attempt, "bad-residual", elapsed,
-                                residual=residual,
-                                detail=f"‖πQ‖∞ = {residual:.3e} above bound {residual_bound:.3e}",
-                                preconditioner=preconditioner,
-                            )
-                            asp.set(outcome="bad-residual", residual=residual)
-                            continue
-                        diag.record(method, attempt, "converged", elapsed,
-                                    residual=residual,
-                                    preconditioner=preconditioner)
-                        diag.method = method
-                        diag.elapsed = time.monotonic() - start
-                        asp.set(outcome="converged", residual=residual)
-                        _annotate_span(fsp, diag)
-                        get_metrics().gauge("residual").set(residual)
-                        return pi, diag
-                    except SolverError as exc:
-                        diag.record(method, attempt, "failed",
-                                    time.monotonic() - t0, detail=str(exc),
-                                    preconditioner=info.get("preconditioner", ""))
-                        asp.set(outcome="failed", error=type(exc).__name__)
-                    except Exception as exc:  # noqa: BLE001 — any back-end blow-up
-                        diag.record(method, attempt, "error", time.monotonic() - t0,
-                                    detail=f"{type(exc).__name__}: {exc}",
-                                    preconditioner=info.get("preconditioner", ""))
-                        asp.set(outcome="error", error=type(exc).__name__)
-
-        diag.elapsed = time.monotonic() - start
-        _annotate_span(fsp, diag)
-        failures = "; ".join(
-            f"{a.method}#{a.attempt}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
-            for a in diag.attempts
-        )
-        exc = SolverError(
-            f"all {len(policy.methods)} fallback method(s) failed "
-            f"({len(diag.attempts)} attempts): {failures}"
-        ).with_context(stage="solve", attempt=len(diag.attempts))
-        exc.diagnostics = diag
-        raise exc
-
-
-def _annotate_span(span, diag: SolveDiagnostics) -> None:
-    """Summarise a :class:`SolveDiagnostics` onto a fallback span."""
-    span.set(
-        attempts=len(diag.attempts),
-        solved_by=diag.method or "none",
-        diagnostics=diag.summary(),
-    )
+    bound = policy.residual_tol * max(1.0, chain.max_exit_rate())
+    with get_tracer().span("ctmc.solve", states=n,
+                           methods=",".join(policy.methods)) as span:
+        pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span)
+    get_metrics().gauge("residual").set(diag.residual)
+    return pi, diag

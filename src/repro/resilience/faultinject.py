@@ -37,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.ctmc.steady import SOLVERS, _call_solver
+from repro.ctmc.steady import SOLVERS
 from repro.exceptions import SolverError
 
 __all__ = [
@@ -140,7 +140,7 @@ class FaultInjector:
             time.sleep(spec.delay)
         else:
             self.log.append((idx, "pass"))
-        return _call_solver(self._original, chain, tol, max_iterations, options)
+        return self._original(chain, tol, max_iterations, options)
 
     def __enter__(self) -> "FaultInjector":
         """Install the faulting wrapper in the registry."""

@@ -194,27 +194,28 @@ class TestValidate:
 class TestResilienceFlags:
     def test_pepa_solver_policy_verbose_prints_attempts(self, pepa_file, capsys):
         code = main(["pepa", str(pepa_file),
-                     "--solver-policy", "direct,power", "--verbose"])
+                     "--solver", "direct,power", "--verbose"])
         out = capsys.readouterr().out
         assert code == 0
         assert "solved by direct" in out
         assert "converged" in out  # the SolveDiagnostics attempt table
 
     def test_pepa_without_verbose_hides_attempts(self, pepa_file, capsys):
-        code = main(["pepa", str(pepa_file), "--solver-policy", "direct,power"])
+        code = main(["pepa", str(pepa_file), "--solver", "direct,power"])
         out = capsys.readouterr().out
         assert code == 0
         assert "converged" not in out
 
     def test_net_solver_policy(self, net_file, capsys):
-        code = main(["net", str(net_file), "--solver-policy", "direct,gmres", "-v"])
+        code = main(["net", str(net_file), "--solver", "direct,gmres", "-v"])
         out = capsys.readouterr().out
         assert code == 0
         assert "solved by direct" in out
 
     def test_bad_policy_is_cli_error(self, pepa_file, capsys):
-        code = main(["pepa", str(pepa_file), "--solver-policy", "quantum"])
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["pepa", str(pepa_file), "--solver", "direct,quantum"])
+        assert exit_info.value.code == 2
         assert "unknown steady-state method" in capsys.readouterr().err
 
     def test_analyse_no_strict_degrades(self, tmp_path, capsys):

@@ -39,7 +39,7 @@ def all_spans(tracer):
 class TestFallbackAbsorbsInjectedFault:
     def test_primary_solver_fault_degrades_to_secondary(self):
         platform = Choreographer(
-            solver_policy=FallbackPolicy(methods=("direct", "gmres"), retries=0,
+            solver=FallbackPolicy(methods=("direct", "gmres"), retries=0,
                                          backoff=0.0),
             strict=False,
         )
@@ -55,9 +55,12 @@ class TestFallbackAbsorbsInjectedFault:
 
         # The trace names the diagram, the failed attempt and the rescuer.
         fallback_span = next(
-            s for s in all_spans(tracer) if s.name == "ctmc.solve.fallback"
+            s for s in all_spans(tracer) if s.name == "ctmc.solve"
         )
         assert fallback_span.attributes["solved_by"] == "gmres"
+        assert fallback_span.attributes["methods"] == "direct,gmres"
+        assert fallback_span.attributes["attempts"] == 2
+        assert fallback_span.attributes["residual"] < 1e-6
         attempts = [s for s in all_spans(tracer) if s.name == "solve.attempt"]
         outcomes = [(s.attributes["method"], s.attributes["outcome"]) for s in attempts]
         assert ("direct", "failed") in outcomes
@@ -76,7 +79,7 @@ class TestExhaustedChainIsReportedNotFatal:
     @pytest.fixture
     def broken_platform(self):
         return Choreographer(
-            solver_policy=FallbackPolicy(methods=("direct",), retries=0, backoff=0.0),
+            solver=FallbackPolicy(methods=("direct",), retries=0, backoff=0.0),
             strict=False,
         )
 
@@ -102,7 +105,7 @@ class TestExhaustedChainIsReportedNotFatal:
         assert diagram_span.attributes["failed_stage"] == "solve"
         assert diagram_span.attributes["error"] == "SolverError"
         fallback_span = next(
-            s for s in all_spans(tracer) if s.name == "ctmc.solve.fallback"
+            s for s in all_spans(tracer) if s.name == "ctmc.solve"
         )
         assert fallback_span.attributes["solved_by"] == "none"
 

@@ -108,7 +108,7 @@ class TestFallbackThroughPlatform:
         baseline = Choreographer().process_xmi(document, IM_RATES)
         expected = baseline.activity_outcomes[0].throughput_of("transmit")
 
-        platform = Choreographer(solver_policy="direct,gmres,bicgstab,power")
+        platform = Choreographer(solver="direct,gmres,bicgstab,power")
         with inject_fault("direct", FaultSpec.first_n("converge", 50)):
             result = platform.process_xmi(document, IM_RATES)
         outcome = result.activity_outcomes[0]
@@ -121,9 +121,9 @@ class TestFallbackThroughPlatform:
         assert any(a.outcome == "failed" for a in diag.attempts)
 
     def test_policy_string_parsed_by_constructor(self):
-        platform = Choreographer(solver_policy="power,direct")
-        assert isinstance(platform.solver_policy, FallbackPolicy)
-        assert platform.solver_policy.methods == ("power", "direct")
+        platform = Choreographer(solver="power,direct")
+        assert isinstance(platform.solver, FallbackPolicy)
+        assert platform.solver.methods == ("power", "direct")
 
     def test_deadline_zero_turns_into_budget_error(self):
         platform = Choreographer(deadline=0.0)

@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from repro.ctmc import CTMC, build_ctmc, steady_state
 from repro.ctmc.steady import SOLVERS
 from repro.exceptions import SolverError
+from repro.pepa.measures import analyse
+from repro.pepa.parser import parse_model
+from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
 
 ALL_METHODS = sorted(SOLVERS)
 
@@ -166,16 +169,17 @@ class TestBsccPolicy:
 
 
 class TestNormalisationRejections:
-    """Solvers returning garbage must be rejected by _normalise, never
-    silently renormalised into a plausible-looking answer."""
+    """Solvers returning garbage must be rejected — by _normalise or by
+    the residual check — never silently renormalised into a
+    plausible-looking answer."""
 
-    def _with_fake_solver(self, vector_fn):
+    def _with_fake_solver(self, vector_fn, chain=None):
         def fake(chain, tol, max_iterations, options=None):
             return vector_fn(chain.n_states)
 
         SOLVERS["_fake"] = fake
         try:
-            chain = birth_death(3, 1.0, 2.0)
+            chain = birth_death(3, 1.0, 2.0) if chain is None else chain
             return steady_state(chain, "_fake")
         finally:
             del SOLVERS["_fake"]
@@ -201,15 +205,38 @@ class TestNormalisationRejections:
         with pytest.raises(SolverError, match="zero vector"):
             self._with_fake_solver(np.zeros)
 
+    def test_wrong_normalised_vector_rejected_by_residual(self):
+        """A finite, non-negative, normalised but wrong vector passes
+        _normalise; the always-on residual check must still refuse it."""
+        with pytest.raises(SolverError, match="bad-residual") as info:
+            self._with_fake_solver(lambda n: np.full(n, 1.0 / n))
+        [attempt] = info.value.diagnostics.attempts
+        assert attempt.outcome == "bad-residual"
+        assert attempt.residual > 1e-3
+
     def test_tiny_negative_roundoff_clipped(self):
+        # π ∝ 1e-6^i: the last state's true mass (1e-18) is below
+        # round-off, so a -1e-12 there is an accurate answer.
         def roundoff(n):
-            v = np.full(n, 1.0 / n)
-            v[0] = -1e-12  # direct-solve round-off territory
+            v = geometric_pi(n - 1, 1e-6)
+            v[-1] = -1e-12  # direct-solve round-off territory
             return v
 
-        pi = self._with_fake_solver(roundoff)
+        pi = self._with_fake_solver(roundoff, birth_death(3, 1.0, 1e6))
         assert pi.min() >= 0.0
         assert math.isclose(pi.sum(), 1.0)
+
+
+class TestDefaultDiagnostics:
+    def test_analyse_defaults_carry_one_direct_attempt(self):
+        model = parse_model("P = (work, 1.0).Q;\nQ = (rest, 2.0).P;\nP")
+        analysis = analyse(model)
+        diag = analysis.diagnostics
+        assert analysis.solver == diag.method == "direct"
+        [attempt] = diag.attempts
+        assert (attempt.method, attempt.outcome) == ("direct", "converged")
+        bound = FallbackPolicy().residual_tol * analysis.chain.max_exit_rate()
+        assert attempt.residual < bound
 
 
 class TestPreconditionerFallback:
@@ -240,15 +267,14 @@ class TestPreconditionerFallback:
 
 
 class TestPreconditionerReporting:
-    """Krylov attempts must report which preconditioner path ran via
-    ``solver_options["info"]`` — ILU by default, the unpreconditioned
-    fallback when the factorisation fails."""
+    """Krylov attempts must report which preconditioner path ran —
+    ILU by default, the unpreconditioned fallback when the
+    factorisation fails — in the attempt record of the diagnostics."""
 
     def test_materialised_chain_reports_ilu(self):
         chain = birth_death(6, 1.0, 2.0)
-        info: dict = {}
-        steady_state(chain, "gmres", solver_options={"info": info})
-        assert info["preconditioner"] == "ilu"
+        _, diag = solve_with_fallback(chain, "gmres")
+        assert diag.attempts[0].preconditioner == "ilu"
 
     def test_broken_spilu_reports_none_fallback(self, monkeypatch):
         import repro.ctmc.steady as steady_mod
@@ -258,6 +284,5 @@ class TestPreconditionerReporting:
 
         monkeypatch.setattr(steady_mod.spla, "spilu", broken_spilu)
         chain = birth_death(6, 1.0, 2.0)
-        info: dict = {}
-        steady_state(chain, "bicgstab", solver_options={"info": info})
-        assert info["preconditioner"] == "none-fallback"
+        _, diag = solve_with_fallback(chain, "bicgstab")
+        assert diag.attempts[0].preconditioner == "none-fallback"

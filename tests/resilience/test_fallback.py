@@ -70,11 +70,11 @@ class TestFallbackChain:
     def test_steady_state_fallback_method(self, chain):
         expected = steady_state(chain, "direct")
         with inject_fault("direct", FaultSpec(kind="converge")):
-            pi = steady_state(chain, "fallback")
+            pi = steady_state(chain, "direct,gmres,bicgstab,power")
         assert np.allclose(pi, expected, atol=1e-8)
 
     def test_steady_state_policy_string(self, chain):
-        pi = steady_state(chain, policy="power,direct")
+        pi = steady_state(chain, "power,direct")
         assert np.allclose(pi, steady_state(chain, "direct"), atol=1e-6)
 
     def test_nan_fault_is_caught_by_normalisation(self, chain):
@@ -165,9 +165,13 @@ class TestDiagnostics:
 
     def test_single_state_chain_is_trivial(self):
         chain = build_ctmc(1, [(0, "tick", 1.0, 0)])
-        pi, diag = solve_with_fallback(chain)
-        assert pi.tolist() == [1.0]
-        assert diag.method == "trivial"
+        # π = [1] needs no solver (jacobi could not even run on it); the
+        # record credits the policy's first method.
+        for spec, first in ((None, "direct"), ("jacobi,direct", "jacobi")):
+            pi, diag = solve_with_fallback(chain, spec)
+            assert pi.tolist() == [1.0]
+            assert diag.method == first
+            assert [a.detail for a in diag.attempts] == ["one state"]
 
 
 class TestPreconditionerDiagnostics:

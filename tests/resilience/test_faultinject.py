@@ -73,8 +73,10 @@ class TestFaultInjector:
             pass
 
         with inject_fault("direct", FaultSpec(kind="exception", exception=Flaky)):
-            with pytest.raises(Flaky):
+            with pytest.raises(SolverError, match="Flaky") as info:
                 steady_state(chain, "direct")
+        [attempt] = info.value.diagnostics.attempts
+        assert attempt.outcome == "error"
 
     def test_slow_fault_still_returns_correct_answer(self, chain):
         with inject_fault("direct", FaultSpec(kind="slow", delay=0.01)):
