@@ -24,8 +24,9 @@ Kinds:
     One EXPERIMENTS.md row by id: ``{"experiment": "E1"}``.
 ``call``
     Any importable callable returning a JSON-able dict:
-    ``{"target": "module:function", "kwargs": {...}}`` — how the bench
-    harness feeds its workload records through the engine.
+    ``{"target": "module:function", "kwargs": {...}}`` — runs any
+    workload under the engine's supervision (the supervision tests
+    drive their crash and hang fakes through it).
 """
 
 from __future__ import annotations

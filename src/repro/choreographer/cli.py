@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     # dest: --command would land on args.command and clobber the
     # top-level dispatch key
     runs_list.add_argument("--command", dest="filter_command", metavar="NAME",
-                           help="only runs of this command (bench, batch, ...)")
+                           help="only runs of this command (pepa, batch, ...)")
     runs_list.add_argument("--last", type=int, metavar="N",
                            help="only the newest N matching runs")
 
@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs_compare = runs_sub.add_parser(
         "compare",
-        help="bench regression gate between two recorded runs "
-             "(exit 1 on regression)")
+        help="span-time regression gate between two recorded runs of "
+             "the same config (exit 1 on regression)")
     runs_compare.add_argument("base", help="baseline run id")
     runs_compare.add_argument("new", help="current run id")
     runs_compare.add_argument("--threshold", type=float, default=None,
@@ -365,12 +365,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     runs_trend = runs_sub.add_parser(
         "trend",
-        help="judge the newest bench run against the ledger's history "
-             "(exit 1 on regression)")
+        help="judge the newest run's span times against earlier runs "
+             "of the same config (exit 1 on regression)")
     runs_trend.add_argument("--command", dest="filter_command", metavar="NAME",
                             help="only trend runs of this command")
     runs_trend.add_argument("--window", type=int, metavar="N",
-                            help="use only the newest N bench runs")
+                            help="use only the newest N comparable runs")
     runs_trend.add_argument("--threshold", type=float, default=None,
                             metavar="FACTOR",
                             help="relative slow-down gate (default: 1.5)")
@@ -927,8 +927,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
     from repro.obs import RunLedger, collapsed_text, prometheus_text
     from repro.obs.export import write_chrome_trace
     from repro.obs.regress import (
-        DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD, compare_benchmarks,
-        detect_trend, markdown_report, trend_markdown,
+        DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD, detect_trend, trend_markdown,
     )
 
     if args.runs_command != "prune" and not (args.ledger / "FORMAT").exists():
@@ -960,11 +959,9 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                 document.get("label") or "",
                 created,
                 document.get("config_fingerprint", "")[:12],
-                "yes" if "bench" in document else "",
             ])
         print(format_table(
-            ["run", "command", "label", "created (UTC)", "config", "bench"],
-            rows,
+            ["run", "command", "label", "created (UTC)", "config"], rows,
         ))
         return 0
 
@@ -972,36 +969,21 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         print(json.dumps(_load(args.run_id), sort_keys=True, indent=2))
         return 0
 
-    if args.runs_command == "compare":
-        base, new = _load(args.base), _load(args.new)
-        missing = [doc.get("run_id") for doc in (base, new)
-                   if "bench" not in doc]
-        if missing:
-            print(f"error: run(s) {missing} carry no bench section; "
-                  "compare needs runs recorded by the bench harness",
-                  file=sys.stderr)
-            return 2
-        comparison = compare_benchmarks(
-            base["bench"], new["bench"],
-            threshold=args.threshold or DEFAULT_THRESHOLD,
-            min_seconds=(DEFAULT_MIN_SECONDS if args.min_seconds is None
-                         else args.min_seconds),
-        )
-        report = markdown_report(comparison)
-        print(report)
-        if args.report:
-            args.report.write_text(report)
-        return 0 if comparison.ok else 1
-
-    if args.runs_command == "trend":
-        documents = ledger.runs(command=args.filter_command)
+    if args.runs_command in ("compare", "trend"):
+        compare = args.runs_command == "compare"
         trend = detect_trend(
-            documents,
+            [_load(args.base), _load(args.new)] if compare
+            else ledger.runs(command=args.filter_command),
             threshold=args.threshold or DEFAULT_THRESHOLD,
             min_seconds=(DEFAULT_MIN_SECONDS if args.min_seconds is None
                          else args.min_seconds),
-            window=args.window,
+            window=None if compare else args.window,
         )
+        if compare and len(trend.run_ids) < 2:
+            print(f"error: runs {args.base} and {args.new} are not "
+                  "comparable: both need span aggregates and the same "
+                  "config fingerprint", file=sys.stderr)
+            return 2
         report = trend_markdown(trend)
         print(report)
         if args.report:
@@ -1017,8 +999,7 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         if args.chrome:
             if "trace" not in document:
                 print(f"error: run {document.get('run_id')} embeds no trace; "
-                      "record it with --trace/--ledger on a run-producing "
-                      "command (bench summaries carry aggregates only)",
+                      "record it with --ledger on a run-producing command",
                       file=sys.stderr)
                 return 2
             count = write_chrome_trace(

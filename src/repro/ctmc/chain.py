@@ -84,6 +84,8 @@ class CTMC:
     def bottom_sccs(self) -> list[np.ndarray]:
         """Bottom strongly connected components (closed recurrent classes)."""
         n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
+        if n_comp == 1:
+            return [np.arange(self.n_states)]
         coo = self.Q.tocoo()
         leaving = (coo.data > 0) & (labels[coo.row] != labels[coo.col])
         has_exit = np.zeros(n_comp, dtype=bool)

@@ -12,8 +12,8 @@ document loaded from disk — into three directly actionable views:
   max over the whole forest, the profile view;
 * :func:`diff_traces` — per-span-name total-time deltas between two
   traces of the same pipeline, the "what changed since the last PR"
-  view (the bench regression gate in :mod:`repro.obs.regress` does the
-  same at bench-suite granularity).
+  view (:mod:`repro.obs.regress` judges the same per-span totals
+  across a ledger's run history).
 
 All three accept any trace form and return plain data; the ``render_*``
 companions format them for terminals, and the Choreographer CLI exposes

@@ -4,7 +4,7 @@ Three audiences:
 
 * machines — :func:`trace_to_json` / :func:`metrics_to_json` produce
   schema-versioned dicts (``repro-trace/1``, ``repro-metrics/1``) that
-  the bench harness and the CLI ``--trace FILE`` flag serialise;
+  the CLI ``--trace FILE`` flag and the run ledger serialise;
 * humans — :func:`render_trace` draws the span forest as an indented
   tree with durations and attributes, :func:`render_metrics` an aligned
   table, both plain ASCII-art suitable for a terminal or a CI log;

@@ -3,12 +3,12 @@
 A production system is operated through its telemetry *history*, not
 single-invocation dumps.  The :class:`RunLedger` is an append-only
 on-disk store (format ``repro-runs/1``) of **run documents** — one
-``repro-run/1`` JSON file per choreographer / batch / fuzz / bench
+``repro-run/1`` JSON file per choreographer / batch / fuzz
 invocation, carrying the run's identity (command, label, wall-clock
 timestamp passed in from the entrypoint, config fingerprint via
 :func:`repro.core.keys.stable_digest`, host info), its per-span
-aggregates, metrics snapshot, event/cache/incident statistics, bench
-measures and profiler samples — so ``choreographer runs
+aggregates, metrics snapshot, event/cache/incident statistics and
+profiler samples — so ``choreographer runs
 list|show|compare|trend|export`` can answer "how has this pipeline
 been behaving?" across days of history instead of one process
 lifetime.
@@ -270,7 +270,6 @@ def build_run_document(
     metrics=None,
     events=None,
     profile: dict[str, Any] | None = None,
-    bench: dict[str, Any] | None = None,
     cache: dict[str, int] | None = None,
     incidents: list[dict[str, Any]] | None = None,
     trace: dict[str, Any] | None = None,
@@ -284,8 +283,8 @@ def build_run_document(
     comparable runs.  ``tracer``/``metrics``/``events`` contribute
     their aggregate views (per-span aggregates, metrics snapshot, event
     counts); pass ``trace`` to additionally embed the full span forest
-    (what ``runs export --chrome`` replays).  ``bench`` embeds a
-    ``repro-bench/1`` document, ``profile`` a ``repro-profile/1`` one.
+    (what ``runs export --chrome`` replays) and ``profile`` a
+    ``repro-profile/1`` document.
     """
     # Imported here, not at module top: repro.core pulls in the numeric
     # layers, which themselves import repro.obs for instrumentation.
@@ -326,8 +325,6 @@ def build_run_document(
                                   "dropped": events.dropped, "by_name": names}
     if profile is not None and profile.get("sample_count"):
         document["profile"] = profile
-    if bench is not None:
-        document["bench"] = bench
     if cache:
         document["cache"] = dict(cache)
     if incidents:

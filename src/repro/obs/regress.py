@@ -1,80 +1,56 @@
-"""Cross-PR bench regression detection over ``repro-bench/1`` documents.
+"""Span-time regression detection over the run ledger.
 
-``benchmarks/run_bench.py`` leaves a schema-stable snapshot per PR; the
-trajectory only means something once two snapshots can be *compared*.
-This module matches the runs of two bench documents on their identity
-``(workload, size, solver)``, compares every stage time plus the run
-total, and classifies each comparison:
+Every ``--ledger`` invocation records a ``repro-run/1`` document whose
+``spans`` section holds per-span-name aggregates (``total_s`` per span
+name, see :func:`repro.obs.analysis.aggregate_spans`).  Runs are
+comparable when their ``config_fingerprint`` matches — the command,
+model path, solver and the other identity-bearing options — so the
+ledger's history of one configuration is a time series per span name.
+
+:func:`detect_trend` judges the newest run of such a history against
+the **median** of the earlier ones and classifies each span:
 
 * **regression** — ``new > base * threshold`` *and* ``new - base >=
   min_seconds``.  Both gates are needed: a relative threshold alone
-  flags a 0.3 ms stage that doubled into 0.6 ms (pure scheduler noise),
-  an absolute floor alone misses a 10 s stage creeping up 20%;
+  flags a 0.3 ms span that doubled into 0.6 ms (pure scheduler noise),
+  an absolute floor alone misses a 10 s span creeping up 20%;
 * **improvement** — the mirror image (``new < base / threshold`` with
   the same absolute floor), reported but never fatal;
-* unmatched runs on either side are listed so a silently shrunk sweep
-  cannot masquerade as "no regressions".
+* span names present on only one side are listed as new or stale
+  series, so a run that silently skipped a stage cannot masquerade as
+  "no regressions".
 
-:func:`markdown_report` renders the whole comparison as the artifact CI
-uploads; ``benchmarks/compare_bench.py`` is the command-line gate that
-exits non-zero when any regression survives the noise gates.
+``choreographer runs trend`` and ``runs compare`` are its command-line
+gates; :func:`trend_markdown` renders the verdict.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
-    "BenchComparison",
-    "StageDelta",
+    "SpanDelta",
     "TrendReport",
-    "load_bench",
-    "compare_benchmarks",
     "detect_trend",
-    "markdown_report",
     "trend_markdown",
     "DEFAULT_THRESHOLD",
     "DEFAULT_MIN_SECONDS",
 ]
 
-BENCH_SCHEMA = "repro-bench/1"
-
-#: A stage must slow down by this factor to count as a regression.
+#: A span must slow down by this factor to count as a regression.
 DEFAULT_THRESHOLD = 1.5
 #: ... and by at least this many absolute seconds.  Sub-millisecond
-#: stages double and halve with scheduler jitter; they are never
+#: spans double and halve with scheduler jitter; they are never
 #: signal on their own.
 DEFAULT_MIN_SECONDS = 0.05
 
 
-def load_bench(path) -> dict[str, Any]:
-    """Read and schema-check a ``repro-bench/1`` JSON document."""
-    with open(path) as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict) or document.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"{path}: not a {BENCH_SCHEMA} bench document")
-    return document
-
-
-def run_key(run: dict[str, Any]) -> tuple[str, str, str]:
-    """The identity a run is matched on: (workload, size, solver)."""
-    return (
-        str(run.get("workload")),
-        json.dumps(run.get("size", {}), sort_keys=True),
-        str(run.get("solver")),
-    )
-
-
 @dataclass
-class StageDelta:
-    """One (run, stage) comparison between baseline and current."""
+class SpanDelta:
+    """One span name's total time: historical median against newest."""
 
-    workload: str
-    size: str
-    solver: str
-    stage: str
+    span: str
     base_s: float
     new_s: float
     verdict: str  # "regression" | "improvement" | "ok"
@@ -83,43 +59,42 @@ class StageDelta:
     def ratio(self) -> float | None:
         return self.new_s / self.base_s if self.base_s > 0 else None
 
-    @property
-    def delta_s(self) -> float:
-        return self.new_s - self.base_s
-
-    def describe(self) -> str:
-        """One-line human rendering: run identity, times, ratio."""
-        ratio = f"{self.ratio:.2f}x" if self.ratio is not None else "new"
-        return (
-            f"{self.workload} {self.size} [{self.solver}] {self.stage}: "
-            f"{self.base_s:.6f}s -> {self.new_s:.6f}s ({ratio})"
-        )
+    def ratio_text(self) -> str:
+        """The ratio for reports: ``"3.00x"``, or ``"new"`` from zero."""
+        return f"{self.ratio:.2f}x" if self.ratio is not None else "new"
 
 
 @dataclass
-class BenchComparison:
-    """The full result of comparing two bench documents."""
+class TrendReport:
+    """Regression verdict for the newest run of one configuration.
 
-    baseline_label: str
-    current_label: str
+    ``command`` and ``fingerprint`` identify the configuration judged;
+    ``run_ids`` are the runs that took part, oldest first, the newest
+    last.  The median baseline makes one historically slow run (a
+    loaded CI box) unable to mask — or fake — a regression the way a
+    single-run baseline can.
+    """
+
     threshold: float
     min_seconds: float
-    deltas: list[StageDelta] = field(default_factory=list)
-    only_in_baseline: list[tuple[str, str, str]] = field(default_factory=list)
-    only_in_current: list[tuple[str, str, str]] = field(default_factory=list)
+    command: str | None = None
+    fingerprint: str | None = None
+    run_ids: list[str] = field(default_factory=list)
+    deltas: list[SpanDelta] = field(default_factory=list)
+    new_series: list[str] = field(default_factory=list)
+    stale_series: list[str] = field(default_factory=list)
 
     @property
-    def regressions(self) -> list[StageDelta]:
+    def regressions(self) -> list[SpanDelta]:
         return [d for d in self.deltas if d.verdict == "regression"]
 
     @property
-    def improvements(self) -> list[StageDelta]:
+    def improvements(self) -> list[SpanDelta]:
         return [d for d in self.deltas if d.verdict == "improvement"]
 
     @property
     def ok(self) -> bool:
-        """True when no stage regressed (unmatched runs are reported,
-        not fatal — sweeps legitimately grow between PRs)."""
+        """True when no span regressed against its historical median."""
         return not self.regressions
 
 
@@ -132,85 +107,6 @@ def _classify(base_s: float, new_s: float, threshold: float,
     return "ok"
 
 
-def compare_benchmarks(
-    baseline: dict[str, Any],
-    current: dict[str, Any],
-    *,
-    threshold: float = DEFAULT_THRESHOLD,
-    min_seconds: float = DEFAULT_MIN_SECONDS,
-) -> BenchComparison:
-    """Match runs of two bench documents and classify every stage delta.
-
-    ``threshold`` is the relative slow-down factor (1.5 = 50% slower),
-    ``min_seconds`` the absolute floor a delta must also clear.  Per
-    matched run every named stage plus the ``total`` time is compared;
-    a stage present on only one side is compared against 0.0 (which the
-    absolute floor then judges).
-    """
-    if threshold <= 1.0:
-        raise ValueError(f"threshold must be > 1.0, got {threshold}")
-    if min_seconds < 0:
-        raise ValueError(f"min_seconds must be >= 0, got {min_seconds}")
-    base_runs = {run_key(r): r for r in baseline.get("runs", [])}
-    new_runs = {run_key(r): r for r in current.get("runs", [])}
-    comparison = BenchComparison(
-        baseline_label=str(baseline.get("label", "baseline")),
-        current_label=str(current.get("label", "current")),
-        threshold=threshold,
-        min_seconds=min_seconds,
-        only_in_baseline=sorted(set(base_runs) - set(new_runs)),
-        only_in_current=sorted(set(new_runs) - set(base_runs)),
-    )
-    for key in sorted(set(base_runs) & set(new_runs)):
-        base, new = base_runs[key], new_runs[key]
-        workload, size, solver = key
-        stages = sorted(set(base.get("stages", {})) | set(new.get("stages", {})))
-        pairs = [(s, float(base.get("stages", {}).get(s, 0.0)),
-                  float(new.get("stages", {}).get(s, 0.0))) for s in stages]
-        pairs.append(("total", float(base.get("total_s", 0.0)),
-                      float(new.get("total_s", 0.0))))
-        for stage, base_s, new_s in pairs:
-            comparison.deltas.append(StageDelta(
-                workload=workload, size=size, solver=solver, stage=stage,
-                base_s=base_s, new_s=new_s,
-                verdict=_classify(base_s, new_s, threshold, min_seconds),
-            ))
-    return comparison
-
-
-@dataclass
-class TrendReport:
-    """Time-series regression verdict over a ledger's bench history.
-
-    The pairwise :class:`BenchComparison` generalised to *n* runs: the
-    newest run's stage times are judged against the **median** of every
-    earlier observation of the same ``(workload, size, solver, stage)``
-    series, with the same dual noise gates.  The median baseline makes
-    one historically slow run (a loaded CI box) unable to mask — or
-    fake — a regression the way a single-snapshot baseline can.
-    """
-
-    threshold: float
-    min_seconds: float
-    run_ids: list[str] = field(default_factory=list)
-    deltas: list[StageDelta] = field(default_factory=list)
-    new_series: list[tuple[str, str, str]] = field(default_factory=list)
-    stale_series: list[tuple[str, str, str]] = field(default_factory=list)
-
-    @property
-    def regressions(self) -> list[StageDelta]:
-        return [d for d in self.deltas if d.verdict == "regression"]
-
-    @property
-    def improvements(self) -> list[StageDelta]:
-        return [d for d in self.deltas if d.verdict == "improvement"]
-
-    @property
-    def ok(self) -> bool:
-        """True when no stage regressed against its historical median."""
-        return not self.regressions
-
-
 def _median(values: list[float]) -> float:
     ordered = sorted(values)
     n = len(ordered)
@@ -218,11 +114,15 @@ def _median(values: list[float]) -> float:
     return ordered[mid] if n % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
 
-def _bench_of_run(document: dict[str, Any]) -> dict[str, Any] | None:
-    bench = document.get("bench")
-    if isinstance(bench, dict) and bench.get("schema") == BENCH_SCHEMA:
-        return bench
-    return None
+def _identity(document: dict[str, Any]) -> tuple[Any, Any]:
+    # A batch run's inputs live in its task-list fingerprint, not its
+    # config; every other command carries None there.
+    return document.get("config_fingerprint"), document.get("tasks_fingerprint")
+
+
+def _totals(document: dict[str, Any]) -> dict[str, float]:
+    return {str(name): float(agg.get("total_s", 0.0))
+            for name, agg in document["spans"].items()}
 
 
 def detect_trend(
@@ -232,127 +132,71 @@ def detect_trend(
     min_seconds: float = DEFAULT_MIN_SECONDS,
     window: int | None = None,
 ) -> TrendReport:
-    """Judge the newest ledger run against its own bench history.
+    """Judge the newest run's span times against its own history.
 
     ``run_documents`` are ``repro-run/1`` documents oldest-first (what
-    :meth:`repro.obs.ledger.RunLedger.runs` returns); only those
-    embedding a bench section participate.  ``window`` keeps just the
-    most recent *n* bench runs (``None`` = all history).  Stage values
-    in the newest run are classified against the median of all earlier
-    values of the same series with :func:`compare_benchmarks`'s gates;
-    a series first seen in the newest run is listed in ``new_series``,
-    one that vanished from it in ``stale_series`` — reported, never
-    fatal, mirroring the pairwise comparison's unmatched-run policy.
-    With fewer than two bench runs there is no history to trend against
-    and the report is trivially ok.
+    :meth:`repro.obs.ledger.RunLedger.runs` returns).  The newest one
+    with a ``spans`` section is judged; its history is every earlier
+    document with spans and the same config fingerprint (and task-list
+    fingerprint, for batch runs).  ``window`` keeps just the most
+    recent *n* of those runs, the judged one included (``None`` = all
+    history).  Each span name's ``total_s`` is classified against the
+    median of its earlier values; a name first seen in the newest run
+    is listed in ``new_series``, one missing from it in
+    ``stale_series`` — reported, never fatal.  With fewer than two
+    comparable runs there is no history and the report is trivially ok.
     """
     if threshold <= 1.0:
         raise ValueError(f"threshold must be > 1.0, got {threshold}")
     if min_seconds < 0:
         raise ValueError(f"min_seconds must be >= 0, got {min_seconds}")
-    benched = [(str(doc.get("run_id", "?")), _bench_of_run(doc))
-               for doc in run_documents if _bench_of_run(doc) is not None]
+    report = TrendReport(threshold=threshold, min_seconds=min_seconds)
+    spanned = [doc for doc in run_documents if doc.get("spans")]
+    if not spanned:
+        return report
+    newest = spanned[-1]
+    identity = _identity(newest)
+    runs = [doc for doc in spanned if _identity(doc) == identity]
     if window is not None:
-        benched = benched[-window:]
-    report = TrendReport(
-        threshold=threshold, min_seconds=min_seconds,
-        run_ids=[run_id for run_id, _ in benched],
-    )
-    if len(benched) < 2:
+        runs = runs[-window:]
+    report.command = newest.get("command")
+    report.fingerprint = identity[0]
+    report.run_ids = [str(doc.get("run_id", "?")) for doc in runs]
+    if len(runs) < 2:
         return report
 
-    # (workload, size, solver, stage) -> per-run values, oldest first.
-    series: dict[tuple[str, str, str, str], list[float]] = {}
-    latest: dict[tuple[str, str, str, str], float] = {}
-    for position, (_run_id, bench) in enumerate(benched):
-        is_newest = position == len(benched) - 1
-        for run in bench.get("runs", []):
-            workload, size, solver = run_key(run)
-            stages = dict(run.get("stages", {}))
-            stages["total"] = run.get("total_s", 0.0)
-            for stage, value in stages.items():
-                key = (workload, size, solver, str(stage))
-                if is_newest:
-                    latest[key] = float(value)
-                else:
-                    series.setdefault(key, []).append(float(value))
-
-    seen_runs: set[tuple[str, str, str]] = set()
-    for key in sorted(latest):
-        workload, size, solver, stage = key
-        history = series.get(key)
-        if history is None:
-            identity = (workload, size, solver)
-            if identity not in seen_runs:
-                seen_runs.add(identity)
-                report.new_series.append(identity)
+    series: dict[str, list[float]] = {}
+    for doc in runs[:-1]:
+        for name, total in _totals(doc).items():
+            series.setdefault(name, []).append(total)
+    latest = _totals(newest)
+    for name in sorted(latest):
+        if name not in series:
+            report.new_series.append(name)
             continue
-        baseline = _median(history)
-        report.deltas.append(StageDelta(
-            workload=workload, size=size, solver=solver, stage=stage,
-            base_s=baseline, new_s=latest[key],
-            verdict=_classify(baseline, latest[key], threshold, min_seconds),
+        baseline = _median(series[name])
+        report.deltas.append(SpanDelta(
+            span=name, base_s=baseline, new_s=latest[name],
+            verdict=_classify(baseline, latest[name], threshold, min_seconds),
         ))
-    stale = {(w, s, v) for (w, s, v, _stage) in series} - \
-            {(w, s, v) for (w, s, v, _stage) in latest}
-    report.stale_series = sorted(stale)
+    report.stale_series = sorted(set(series) - set(latest))
     return report
-
-
-def markdown_report(comparison: BenchComparison) -> str:
-    """The comparison as a markdown document (the CI artifact)."""
-    c = comparison
-    lines = [
-        f"# Bench comparison: `{c.baseline_label}` → `{c.current_label}`",
-        "",
-        f"Gates: regression = slower than {c.threshold:.2f}x baseline "
-        f"**and** ≥ {c.min_seconds:g}s absolute.",
-        "",
-    ]
-    if c.ok:
-        matched = len({(d.workload, d.size, d.solver) for d in c.deltas})
-        lines.append(
-            f"**No regressions** across {matched} matched run(s) / "
-            f"{len(c.deltas)} stage comparison(s)."
-        )
-    else:
-        lines.append(f"**{len(c.regressions)} REGRESSION(S) DETECTED:**")
-        lines.append("")
-        lines.append("| workload | size | solver | stage | base s | new s | ratio |")
-        lines.append("|---|---|---|---|---|---|---|")
-        for d in c.regressions:
-            ratio = f"{d.ratio:.2f}x" if d.ratio is not None else "new"
-            lines.append(
-                f"| {d.workload} | `{d.size}` | {d.solver} | **{d.stage}** "
-                f"| {d.base_s:.6f} | {d.new_s:.6f} | {ratio} |"
-            )
-    if c.improvements:
-        lines.append("")
-        lines.append(f"{len(c.improvements)} improvement(s):")
-        lines.append("")
-        for d in c.improvements:
-            lines.append(f"- {d.describe()}")
-    for title, keys in (("Only in baseline", c.only_in_baseline),
-                        ("Only in current", c.only_in_current)):
-        if keys:
-            lines.append("")
-            lines.append(f"{title} (unmatched, not compared):")
-            lines.append("")
-            for workload, size, solver in keys:
-                lines.append(f"- {workload} `{size}` [{solver}]")
-    lines.append("")
-    return "\n".join(lines)
 
 
 def trend_markdown(report: TrendReport) -> str:
     """The trend verdict as a markdown document (the CI artifact)."""
     r = report
-    lines = [
-        "# Ledger bench trend",
+    lines = ["# Ledger span trend", ""]
+    if not r.run_ids:
+        lines += ["No run in the ledger carries span aggregates "
+                  "(record one with `--ledger`).", ""]
+        return "\n".join(lines)
+    lines += [
+        f"Command `{r.command}`, config `{(r.fingerprint or '')[:12]}`.",
         "",
-        f"History: {len(r.run_ids)} bench run(s) "
-        f"(ids: {', '.join(r.run_ids) if r.run_ids else 'none'}); newest "
-        f"judged against the median of the earlier ones.",
+        f"History: {len(r.run_ids)} run(s) "
+        f"(ids: {', '.join(r.run_ids)}); newest judged against the "
+        f"median of the earlier ones.",
         "",
         f"Gates: regression = slower than {r.threshold:.2f}x the "
         f"historical median **and** ≥ {r.min_seconds:g}s absolute.",
@@ -360,38 +204,36 @@ def trend_markdown(report: TrendReport) -> str:
     ]
     if len(r.run_ids) < 2:
         lines.append("**Not enough history to trend** (need at least two "
-                     "bench runs in the ledger).")
+                     "runs with the same config fingerprint).")
     elif r.ok:
         lines.append(
-            f"**No regressions** across {len(r.deltas)} trended stage "
+            f"**No regressions** across {len(r.deltas)} trended span "
             f"series."
         )
     else:
         lines.append(f"**{len(r.regressions)} REGRESSION(S) DETECTED:**")
         lines.append("")
-        lines.append("| workload | size | solver | stage | median s | latest s | ratio |")
-        lines.append("|---|---|---|---|---|---|---|")
+        lines.append("| span | median s | latest s | ratio |")
+        lines.append("|---|---|---|---|")
         for d in r.regressions:
-            ratio = f"{d.ratio:.2f}x" if d.ratio is not None else "new"
-            lines.append(
-                f"| {d.workload} | `{d.size}` | {d.solver} | **{d.stage}** "
-                f"| {d.base_s:.6f} | {d.new_s:.6f} | {ratio} |"
-            )
+            lines.append(f"| **{d.span}** | {d.base_s:.6f} | {d.new_s:.6f} "
+                         f"| {d.ratio_text()} |")
     if r.improvements:
         lines.append("")
         lines.append(f"{len(r.improvements)} improvement(s):")
         lines.append("")
         for d in r.improvements:
-            lines.append(f"- {d.describe()}")
-    for title, keys in (("New series (first seen in the newest run)",
-                         r.new_series),
-                        ("Stale series (absent from the newest run)",
-                         r.stale_series)):
-        if keys:
+            lines.append(f"- {d.span}: {d.base_s:.6f}s -> {d.new_s:.6f}s "
+                         f"({d.ratio_text()})")
+    for title, names in (("New series (first seen in the newest run)",
+                          r.new_series),
+                         ("Stale series (absent from the newest run)",
+                          r.stale_series)):
+        if names:
             lines.append("")
             lines.append(f"{title}:")
             lines.append("")
-            for workload, size, solver in keys:
-                lines.append(f"- {workload} `{size}` [{solver}]")
+            for name in names:
+                lines.append(f"- `{name}`")
     lines.append("")
     return "\n".join(lines)

@@ -359,27 +359,34 @@ def solve_with_fallback(
     n = chain.n_states
     if n == 0:
         raise SolverError("cannot solve an empty chain").with_context(stage="solve")
-    if n == 1 or not check_irreducible or chain.is_irreducible():
-        return _solve_irreducible(chain, policy, registry)
-    if reducible != "bscc":
-        raise _irreducibility_failure(chain)
-    bsccs = chain.bottom_sccs()
-    if len(bsccs) != 1:
-        raise SolverError(
-            f"the chain has {len(bsccs)} bottom strongly connected "
-            "components; the steady state depends on the initial state"
-        ).with_context(stage="solve")
-    members = bsccs[0]
-    pi_sub, diag = _solve_irreducible(chain.restricted_to(members), policy, registry)
+    with get_tracer().span("ctmc.solve", states=n,
+                           methods=",".join(policy.methods)) as span:
+        if n == 1 or not check_irreducible:
+            return _solve_irreducible(chain, policy, registry, span)
+        # One SCC pass answers both questions: an irreducible chain is
+        # its own single bottom component.
+        bsccs = chain.bottom_sccs()
+        if len(bsccs[0]) == n:
+            return _solve_irreducible(chain, policy, registry, span)
+        if reducible != "bscc":
+            raise _irreducibility_failure(chain)
+        if len(bsccs) != 1:
+            raise SolverError(
+                f"the chain has {len(bsccs)} bottom strongly connected "
+                "components; the steady state depends on the initial state"
+            ).with_context(stage="solve")
+        members = bsccs[0]
+        pi_sub, diag = _solve_irreducible(chain.restricted_to(members), policy,
+                                          registry, span)
     pi = np.zeros(n)
     pi[members] = pi_sub
     diag.n_states = n
     return pi, diag
 
 
-def _solve_irreducible(chain: CTMC, policy: FallbackPolicy,
-                       registry: dict) -> tuple[np.ndarray, SolveDiagnostics]:
-    """:func:`run_chain` over an irreducible chain, in a ``ctmc.solve`` span."""
+def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
+                       span) -> tuple[np.ndarray, SolveDiagnostics]:
+    """:func:`run_chain` over an irreducible chain, inside ``span``."""
     n = chain.n_states
     if n == 1:
         diag = SolveDiagnostics(n_states=1, method=policy.methods[0])
@@ -396,9 +403,10 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy,
     def residual(pi: np.ndarray) -> float:
         return float(np.abs(chain.Q.T @ pi).max())
 
-    bound = policy.residual_tol * max(1.0, chain.max_exit_rate())
-    with get_tracer().span("ctmc.solve", states=n,
-                           methods=",".join(policy.methods)) as span:
-        pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span)
+    # Relative to the chain's own time scale: an absolute floor would
+    # accept any vector on a slow chain.  Irreducible with n >= 2, so
+    # every state has a positive exit rate.
+    bound = policy.residual_tol * chain.max_exit_rate()
+    pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span)
     get_metrics().gauge("residual").set(diag.residual)
     return pi, diag

@@ -69,7 +69,7 @@ class GeneratorParams:
 
     The defaults keep every scenario's marking space small (hundreds of
     states), so a thousand-seed differential sweep runs in seconds; the
-    corpus batch/bench entry points scale *count*, not instance size.
+    corpus batch entry points scale *count*, not instance size.
     """
 
     max_locations: int = 3
@@ -629,11 +629,11 @@ def spec_from_json(text: str) -> ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
-# Corpus entry points (bench workload / batch tasks)
+# Corpus entry points (batch tasks / tests)
 # ----------------------------------------------------------------------
 def corpus_net(seed: int) -> PepaNet:
-    """The direct PEPA net of one corpus scenario — the ``corpus``
-    bench workload's builder (importable from spawn workers)."""
+    """The direct PEPA net of one corpus scenario (importable from
+    spawn workers)."""
     return generate_scenario(seed).build_net()
 
 

@@ -4,12 +4,16 @@ pruning them."""
 
 from __future__ import annotations
 
+import copy
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.choreographer.cli import main
 from repro.obs import RunLedger, build_run_document
+
+MODELS = Path(__file__).resolve().parents[2] / "examples" / "models"
 
 
 @pytest.fixture()
@@ -19,28 +23,26 @@ def pepa_file(tmp_path):
     return path
 
 
-def bench_doc(scale=1.0, label="ci"):
-    return {
-        "schema": "repro-bench/1", "label": label, "created_unix": 0,
-        "quick": True, "solver": "auto", "host": {},
-        "runs": [{
-            "workload": "file_protocol", "kind": "pepa",
-            "size": {"n_readers": 2}, "solver": "direct",
-            "n_states": 5, "n_transitions": 12,
-            "stages": {"derive": 0.4 * scale, "assemble": 0.2,
-                       "solve": 0.6 * scale},
-            "total_s": 0.6 + 0.6 * scale, "peak_rss_kb": 1000,
-        }],
-    }
+def span_doc(scale=1.0, label="ci"):
+    """A pepa run document whose ctmc.solve span took 0.6 s × ``scale``."""
+    solve_s = 0.6 * scale
+    trace = {"schema": "repro-trace/1", "traces": [{
+        "name": "pepa", "start_unix": 0.0, "duration_s": 0.6 + solve_s,
+        "attributes": {}, "children": [{
+            "name": "ctmc.solve", "start_unix": 0.3, "duration_s": solve_s,
+            "attributes": {}, "children": []}]}]}
+    return build_run_document(
+        command="pepa", label=label, tracer=trace,
+        config={"command": "pepa", "model": "file_protocol.pepa"})
 
 
 @pytest.fixture()
-def bench_ledger(tmp_path):
-    """A ledger holding two clean bench runs."""
+def span_ledger(tmp_path):
+    """A ledger holding two clean runs of one pepa config."""
     ledger_dir = tmp_path / "runs"
     ledger = RunLedger(ledger_dir)
     for _ in range(2):
-        ledger.record(build_run_document(command="bench", bench=bench_doc()))
+        ledger.record(span_doc())
     return ledger_dir
 
 
@@ -81,67 +83,122 @@ class TestRecording:
 
 
 class TestQueries:
-    def test_list_shows_recorded_runs(self, bench_ledger, capsys):
-        assert main(["runs", "--ledger", str(bench_ledger), "list"]) == 0
+    def test_list_shows_recorded_runs(self, span_ledger, capsys):
+        assert main(["runs", "--ledger", str(span_ledger), "list"]) == 0
         out = capsys.readouterr().out
         assert "000001" in out and "000002" in out
-        assert "bench" in out
+        assert "pepa" in out
 
     def test_list_empty_store_is_an_error(self, tmp_path, capsys):
         code = main(["runs", "--ledger", str(tmp_path / "nope"), "list"])
         assert code == 2
         assert "no run ledger" in capsys.readouterr().err
 
-    def test_show_latest_and_by_id(self, bench_ledger, capsys):
-        assert main(["runs", "--ledger", str(bench_ledger), "show"]) == 0
+    def test_show_latest_and_by_id(self, span_ledger, capsys):
+        assert main(["runs", "--ledger", str(span_ledger), "show"]) == 0
         latest = json.loads(capsys.readouterr().out)
         assert latest["run_id"] == "000002"
-        assert main(["runs", "--ledger", str(bench_ledger),
+        assert main(["runs", "--ledger", str(span_ledger),
                      "show", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["run_id"] == "000001"
 
-    def test_compare_two_bench_runs(self, bench_ledger, capsys):
-        code = main(["runs", "--ledger", str(bench_ledger),
+    def test_compare_two_runs(self, span_ledger, capsys):
+        code = main(["runs", "--ledger", str(span_ledger),
                      "compare", "000001", "000002"])
         assert code == 0
         assert "No regressions" in capsys.readouterr().out
+        RunLedger(span_ledger).record(span_doc(scale=3.0))
+        code = main(["runs", "--ledger", str(span_ledger),
+                     "compare", "000001", "000003"])
+        assert code == 1
+        assert "ctmc.solve" in capsys.readouterr().out
 
-    def test_prune(self, bench_ledger, capsys):
-        assert main(["runs", "--ledger", str(bench_ledger),
+    def test_compare_across_configs_is_not_comparable(self, span_ledger,
+                                                      capsys):
+        ledger = RunLedger(span_ledger)
+        ledger.record(build_run_document(command="analyse"))
+        other = span_doc()
+        other["config_fingerprint"] = "another-config"
+        ledger.record(other)
+        code = main(["runs", "--ledger", str(span_ledger),
+                     "compare", "000001", "000004"])
+        assert code == 2
+        assert "not comparable" in capsys.readouterr().err
+        # a run without span aggregates cannot be compared either
+        code = main(["runs", "--ledger", str(span_ledger),
+                     "compare", "000001", "000003"])
+        assert code == 2
+
+    def test_prune(self, span_ledger, capsys):
+        assert main(["runs", "--ledger", str(span_ledger),
                      "prune", "--keep", "1"]) == 0
-        assert RunLedger(bench_ledger).run_ids() == ["000002"]
+        assert RunLedger(span_ledger).run_ids() == ["000002"]
 
 
 class TestTrend:
-    def test_clean_history_exits_zero(self, bench_ledger, capsys):
-        code = main(["runs", "--ledger", str(bench_ledger), "trend"])
+    def test_clean_history_exits_zero(self, span_ledger, capsys):
+        code = main(["runs", "--ledger", str(span_ledger), "trend"])
         assert code == 0
         assert "No regressions" in capsys.readouterr().out
 
     def test_injected_slowdown_exits_one_and_names_the_stage(
-            self, bench_ledger, tmp_path, capsys):
-        RunLedger(bench_ledger).record(build_run_document(
-            command="bench", bench=bench_doc(scale=3.0)))
+            self, span_ledger, tmp_path, capsys):
+        RunLedger(span_ledger).record(span_doc(scale=3.0))
         report = tmp_path / "trend.md"
-        code = main(["runs", "--ledger", str(bench_ledger), "trend",
+        code = main(["runs", "--ledger", str(span_ledger), "trend",
                      "--report", str(report)])
         assert code == 1
         out = capsys.readouterr().out
         assert "REGRESSION" in out
-        assert "file_protocol" in out and "solve" in out
+        assert "**ctmc.solve**" in out and "**pepa**" in out
         assert "REGRESSION" in report.read_text()
 
-    def test_window_and_threshold_flags(self, bench_ledger, capsys):
-        RunLedger(bench_ledger).record(build_run_document(
-            command="bench", bench=bench_doc(scale=3.0)))
+    def test_window_and_threshold_flags(self, span_ledger, capsys):
+        RunLedger(span_ledger).record(span_doc(scale=3.0))
         # a 10x threshold tolerates the 3x slowdown
-        assert main(["runs", "--ledger", str(bench_ledger), "trend",
+        assert main(["runs", "--ledger", str(span_ledger), "trend",
                      "--threshold", "10.0"]) == 0
 
-    def test_non_bench_runs_are_ignored(self, bench_ledger, capsys):
-        RunLedger(bench_ledger).record(
+    def test_runs_without_spans_are_ignored(self, span_ledger, capsys):
+        RunLedger(span_ledger).record(span_doc(scale=3.0))
+        RunLedger(span_ledger).record(
             build_run_document(command="analyse"))
-        assert main(["runs", "--ledger", str(bench_ledger), "trend"]) == 0
+        # the newest run with spans (the slow one) is still the judged one
+        assert main(["runs", "--ledger", str(span_ledger), "trend"]) == 1
+
+    def test_cli_recorded_runs_trend_and_catch_a_solve_slowdown(
+            self, pepa_file, tmp_path, capsys):
+        ledger_dir = tmp_path / "runs"
+        for _ in range(2):
+            assert main(["pepa", str(pepa_file), "--ledger",
+                         str(ledger_dir)]) == 0
+        ledger = RunLedger(ledger_dir)
+        assert main(["runs", "--ledger", str(ledger_dir), "trend"]) == 0
+        assert "No regressions" in capsys.readouterr().out
+
+        slow = copy.deepcopy(ledger.latest())
+        solve = slow["spans"]["ctmc.solve"]
+        solve["total_s"] = solve["total_s"] * 3 + 0.2
+        ledger.record(slow)
+        report = tmp_path / "trend.md"
+        code = main(["runs", "--ledger", str(ledger_dir), "trend",
+                     "--report", str(report)])
+        assert code == 1
+        assert "ctmc.solve" in capsys.readouterr().out
+        assert "**ctmc.solve**" in report.read_text()
+
+        # a run of another model is never judged against pepa history
+        assert main(["net", str(MODELS / "instant_message.pepanet"),
+                     "--ledger", str(ledger_dir)]) == 0
+        capsys.readouterr()
+        assert main(["runs", "--ledger", str(ledger_dir), "trend"]) == 0
+        assert "Not enough history" in capsys.readouterr().out
+        assert main(["runs", "--ledger", str(ledger_dir), "trend",
+                     "--command", "pepa"]) == 1
+        code = main(["runs", "--ledger", str(ledger_dir),
+                     "compare", "000001", "000004"])
+        assert code == 2
+        assert "not comparable" in capsys.readouterr().err
 
 
 class TestExport:

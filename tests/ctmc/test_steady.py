@@ -125,11 +125,13 @@ class TestValidationOrdering:
     def test_unknown_method_skips_scc_analysis(self):
         chain = birth_death(4, 1.0, 1.0)
         calls = []
-        original = chain.is_irreducible
-        chain.is_irreducible = lambda: calls.append(1) or original()
+        original = chain.bottom_sccs
+        chain.bottom_sccs = lambda: calls.append(1) or original()
         with pytest.raises(SolverError, match="unknown"):
             steady_state(chain, "tpyo")
         assert calls == []
+        steady_state(chain, "direct")
+        assert calls == [1]  # a valid method runs the one SCC pass
 
 
 class TestBsccPolicy:
@@ -205,14 +207,20 @@ class TestNormalisationRejections:
         with pytest.raises(SolverError, match="zero vector"):
             self._with_fake_solver(np.zeros)
 
-    def test_wrong_normalised_vector_rejected_by_residual(self):
+    @pytest.mark.parametrize("chain", [
+        birth_death(3, 1.0, 2.0),
+        birth_death(3, 1e-7, 2e-7),
+    ], ids=["unit-rates", "slow-rates"])
+    def test_wrong_normalised_vector_rejected_by_residual(self, chain):
         """A finite, non-negative, normalised but wrong vector passes
-        _normalise; the always-on residual check must still refuse it."""
+        _normalise; the always-on residual check must still refuse it.
+        The bound scales with the exit rates, so a slow chain's tiny
+        absolute residual is no free pass."""
         with pytest.raises(SolverError, match="bad-residual") as info:
-            self._with_fake_solver(lambda n: np.full(n, 1.0 / n))
+            self._with_fake_solver(lambda n: np.full(n, 1.0 / n), chain)
         [attempt] = info.value.diagnostics.attempts
         assert attempt.outcome == "bad-residual"
-        assert attempt.residual > 1e-3
+        assert attempt.residual > FallbackPolicy().residual_tol * chain.max_exit_rate()
 
     def test_tiny_negative_roundoff_clipped(self):
         # π ∝ 1e-6^i: the last state's true mass (1e-18) is below
@@ -237,6 +245,15 @@ class TestDefaultDiagnostics:
         assert (attempt.method, attempt.outcome) == ("direct", "converged")
         bound = FallbackPolicy().residual_tol * analysis.chain.max_exit_rate()
         assert attempt.residual < bound
+
+    def test_slow_chain_direct_answer_passes_the_scaled_bound(self):
+        # the bound is residual_tol × max exit rate with no floor of 1:
+        # a correct answer on a chain of rate 1e-7 must still clear it
+        model = parse_model("P = (work, 1e-7).Q;\nQ = (rest, 2e-7).P;\nP")
+        analysis = analyse(model)
+        [attempt] = analysis.diagnostics.attempts
+        assert attempt.outcome == "converged"
+        assert attempt.residual < 1e-6 * 2e-7
 
 
 class TestPreconditionerFallback:

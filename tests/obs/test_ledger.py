@@ -67,7 +67,7 @@ class TestStore:
 
     def test_runs_filters_by_command_and_tail_limits(self, tmp_path):
         ledger = RunLedger(tmp_path)
-        for command in ("batch", "analyse", "batch", "bench"):
+        for command in ("batch", "analyse", "batch", "pepa"):
             ledger.record(make_doc(command=command))
         batches = ledger.runs(command="batch")
         assert [d["command"] for d in batches] == ["batch", "batch"]
@@ -188,16 +188,20 @@ class TestBuildRunDocument:
         assert build_run_document(command="x", profile=full)["profile"] == full
 
     def test_optional_sections_and_extra(self):
+        # batch hands over its merged trace document, not a live Tracer
+        merged = {"schema": "repro-trace/1", "traces": [{
+            "name": "batch.task", "start_unix": 0.0, "duration_s": 0.25,
+            "attributes": {}, "children": []}]}
         document = build_run_document(
             command="batch",
-            bench={"schema": "repro-bench/1", "runs": []},
+            tracer=merged,
             cache={"hits": 3, "misses": 1},
             incidents=[{"task": "t1"}],
             trace={"schema": "repro-trace/1", "traces": []},
             tasks_fingerprint="abc123",
             extra={"exit_code": 0},
         )
-        assert document["bench"]["schema"] == "repro-bench/1"
+        assert document["spans"]["batch.task"]["total_s"] == 0.25
         assert document["cache"] == {"hits": 3, "misses": 1}
         assert document["incidents"] == [{"task": "t1"}]
         assert document["trace"]["schema"] == "repro-trace/1"

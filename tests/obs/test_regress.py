@@ -1,306 +1,132 @@
-"""Bench regression detection: matching, thresholds, noise floor,
-markdown report and the compare_bench.py command-line gate."""
+"""Span-time regression detection over ledger run documents: median
+baseline, dual noise gates, config-fingerprint history, window, new and
+stale series, and the markdown report."""
 
 from __future__ import annotations
 
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
-from repro.obs.regress import (
-    compare_benchmarks,
-    detect_trend,
-    load_bench,
-    markdown_report,
-    run_key,
-    trend_markdown,
-)
+from repro.obs.regress import detect_trend, trend_markdown
 
-REPO = Path(__file__).resolve().parents[2]
-_COMPARE = REPO / "benchmarks" / "compare_bench.py"
+BASE_TOTALS = {"pepa": 1.2, "pepa.derive": 0.4, "ctmc.assemble": 0.2,
+               "ctmc.solve": 0.6}
 
 
-@pytest.fixture(scope="module")
-def compare_bench():
-    spec = importlib.util.spec_from_file_location("compare_bench", _COMPARE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def make_doc(label="base", **overrides):
-    """A minimal two-run repro-bench/1 document with sizeable stages."""
-    runs = [
-        {
-            "workload": "file_protocol", "kind": "pepa",
-            "size": {"n_readers": 2}, "solver": "direct",
-            "n_states": 5, "n_transitions": 12,
-            "stages": {"derive": 0.4, "assemble": 0.2, "solve": 0.6},
-            "total_s": 1.2, "peak_rss_kb": 80000,
-        },
-        {
-            "workload": "courier_ring", "kind": "net",
-            "size": {"n_places": 3, "n_couriers": 2}, "solver": "direct",
-            "n_states": 9, "n_transitions": 18,
-            "stages": {"derive": 0.3, "assemble": 0.1, "solve": 0.5},
-            "total_s": 0.9, "peak_rss_kb": 80000,
-        },
-    ]
-    doc = {"schema": "repro-bench/1", "label": label, "created_unix": 0,
-           "quick": False, "solver": "direct", "host": {}, "runs": runs}
-    doc.update(overrides)
-    return doc
-
-
-class TestMatching:
-    def test_run_key_is_stable_under_size_key_order(self):
-        a = {"workload": "w", "size": {"a": 1, "b": 2}, "solver": "direct"}
-        b = {"workload": "w", "size": {"b": 2, "a": 1}, "solver": "direct"}
-        assert run_key(a) == run_key(b)
-
-    def test_unmatched_runs_are_reported_not_fatal(self):
-        base = make_doc()
-        current = make_doc(label="new")
-        current["runs"] = current["runs"][:1]
-        current["runs"].append({
-            "workload": "brand_new", "size": {}, "solver": "direct",
-            "stages": {"solve": 0.1}, "total_s": 0.1,
-        })
-        comparison = compare_benchmarks(base, current)
-        assert comparison.ok
-        assert len(comparison.only_in_baseline) == 1
-        assert comparison.only_in_baseline[0][0] == "courier_ring"
-        assert len(comparison.only_in_current) == 1
-        assert comparison.only_in_current[0][0] == "brand_new"
-
-
-class TestDetection:
-    def test_identical_documents_have_no_regressions(self):
-        comparison = compare_benchmarks(make_doc(), make_doc(label="again"))
-        assert comparison.ok
-        assert comparison.regressions == []
-        assert comparison.improvements == []
-        # every stage plus the total was compared for both runs
-        assert len(comparison.deltas) == 8
-
-    def test_synthetic_2x_slowdown_names_workload_size_stage(self):
-        base = make_doc()
-        current = make_doc(label="slow")
-        current["runs"][0]["stages"]["solve"] = 1.2  # 2x of 0.6
-        current["runs"][0]["total_s"] = 1.8
-        comparison = compare_benchmarks(base, current)
-        assert not comparison.ok
-        stages = {(d.workload, d.stage) for d in comparison.regressions}
-        assert ("file_protocol", "solve") in stages
-        (solve,) = [d for d in comparison.regressions if d.stage == "solve"]
-        assert json.loads(solve.size) == {"n_readers": 2}
-        assert solve.solver == "direct"
-        assert solve.ratio == pytest.approx(2.0)
-
-    def test_absolute_floor_suppresses_sub_millisecond_doubling(self):
-        base = make_doc()
-        base["runs"][0]["stages"] = {"derive": 0.0004, "solve": 0.0003}
-        base["runs"][0]["total_s"] = 0.0007
-        current = make_doc(label="noisy")
-        current["runs"][0]["stages"] = {"derive": 0.0009, "solve": 0.0007}
-        current["runs"][0]["total_s"] = 0.0016
-        comparison = compare_benchmarks(base, current, min_seconds=0.05)
-        assert comparison.ok
-
-    def test_relative_threshold_suppresses_small_creep_on_big_stage(self):
-        base = make_doc()
-        current = make_doc(label="creep")
-        current["runs"][0]["stages"]["solve"] = 0.7  # +0.1s but only 1.17x
-        comparison = compare_benchmarks(base, current,
-                                        threshold=1.5, min_seconds=0.05)
-        assert comparison.ok
-
-    def test_improvements_are_reported_but_not_fatal(self):
-        base = make_doc()
-        current = make_doc(label="fast")
-        current["runs"][0]["stages"]["solve"] = 0.2
-        current["runs"][0]["total_s"] = 0.8
-        comparison = compare_benchmarks(base, current)
-        assert comparison.ok
-        assert any(d.stage == "solve" for d in comparison.improvements)
-
-    def test_total_time_regression_is_caught(self):
-        base = make_doc()
-        current = make_doc(label="slow-total")
-        current["runs"][1]["total_s"] = 2.7  # stages unchanged, total 3x
-        comparison = compare_benchmarks(base, current)
-        assert not comparison.ok
-        assert any(d.stage == "total" and d.workload == "courier_ring"
-                   for d in comparison.regressions)
-
-    def test_new_stage_name_compared_against_zero(self):
-        base = make_doc()
-        current = make_doc(label="newstage")
-        current["runs"][0]["stages"]["reflect"] = 0.4
-        comparison = compare_benchmarks(base, current)
-        assert any(d.stage == "reflect" and d.verdict == "regression"
-                   for d in comparison.deltas)
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            compare_benchmarks(make_doc(), make_doc(), threshold=1.0)
-        with pytest.raises(ValueError):
-            compare_benchmarks(make_doc(), make_doc(), min_seconds=-1)
-
-
-class TestReport:
-    def test_no_regression_report(self):
-        text = markdown_report(compare_benchmarks(make_doc(), make_doc(label="b")))
-        assert "No regressions" in text
-        assert "`base` → `b`" in text
-
-    def test_regression_report_names_the_offender(self):
-        base = make_doc()
-        current = make_doc(label="slow")
-        current["runs"][0]["stages"]["solve"] = 1.2
-        text = markdown_report(compare_benchmarks(base, current))
-        assert "REGRESSION" in text
-        assert "file_protocol" in text
-        assert "solve" in text
-        assert "2.00x" in text
-
-    def test_unmatched_runs_listed(self):
-        base = make_doc()
-        current = make_doc(label="partial")
-        current["runs"] = current["runs"][:1]
-        text = markdown_report(compare_benchmarks(base, current))
-        assert "Only in baseline" in text
-        assert "courier_ring" in text
-
-
-class TestLoadBench:
-    def test_loads_committed_baseline(self):
-        document = load_bench(REPO / "BENCH_PR2.json")
-        assert document["schema"] == "repro-bench/1"
-        assert document["runs"]
-
-    def test_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "nope"}')
-        with pytest.raises(ValueError):
-            load_bench(bad)
-
-
-class TestCompareBenchCli:
-    def test_self_compare_exits_zero(self, compare_bench, tmp_path, capsys):
-        path = tmp_path / "doc.json"
-        path.write_text(json.dumps(make_doc()))
-        assert compare_bench.main([str(path), str(path)]) == 0
-        assert "No regressions" in capsys.readouterr().out
-
-    def test_committed_baseline_self_compare_exits_zero(self, compare_bench, capsys):
-        baseline = str(REPO / "BENCH_PR2.json")
-        assert compare_bench.main([baseline, baseline]) == 0
-        assert "No regressions" in capsys.readouterr().out
-
-    def test_synthetic_slowdown_exits_one_and_writes_report(
-        self, compare_bench, tmp_path, capsys
-    ):
-        base_path = tmp_path / "base.json"
-        base_path.write_text(json.dumps(make_doc()))
-        current = make_doc(label="slow")
-        current["runs"][0]["stages"]["solve"] = 1.2
-        current_path = tmp_path / "current.json"
-        current_path.write_text(json.dumps(current))
-        report = tmp_path / "report.md"
-        code = compare_bench.main([str(base_path), str(current_path),
-                                   "-o", str(report)])
-        assert code == 1
-        text = report.read_text()
-        assert "file_protocol" in text and "solve" in text
-
-    def test_missing_file_exits_two(self, compare_bench, tmp_path, capsys):
-        good = tmp_path / "good.json"
-        good.write_text(json.dumps(make_doc()))
-        assert compare_bench.main([str(tmp_path / "nope.json"), str(good)]) == 2
-        assert "error" in capsys.readouterr().err
-
-
-def run_doc(run_id, bench=None, **bench_overrides):
-    """A minimal repro-run/1 document wrapping a bench sweep."""
+def run_doc(run_id, totals=None, *, fingerprint="cfg-a", command="pepa",
+            **extra):
+    """A minimal repro-run/1 document carrying per-span aggregates;
+    ``totals=False`` leaves the spans section out."""
     document = {"schema": "repro-run/1", "run_id": run_id,
-                "command": "bench"}
-    if bench is not False:
-        document["bench"] = bench or make_doc(**bench_overrides)
+                "command": command, "config_fingerprint": fingerprint,
+                **extra}
+    if totals is not False:
+        document["spans"] = {
+            name: {"count": 1, "total_s": total, "mean_s": total,
+                   "p95_s": total, "max_s": total}
+            for name, total in (totals or BASE_TOTALS).items()
+        }
     return document
 
 
-def scaled(factor, stage=None):
-    """make_doc() with every (or one) stage scaled by ``factor``."""
-    doc = make_doc()
-    for run in doc["runs"]:
-        for name in list(run["stages"]):
-            if stage is None or name == stage:
-                run["stages"][name] *= factor
-        run["total_s"] = sum(run["stages"].values())
-    return doc
+def scaled(factor, span=None):
+    """BASE_TOTALS with every (or one) span total scaled by ``factor``."""
+    return {name: total * factor if span in (None, name) else total
+            for name, total in BASE_TOTALS.items()}
 
 
 class TestTrend:
-    def test_fewer_than_two_bench_runs_is_trivially_ok(self):
+    def test_fewer_than_two_comparable_runs_is_trivially_ok(self):
         assert detect_trend([]).ok
         assert detect_trend([run_doc("000001")]).ok
-        # non-bench run documents don't count as history
-        report = detect_trend([run_doc("000001", bench=False),
+        # run documents without span aggregates don't count as history
+        report = detect_trend([run_doc("000001", totals=False),
                                run_doc("000002")])
         assert report.ok and report.run_ids == ["000002"]
+        assert report.deltas == []
 
     def test_identical_history_is_clean(self):
         report = detect_trend([run_doc(f"{i:06d}") for i in range(1, 4)])
         assert report.ok
         assert report.regressions == []
-        assert len(report.deltas) > 0  # the series really were trended
+        assert len(report.deltas) == len(BASE_TOTALS)
+        assert (report.command, report.fingerprint) == ("pepa", "cfg-a")
 
-    def test_injected_3x_slowdown_names_workload_and_stage(self):
+    def test_injected_3x_slowdown_names_the_span(self):
         history = [run_doc("000001"), run_doc("000002")]
-        slow = run_doc("000003", bench=scaled(3.0, stage="solve"))
+        slow = run_doc("000003", scaled(3.0, span="ctmc.solve"))
         report = detect_trend(history + [slow])
         assert not report.ok
-        offenders = {(d.workload, d.stage) for d in report.regressions}
-        assert ("file_protocol", "solve") in offenders
-        assert ("courier_ring", "solve") in offenders
-        # untouched stages stay clean
-        assert all(d.stage in ("solve", "total") for d in report.regressions)
+        assert [d.span for d in report.regressions] == ["ctmc.solve"]
+        [delta] = report.regressions
+        assert delta.ratio == pytest.approx(3.0)
+
+    def test_absolute_floor_suppresses_sub_millisecond_doubling(self):
+        fast = {"ctmc.solve": 0.0003}
+        report = detect_trend([run_doc("000001", fast),
+                               run_doc("000002", {"ctmc.solve": 0.0006})])
+        assert report.ok
+        assert report.deltas[0].ratio == pytest.approx(2.0)
+
+    def test_relative_threshold_suppresses_small_creep_on_big_span(self):
+        report = detect_trend([run_doc("000001", {"ctmc.solve": 10.0}),
+                               run_doc("000002", {"ctmc.solve": 12.0})])
+        assert report.ok  # +2 s clears the floor, 1.2x not the threshold
+
+    def test_improvements_are_reported_but_not_fatal(self):
+        report = detect_trend([run_doc("000001"),
+                               run_doc("000002", scaled(0.25, "ctmc.solve"))])
+        assert report.ok
+        assert [d.span for d in report.improvements] == ["ctmc.solve"]
 
     def test_median_baseline_shrugs_off_one_slow_historical_run(self):
         # one loaded-CI-box outlier in the history must not drag the
         # baseline up (masking) — the median ignores it
-        history = [run_doc("000001"), run_doc("000002", bench=scaled(10.0)),
+        history = [run_doc("000001"), run_doc("000002", scaled(10.0)),
                    run_doc("000003")]
-        fine = run_doc("000004")
-        assert detect_trend(history + [fine]).ok
-        slow = run_doc("000004", bench=scaled(3.0, stage="solve"))
+        assert detect_trend(history + [run_doc("000004")]).ok
+        slow = run_doc("000004", scaled(3.0, span="ctmc.solve"))
         assert not detect_trend(history + [slow]).ok
 
     def test_window_limits_the_history(self):
         # old fast runs fall outside the window: judged only against
         # the recent (already slow) plateau, the newest run is fine
-        old = [run_doc("000001"), run_doc("000002")]
-        plateau = [run_doc("000003", bench=scaled(3.0)),
-                   run_doc("000004", bench=scaled(3.0))]
-        newest = run_doc("000005", bench=scaled(3.0))
+        old = [run_doc(f"{i:06d}") for i in (1, 2, 3)]
+        plateau = [run_doc("000004", scaled(3.0)),
+                   run_doc("000005", scaled(3.0))]
+        newest = run_doc("000006", scaled(3.0))
         assert not detect_trend(old + plateau + [newest]).ok
         windowed = detect_trend(old + plateau + [newest], window=3)
         assert windowed.ok
-        assert windowed.run_ids == ["000003", "000004", "000005"]
+        assert windowed.run_ids == ["000004", "000005", "000006"]
+
+    def test_history_is_the_newest_runs_config_fingerprint_only(self):
+        fast = [run_doc("000001"), run_doc("000002")]
+        other = run_doc("000003", scaled(3.0), fingerprint="cfg-b",
+                        command="net")
+        # newest is the only cfg-b run: no history, whatever came before
+        report = detect_trend(fast + [other])
+        assert report.ok and report.run_ids == ["000003"]
+        assert report.command == "net"
+        # a cfg-a run after it is judged against cfg-a runs alone
+        slow = run_doc("000004", scaled(3.0, span="ctmc.solve"))
+        report = detect_trend(fast + [other, slow])
+        assert report.run_ids == ["000001", "000002", "000004"]
+        assert [d.span for d in report.regressions] == ["ctmc.solve"]
+
+    def test_batch_runs_over_other_tasks_are_not_history(self):
+        a = run_doc("000001", command="batch", tasks_fingerprint="tasks-1")
+        b = run_doc("000002", scaled(3.0), command="batch",
+                    tasks_fingerprint="tasks-2")
+        assert detect_trend([a, b]).run_ids == ["000002"]
 
     def test_new_and_stale_series_reported_not_fatal(self):
-        base = make_doc()
-        renamed = make_doc()
-        renamed["runs"][0]["workload"] = "brand_new"
-        report = detect_trend([run_doc("000001", bench=base),
-                               run_doc("000002", bench=renamed)])
+        renamed = dict(BASE_TOTALS)
+        renamed["brand.new"] = renamed.pop("pepa.derive") * 10
+        report = detect_trend([run_doc("000001"),
+                               run_doc("000002", renamed)])
         assert report.ok
-        assert ("brand_new", '{"n_readers": 2}', "direct") in report.new_series
-        assert ("file_protocol", '{"n_readers": 2}', "direct") in \
-               report.stale_series
+        assert report.new_series == ["brand.new"]
+        assert report.stale_series == ["pepa.derive"]
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -315,26 +141,28 @@ class TestTrendMarkdown:
         text = trend_markdown(report)
         assert "No regressions" in text
         assert "000001" in text and "000002" in text
+        assert "`pepa`" in text and "`cfg-a`" in text
 
     def test_regression_table_names_the_offender(self):
         report = detect_trend([
             run_doc("000001"), run_doc("000002"),
-            run_doc("000003", bench=scaled(3.0, stage="solve")),
+            run_doc("000003", scaled(3.0, span="ctmc.solve")),
         ])
         text = trend_markdown(report)
         assert "REGRESSION" in text
-        assert "| file_protocol |" in text
-        assert "**solve**" in text
+        assert "| **ctmc.solve** |" in text
+        assert "3.00x" in text
 
     def test_short_history_message(self):
         text = trend_markdown(detect_trend([run_doc("000001")]))
         assert "Not enough history" in text
+        text = trend_markdown(detect_trend([run_doc("000001", totals=False)]))
+        assert "No run in the ledger carries span aggregates" in text
 
     def test_new_and_stale_series_are_listed(self):
-        base = make_doc()
-        renamed = make_doc()
-        renamed["runs"][0]["workload"] = "brand_new"
-        text = trend_markdown(detect_trend([run_doc("000001", bench=base),
-                                            run_doc("000002", bench=renamed)]))
-        assert "New series" in text and "brand_new" in text
-        assert "Stale series" in text and "file_protocol" in text
+        renamed = dict(BASE_TOTALS)
+        renamed["brand.new"] = renamed.pop("pepa.derive")
+        text = trend_markdown(detect_trend([run_doc("000001"),
+                                            run_doc("000002", renamed)]))
+        assert "New series" in text and "brand.new" in text
+        assert "Stale series" in text and "pepa.derive" in text

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ctmc import build_ctmc, steady_state
 from repro.exceptions import SolverError
+from repro.obs import Tracer, use_tracer
 from repro.resilience import (
     FallbackPolicy,
     FaultSpec,
@@ -147,6 +148,29 @@ class TestReducibleChains:
         assert np.isclose(pi.sum(), 1.0)
         expected = steady_state(chain, "direct", reducible="bscc")
         assert np.allclose(pi, expected, atol=1e-8)
+
+    def test_bscc_structure_found_once_inside_the_solve_span(self, monkeypatch):
+        import repro.ctmc.chain as chain_mod
+
+        tracer = Tracer()
+        calls = []
+        real = chain_mod.connected_components
+
+        def counting(*args, **kwargs):
+            calls.append(tracer.stack_names())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(chain_mod, "connected_components", counting)
+        chain = build_ctmc(
+            3, [(0, "s", 1.0, 1), (1, "a", 1.0, 2), (2, "b", 3.0, 1)]
+        )
+        with use_tracer(tracer):
+            _, diag = solve_with_fallback(chain, reducible="bscc")
+        assert calls == [["ctmc.solve"]]
+        [root] = tracer.roots
+        assert root.name == "ctmc.solve"
+        assert root.attributes["states"] == diag.n_states == 3
+        assert {c.name for c in root.children} == {"solve.attempt"}
 
     def test_reducible_error_policy(self):
         chain = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 1.0, 2)])
