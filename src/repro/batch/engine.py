@@ -12,8 +12,9 @@ only on the task list, never on worker scheduling.  Three mechanisms
 enforce this:
 
 * results are collected in task-submission order, not completion order;
-* each task runs under its *own* fresh tracer/metrics/events, so
-  concurrent tasks cannot interleave writes; the engine merges the
+* each task runs under its *own* fresh
+  :class:`~repro.obs.ObsContext` (tracer/metrics/events), so concurrent
+  tasks cannot interleave writes; the engine merges the
   per-task snapshots afterwards in task order via
   :mod:`repro.obs.merge`;
 * worker processes start from a clean slate: the pool initialiser calls
@@ -74,25 +75,19 @@ from repro.batch.journal import RunJournal, tasks_fingerprint
 from repro.obs import (
     EventStream,
     MetricsRegistry,
+    ObsContext,
     ProfileConfig,
     SamplingProfiler,
     SpanResourceProbe,
     Tracer,
     get_events,
     get_metrics,
-    get_profile_config,
     merge_events,
     merge_metrics,
     merge_profiles,
     merge_traces,
     reset_ambient,
-    set_profile_config,
-    use_events,
-    use_metrics,
-    use_profile_config,
-    use_profiler,
-    use_resource_probe,
-    use_tracer,
+    use_obs,
 )
 from repro.resilience.budget import BudgetSpec
 from repro.resilience.faultinject import (
@@ -204,7 +199,7 @@ class BatchResult:
     quarantined: bool = False
     error_context: dict[str, Any] = field(default_factory=dict)
     #: ``repro-profile/1`` samples for this task; ``{}`` unless the run
-    #: was profiled (an ambient :class:`~repro.obs.ProfileConfig`).
+    #: was profiled (the engine's :class:`~repro.obs.ProfileConfig`).
     profile: dict[str, Any] = field(default_factory=dict)
 
 
@@ -229,30 +224,43 @@ def _jsonable_context(context: dict[str, Any], *, limit: int = 200) -> dict[str,
 
 
 @contextmanager
-def _profiled(config: ProfileConfig | None) -> Iterator[SamplingProfiler | None]:
-    """Install a per-task profiler + resource probe when profiling is on.
+def _profiled(
+    config: ProfileConfig | None,
+) -> Iterator[tuple[SamplingProfiler | None, SpanResourceProbe | None]]:
+    """Run a per-task profiler and build its resource probe when
+    profiling is on; yields ``(profiler, probe)``, both ``None`` when off.
 
     Each task gets its *own* sampler (fresh sample set, fresh clock) so
     per-task profiles stay attributable and merge deterministically in
-    task order; the probe stamps the task's spans with cpu/memory.
+    task order; the probe, handed to the task's tracer, stamps its spans
+    with cpu/memory and is closed on exit.
     """
     if config is None:
-        yield None
+        yield None, None
         return
     profiler = SamplingProfiler(config.interval)
     probe = SpanResourceProbe(memory=config.memory)
-    with use_profiler(profiler), use_resource_probe(probe), profiler:
-        yield profiler
+    try:
+        with profiler:
+            yield profiler, probe
+    finally:
+        probe.close()
 
 
-def execute_task(task: BatchTask, attempt: int = 1, *, inline: bool = False) -> BatchResult:
-    """Run one task attempt under fresh ambient collectors.
+def execute_task(
+    task: BatchTask,
+    attempt: int = 1,
+    *,
+    inline: bool = False,
+    profile: ProfileConfig | None = None,
+) -> BatchResult:
+    """Run one task attempt under a fresh :class:`~repro.obs.ObsContext`.
 
     This is the single execution path shared by inline (``jobs=1``) and
     pooled runs: fresh tracer/metrics/events installed for the duration
-    of the task, the task's budget materialised here (worker-side), and
-    failures captured into the result so one poisoned task degrades
-    itself only.  The capture is deliberate about *which* failures
+    of the task (profiled as ``profile`` asks), the task's budget
+    materialised here (worker-side), and failures captured into the
+    result so one poisoned task degrades itself only.  The capture is deliberate about *which* failures
     degrade gracefully:
 
     * ``Exception`` — captured; a :class:`~repro.exceptions.ReproError`
@@ -273,7 +281,6 @@ def execute_task(task: BatchTask, attempt: int = 1, *, inline: bool = False) -> 
     from repro.batch.tasks import run_task
 
     plan = get_batch_faults()
-    tracer, metrics, events = Tracer(), MetricsRegistry(), EventStream()
     ambient_cache = get_cache()
     stats_before = ambient_cache.stats.as_dict() if ambient_cache else None
     budget = task.budget.materialise() if task.budget is not None else None
@@ -282,8 +289,9 @@ def execute_task(task: BatchTask, attempt: int = 1, *, inline: bool = False) -> 
     error_context: dict[str, Any] = {}
     start = time.perf_counter()
     with current_task(task.id, attempt), \
-            use_tracer(tracer), use_metrics(metrics), use_events(events), \
-            _profiled(get_profile_config()) as profiler:
+            _profiled(profile) as (profiler, probe), \
+            use_obs(ObsContext(Tracer(probe=probe), MetricsRegistry(),
+                               EventStream())) as obs:
         try:
             if plan is not None:
                 plan.apply_task_start(task.id, attempt, inline=inline)
@@ -311,9 +319,9 @@ def execute_task(task: BatchTask, attempt: int = 1, *, inline: bool = False) -> 
         measures=measures,
         error=error,
         duration_s=duration,
-        trace=tracer.to_dict(),
-        metrics=metrics.as_dict(),
-        events=events.to_dicts(),
+        trace=obs.tracer.to_dict(),
+        metrics=obs.metrics.as_dict(),
+        events=obs.events.to_dicts(),
         cache=_cache_delta(stats_before, stats_after),
         attempts=attempt,
         error_context=error_context,
@@ -325,23 +333,21 @@ def _worker_init(
     cache_dir: str | None,
     cache_max_bytes: int | None = None,
     faults: BatchFaultPlan | None = None,
-    profile: ProfileConfig | None = None,
 ) -> None:
-    """Pool initialiser: clean ambient slate, cache, fault plan, profiling.
-
-    ``profile`` is the (picklable) :class:`~repro.obs.ProfileConfig`
-    the parent wants applied; installing it ambiently makes every
-    :func:`execute_task` in this worker start its own sampler.
-    """
+    """Pool initialiser: clean observability slate, cache, fault plan."""
     reset_ambient()
     set_cache(
         DerivationCache(cache_dir, max_bytes=cache_max_bytes) if cache_dir else None
     )
     set_batch_faults(faults)
-    set_profile_config(profile)
 
 
-def _supervised_entry(task: BatchTask, attempt: int, marker_path: str) -> BatchResult:
+def _supervised_entry(
+    task: BatchTask,
+    attempt: int,
+    marker_path: str,
+    profile: ProfileConfig | None = None,
+) -> BatchResult:
     """Worker-side wrapper: drop a start marker, then execute.
 
     The marker file is touched *before* any task code (or injected
@@ -350,7 +356,7 @@ def _supervised_entry(task: BatchTask, attempt: int, marker_path: str) -> BatchR
     queued, which are requeued without being charged an attempt.
     """
     Path(marker_path).touch()
-    return execute_task(task, attempt)
+    return execute_task(task, attempt, profile=profile)
 
 
 @dataclass
@@ -511,7 +517,8 @@ class BatchEngine:
     ``cache_dir`` (bounded by ``cache_max_bytes``).  ``default_budget``
     applies to tasks without one; ``retry`` governs supervision;
     ``journal`` enables checkpointing; ``faults`` installs a chaos plan
-    (engine-wide and in every worker).
+    (engine-wide and in every worker); ``profile`` is passed to every
+    task, which then runs its own sampler and resource probe.
     """
 
     def __init__(
@@ -557,9 +564,6 @@ class BatchEngine:
 
     def _effective_faults(self) -> BatchFaultPlan | None:
         return self.faults if self.faults is not None else get_batch_faults()
-
-    def _effective_profile(self) -> ProfileConfig | None:
-        return self.profile if self.profile is not None else get_profile_config()
 
     # ------------------------------------------------------------------
     # Entry points
@@ -699,8 +703,7 @@ class BatchEngine:
             if self.cache_dir else None
         )
         results: dict[str, BatchResult] = {}
-        with use_cache(cache), use_batch_faults(plan), \
-                use_profile_config(self._effective_profile()):
+        with use_cache(cache), use_batch_faults(plan):
             for task in pending:
                 self._finalize(
                     self._supervise_inline(task, journal, incidents),
@@ -721,7 +724,8 @@ class BatchEngine:
             if attempt > 1:
                 time.sleep(policy.backoff_before(attempt))
             try:
-                result = execute_task(task, attempt, inline=True)
+                result = execute_task(task, attempt, inline=True,
+                                      profile=self.profile)
             except InjectedWorkerCrash:
                 if attempt >= policy.max_attempts:
                     self._incident(incidents, journal, incident="quarantine",
@@ -822,12 +826,11 @@ class BatchEngine:
             max_workers=workers,
             mp_context=self._context(),
             initializer=_worker_init,
-            initargs=(self.cache_dir, self.cache_max_bytes, plan,
-                      self._effective_profile()),
+            initargs=(self.cache_dir, self.cache_max_bytes, plan),
         )
         futures = [
             pool.submit(_supervised_entry, task, attempt,
-                        str(marker_dir / f"{index}.started"))
+                        str(marker_dir / f"{index}.started"), self.profile)
             for index, (task, attempt) in enumerate(wave)
         ]
         harvested: set[int] = set()

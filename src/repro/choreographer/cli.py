@@ -840,6 +840,8 @@ def _cmd_diff_trace(args: argparse.Namespace) -> int:
 def _run_observed(handler, args: argparse.Namespace) -> int:
     """Run a handler under live collectors when requested.
 
+    The handler runs inside one ``cli.<command>`` root span, so the
+    recorded trace is one tree and the stage spans are its children.
     ``--trace FILE`` serialises the span forest (plus any metrics) as
     JSON; ``--metrics`` prints the metrics table after the run;
     ``--events FILE`` records per-iteration solver convergence and
@@ -850,14 +852,13 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     runs leave evidence behind.
     """
     import time
+    from contextlib import nullcontext
 
     from repro.obs import (
-        EventStream, MetricsRegistry, RunLedger, SamplingProfiler,
-        SpanResourceProbe, Tracer, build_run_document, render_metrics,
-        use_events, use_metrics, use_profiler, use_resource_probe,
-        use_tracer, write_events_jsonl, write_trace_file,
+        NULL_EVENTS, EventStream, MetricsRegistry, ObsContext, RunLedger,
+        SamplingProfiler, SpanResourceProbe, Tracer, build_run_document,
+        render_metrics, use_obs, write_events_jsonl, write_trace_file,
     )
-    from contextlib import ExitStack
 
     trace_path = getattr(args, "trace", None)
     want_metrics = getattr(args, "metrics", False)
@@ -868,22 +869,14 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     if not any((trace_path, want_metrics, events_path, ledger_dir, config)):
         return handler(args)
     created_unix = time.time()
-    tracer, metrics = Tracer(), MetricsRegistry()
-    events = EventStream() if (events_path or ledger_dir) else None
+    probe = SpanResourceProbe(memory=config.memory) if config is not None else None
+    tracer, metrics = Tracer(probe=probe), MetricsRegistry()
+    events = EventStream() if (events_path or ledger_dir) else NULL_EVENTS
     profiler = SamplingProfiler(config.interval) if config is not None else None
     exit_code: int | None = None
     try:
-        with ExitStack() as stack:
-            stack.enter_context(use_tracer(tracer))
-            stack.enter_context(use_metrics(metrics))
-            if events is not None:
-                stack.enter_context(use_events(events))
-            if profiler is not None:
-                stack.enter_context(use_profiler(profiler))
-                stack.enter_context(
-                    use_resource_probe(SpanResourceProbe(memory=config.memory))
-                )
-                stack.enter_context(profiler)
+        with use_obs(ObsContext(tracer, metrics, events)), \
+                profiler or nullcontext(), tracer.span(f"cli.{args.command}"):
             try:
                 exit_code = handler(args)
             except Exception:
@@ -891,10 +884,12 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
                 raise
             return exit_code
     finally:
+        if probe is not None:
+            probe.close()
         if trace_path:
             write_trace_file(trace_path, tracer, metrics)
             print(f"trace written to {trace_path}", file=sys.stderr)
-        if events is not None and events_path:
+        if events_path:
             count = write_events_jsonl(events_path, events)
             print(f"{count} events written to {events_path}", file=sys.stderr)
         if profiler is not None and profile_out:

@@ -7,13 +7,12 @@ paper builds on, and following the HPC guide's advice to prefer
 
 * ``direct``        sparse LU on the normal system (exact, the default
   for small/medium chains — "exact solution is an advantage");
-* ``gmres`` / ``bicgstab`` / ``lgmres``  preconditioned Krylov
-  iterations for large chains;
+* ``gmres`` / ``bicgstab``  preconditioned Krylov iterations for large
+  chains;
 * ``power``         power iteration on the uniformized DTMC (lowest
   memory footprint, tolerant of very large state spaces);
-* ``gauss_seidel`` / ``jacobi``  classical stationary iterations, kept
-  both as a baseline for the solver benchmark and because Gauss–Seidel
-  is what the original Workbench shipped.
+* ``jacobi``        damped Jacobi, the classical stationary iteration,
+  kept as a baseline for the solver benchmark.
 
 The Krylov methods precondition with ILU; when the factorisation
 fails they solve unpreconditioned, and the preconditioner path actually
@@ -132,7 +131,6 @@ def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
 _KRYLOV_FNS = {
     "gmres": spla.gmres,
     "bicgstab": spla.bicgstab,
-    "lgmres": spla.lgmres,
 }
 
 
@@ -174,7 +172,7 @@ def _krylov(name: str) -> Callable[..., np.ndarray]:
             iterations[0] += 1
             if events.enabled:
                 # gmres (legacy callback) hands us the preconditioned
-                # residual norm directly; bicgstab/lgmres hand the
+                # residual norm directly; bicgstab hands us the
                 # iterate, so the true residual costs one extra SpMV —
                 # paid only while an event stream is live.
                 if name == "gmres":
@@ -251,58 +249,6 @@ def _solve_power(chain: CTMC, tol: float, max_iterations: int,
     raise SolverError(f"power iteration did not converge in {max_iterations} steps")
 
 
-def _solve_gauss_seidel(chain: CTMC, tol: float, max_iterations: int,
-                        options: Mapping | None = None) -> np.ndarray:
-    """Gauss–Seidel on ``πQ = 0``.
-
-    Written over the transposed generator in CSR so each state's update
-    streams one contiguous row (cache-friendly per the HPC guide).
-    """
-    n = chain.n_states
-    QT = chain.Q.transpose().tocsr()
-    indptr, indices, data = QT.indptr, QT.indices, QT.data
-    diag = chain.Q.diagonal()
-    if np.any(diag == 0.0):
-        raise SolverError("stationary iteration requires every state to have an exit rate")
-    pi = np.full(n, 1.0 / n)
-    events = get_events()
-    start = time.perf_counter() if events.enabled else 0.0
-    sweeps = 0
-    try:
-        for sweeps in range(1, max_iterations + 1):
-            src = pi
-            max_delta = 0.0
-            for i in range(n):
-                acc = 0.0
-                for k in range(indptr[i], indptr[i + 1]):
-                    j = indices[k]
-                    if j != i:
-                        acc += data[k] * src[j]
-                new = acc / -diag[i]
-                delta = abs(new - pi[i])
-                if delta > max_delta:
-                    max_delta = delta
-                pi[i] = new
-            total = pi.sum()
-            if total > 0:
-                pi /= total
-            if events.enabled:
-                events.emit(
-                    "solver.convergence", solver="gauss_seidel",
-                    iteration=sweeps, residual=float(max_delta),
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
-            if max_delta < tol:
-                return pi
-    finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(sweeps)
-        metrics.counter("spmv_count").inc(sweeps)
-    raise SolverError(
-        f"gauss_seidel did not converge in {max_iterations} sweeps"
-    )
-
-
 def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
                   options: Mapping | None = None) -> np.ndarray:
     """Damped Jacobi on ``πQ = 0``.
@@ -359,8 +305,6 @@ SOLVERS: dict[str, Callable[..., np.ndarray]] = {
     "direct": _solve_direct,
     "gmres": _krylov("gmres"),
     "bicgstab": _krylov("bicgstab"),
-    "lgmres": _krylov("lgmres"),
     "power": _solve_power,
-    "gauss_seidel": _solve_gauss_seidel,
     "jacobi": _solve_jacobi,
 }

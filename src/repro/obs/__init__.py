@@ -9,24 +9,23 @@ assemble, solve, reflect), a metrics registry for the vital counts
 trees.
 
 Everything is off by default and zero-cost when off: instrumented code
-routes through :func:`get_tracer` / :func:`get_metrics`, which return
-shared no-op singletons unless a caller installed live collectors::
+routes through :func:`get_tracer` / :func:`get_metrics` /
+:func:`get_events`, which read the one installed :class:`ObsContext`
+and return shared no-op singletons unless a caller installed live
+collectors::
 
-    from repro.obs import Tracer, MetricsRegistry, use_tracer, use_metrics
+    from repro.obs import MetricsRegistry, ObsContext, Tracer, use_obs
 
     tracer, metrics = Tracer(), MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
+    with use_obs(ObsContext(tracer=tracer, metrics=metrics)):
         analysis = workbench.solve_source(source)
     print(render_trace(tracer))
     print(render_metrics(metrics))
 
-:func:`observe` bundles the two installs for the common case.
+:func:`observe` installs a fresh tracer + registry for the common case.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from typing import Iterator
 
 from repro.obs.analysis import (
     aggregate_spans,
@@ -37,16 +36,22 @@ from repro.obs.analysis import (
     render_critical_path,
     render_trace_diff,
 )
+from repro.obs.context import (
+    ObsContext,
+    get_events,
+    get_metrics,
+    get_tracer,
+    observe,
+    reset_ambient,
+    use_obs,
+)
 from repro.obs.events import (
     DEFAULT_CAPACITY,
     NULL_EVENTS,
     Event,
     EventStream,
     NullEventStream,
-    get_events,
     read_events_jsonl,
-    set_events,
-    use_events,
     write_events_jsonl,
 )
 from repro.obs.export import (
@@ -60,15 +65,7 @@ from repro.obs.export import (
     write_prometheus_file,
     write_trace_file,
 )
-from repro.obs.ledger import (
-    NULL_LEDGER,
-    NullLedger,
-    RunLedger,
-    build_run_document,
-    get_ledger,
-    set_ledger,
-    use_ledger,
-)
+from repro.obs.ledger import RunLedger, build_run_document
 from repro.obs.merge import merge_events, merge_metrics, merge_profiles, merge_traces
 from repro.obs.metrics import (
     NULL_METRICS,
@@ -77,66 +74,41 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     NullMetrics,
-    get_metrics,
     nearest_rank,
-    set_metrics,
-    use_metrics,
 )
 from repro.obs.profile import (
-    NULL_PROFILER,
-    NullProfiler,
     ProfileConfig,
     SamplingProfiler,
     SpanResourceProbe,
     collapsed_text,
-    get_profile_config,
-    get_profiler,
-    set_profile_config,
-    set_profiler,
-    use_profile_config,
-    use_profiler,
-    use_resource_probe,
 )
-from repro.obs.tracing import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_resource_probe,
-    set_tracer,
-    use_tracer,
-)
+from repro.obs.tracing import NULL_TRACER, NullTracer, Span, Tracer
 
 __all__ = [
+    "ObsContext",
+    "use_obs",
+    "get_tracer",
+    "get_metrics",
+    "get_events",
+    "observe",
+    "reset_ambient",
     "Span",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
     "Event",
     "EventStream",
     "NullEventStream",
     "NULL_EVENTS",
     "DEFAULT_CAPACITY",
-    "get_events",
-    "set_events",
-    "use_events",
     "write_events_jsonl",
     "read_events_jsonl",
-    "observe",
-    "reset_ambient",
     "merge_metrics",
     "merge_traces",
     "merge_events",
@@ -152,25 +124,10 @@ __all__ = [
     "write_prometheus_file",
     "nearest_rank",
     "RunLedger",
-    "NullLedger",
-    "NULL_LEDGER",
-    "get_ledger",
-    "set_ledger",
-    "use_ledger",
     "build_run_document",
     "ProfileConfig",
     "SamplingProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "SpanResourceProbe",
-    "get_profiler",
-    "set_profiler",
-    "use_profiler",
-    "get_profile_config",
-    "set_profile_config",
-    "use_profile_config",
-    "use_resource_probe",
-    "set_resource_probe",
     "collapsed_text",
     "critical_path",
     "aggregate_spans",
@@ -180,39 +137,3 @@ __all__ = [
     "render_aggregate",
     "render_trace_diff",
 ]
-
-
-def reset_ambient() -> None:
-    """Reset every ambient installation to its disabled default.
-
-    A worker process forked (or spawned) mid-run inherits whatever
-    tracer/metrics/events the parent had installed at that moment — a
-    snapshot it must never record into, both because the parent keeps
-    using the originals and because a fork only copies, so the parent
-    would never see the writes anyway.  Worker initialisers (see
-    :mod:`repro.batch.engine`) call this first, so every worker starts
-    from the same clean slate as a fresh interpreter: tracing, metrics,
-    events, profiling and the run ledger all off until the worker
-    installs its own collectors.  The ambient profiler is *replaced*,
-    not stopped — a forked child holds a copy whose sampler thread does
-    not exist in this process, so stopping it would hang on the join.
-    """
-    set_tracer(None)
-    set_metrics(None)
-    set_events(None)
-    set_profiler(None)
-    set_profile_config(None)
-    set_resource_probe(None)
-    set_ledger(None)
-
-
-@contextmanager
-def observe() -> Iterator[tuple[Tracer, MetricsRegistry]]:
-    """Install a fresh tracer + registry for the ``with`` block.
-
-    Yields ``(tracer, metrics)``; both previous ambients are restored
-    on exit, so nested observations compose.
-    """
-    tracer, metrics = Tracer(), MetricsRegistry()
-    with use_tracer(tracer), use_metrics(metrics):
-        yield tracer, metrics

@@ -10,9 +10,10 @@ residual instead of summarised by its final number (the behaviour Ding
 & Hillston, arXiv:1012.3040, argue is the interesting object).
 
 The design mirrors :mod:`repro.obs.tracing` exactly: instrumented code
-asks :func:`get_events` for the ambient stream, which defaults to the
-shared no-op :data:`NULL_EVENTS`, so disabled runs pay one method call
-per *potential* event and nothing else.  Emitters that must compute a
+asks :func:`repro.obs.get_events` for the stream of the installed
+context, which defaults to the shared no-op :data:`NULL_EVENTS`, so
+disabled runs pay one method call per *potential* event and nothing
+else.  Emitters that must compute a
 value just to record it (an extra residual norm, a clock read) guard on
 ``get_events().enabled`` first.
 
@@ -26,7 +27,7 @@ Serialisation is JSON Lines, one event per line, so streams concatenate
 and stream through standard tooling::
 
     stream = EventStream()
-    with use_events(stream):
+    with use_obs(ObsContext(events=stream)):
         steady_state(chain, method="gmres")
     write_events_jsonl("events.jsonl", stream)
     # {"event": "solver.convergence", "t_s": 0.0012, "solver": "gmres",
@@ -38,7 +39,6 @@ from __future__ import annotations
 import json
 import time
 from collections import deque
-from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = [
@@ -47,9 +47,6 @@ __all__ = [
     "NullEventStream",
     "NULL_EVENTS",
     "DEFAULT_CAPACITY",
-    "get_events",
-    "set_events",
-    "use_events",
     "write_events_jsonl",
     "read_events_jsonl",
 ]
@@ -165,31 +162,6 @@ class NullEventStream:
 
 #: The process-wide default: event recording off.
 NULL_EVENTS = NullEventStream()
-
-_active_events: EventStream | NullEventStream = NULL_EVENTS
-
-
-def get_events() -> EventStream | NullEventStream:
-    """The ambient stream instrumented code should emit events to."""
-    return _active_events
-
-
-def set_events(stream: EventStream | NullEventStream | None) -> EventStream | NullEventStream:
-    """Install ``stream`` (``None`` = disable); returns the previous one."""
-    global _active_events
-    previous = _active_events
-    _active_events = NULL_EVENTS if stream is None else stream
-    return previous
-
-
-@contextmanager
-def use_events(stream: EventStream | NullEventStream) -> Iterator[EventStream | NullEventStream]:
-    """Scoped installation: the previous stream is restored on exit."""
-    previous = set_events(stream)
-    try:
-        yield stream
-    finally:
-        set_events(previous)
 
 
 def write_events_jsonl(path, stream: EventStream | NullEventStream) -> int:

@@ -21,11 +21,9 @@ an exclusive-create loop, so concurrent writers each get their own id.
 Nothing is ever rewritten — the ledger only grows, and pruning is an
 explicit :meth:`RunLedger.prune`.
 
-The ambient pattern mirrors :mod:`repro.obs.tracing` exactly:
-instrumented entrypoints call :func:`get_ledger`, which returns the
-shared no-op :data:`NULL_LEDGER` unless a caller installed a live
-ledger via :func:`set_ledger`/:func:`use_ledger` — recording is one
-``enabled`` check when off.
+There is no ambient ledger: an entrypoint that records (the CLI's
+``--ledger DIR``) builds a :class:`RunLedger` and calls
+:meth:`RunLedger.record` once, after the run.
 """
 
 from __future__ import annotations
@@ -33,9 +31,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.utils.sysinfo import host_info, peak_rss_kib
 
@@ -43,11 +40,6 @@ __all__ = [
     "LEDGER_FORMAT",
     "RUN_SCHEMA",
     "RunLedger",
-    "NullLedger",
-    "NULL_LEDGER",
-    "get_ledger",
-    "set_ledger",
-    "use_ledger",
     "build_run_document",
 ]
 
@@ -63,8 +55,6 @@ _ID_WIDTH = 6
 
 class RunLedger:
     """Append-only store of run documents under one directory."""
-
-    enabled = True
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
@@ -190,70 +180,6 @@ class RunLedger:
 
     def __len__(self) -> int:
         return len(self.run_ids())
-
-
-class NullLedger:
-    """The disabled ledger: records vanish, queries see an empty store."""
-
-    enabled = False
-    root = None
-
-    def record(self, document: dict[str, Any]) -> str:
-        """No-op: nothing is ever stored; returns an empty id."""
-        return ""
-
-    def run_ids(self) -> list[str]:
-        """Always empty: nothing is ever stored."""
-        return []
-
-    def load(self, run_id: str) -> dict[str, Any]:
-        """Always raises: nothing is ever stored."""
-        raise FileNotFoundError(f"no run {run_id!r}: the null ledger stores nothing")
-
-    def runs(self, *, command: str | None = None,
-             last: int | None = None) -> list[dict[str, Any]]:
-        """Always empty: nothing is ever stored."""
-        return []
-
-    def latest(self) -> None:
-        """Always ``None``: nothing is ever stored."""
-        return None
-
-    def prune(self, keep: int) -> int:
-        """No-op: there is nothing to prune."""
-        return 0
-
-    def __len__(self) -> int:
-        return 0
-
-
-#: The process-wide default: no ledger.
-NULL_LEDGER = NullLedger()
-
-_active_ledger: RunLedger | NullLedger = NULL_LEDGER
-
-
-def get_ledger() -> RunLedger | NullLedger:
-    """The ambient ledger entrypoints should record runs into."""
-    return _active_ledger
-
-
-def set_ledger(ledger: RunLedger | NullLedger | None) -> RunLedger | NullLedger:
-    """Install ``ledger`` (``None`` = disable); returns the previous one."""
-    global _active_ledger
-    previous = _active_ledger
-    _active_ledger = NULL_LEDGER if ledger is None else ledger
-    return previous
-
-
-@contextmanager
-def use_ledger(ledger: RunLedger | NullLedger) -> Iterator[RunLedger | NullLedger]:
-    """Scoped installation: the previous ledger is restored on exit."""
-    previous = set_ledger(ledger)
-    try:
-        yield ledger
-    finally:
-        set_ledger(previous)
 
 
 # ---------------------------------------------------------------------------

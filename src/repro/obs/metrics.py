@@ -3,15 +3,16 @@
 The numerical pipeline's vital signs — ``states_explored``,
 ``transitions``, ``solver_iterations``, ``spmv_count``, ``residual`` —
 are recorded here by the instrumented layers.  The design mirrors the
-tracer: library code asks :func:`get_metrics` for the ambient registry,
-which defaults to the no-op :data:`NULL_METRICS`, so a pipeline run
-with metrics disabled pays one method call returning a shared
-singleton per instrument lookup and nothing per update.
+tracer: library code asks :func:`repro.obs.get_metrics` for the
+registry of the installed context, which defaults to the no-op
+:data:`NULL_METRICS`, so a pipeline run with metrics disabled pays one
+method call returning a shared singleton per instrument lookup and
+nothing per update.
 
 Instruments are created on first use and aggregate in-process::
 
     metrics = MetricsRegistry()
-    with use_metrics(metrics):
+    with use_obs(ObsContext(metrics=metrics)):
         run_pipeline(...)
     metrics.counter("states_explored").value
     metrics.as_dict()   # JSON-ready snapshot
@@ -24,8 +25,7 @@ when needed.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Any, Iterator, Sequence
+from typing import Any, Sequence
 
 __all__ = [
     "nearest_rank",
@@ -35,9 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
-    "get_metrics",
-    "set_metrics",
-    "use_metrics",
 ]
 
 
@@ -310,28 +307,3 @@ class NullMetrics:
 
 #: The process-wide default: metrics off.
 NULL_METRICS = NullMetrics()
-
-_active_metrics: MetricsRegistry | NullMetrics = NULL_METRICS
-
-
-def get_metrics() -> MetricsRegistry | NullMetrics:
-    """The ambient registry instrumented code should record into."""
-    return _active_metrics
-
-
-def set_metrics(registry: MetricsRegistry | NullMetrics | None) -> MetricsRegistry | NullMetrics:
-    """Install ``registry`` (``None`` = disable); returns the previous one."""
-    global _active_metrics
-    previous = _active_metrics
-    _active_metrics = NULL_METRICS if registry is None else registry
-    return previous
-
-
-@contextmanager
-def use_metrics(registry: MetricsRegistry | NullMetrics) -> Iterator[MetricsRegistry | NullMetrics]:
-    """Scoped installation: the previous registry is restored on exit."""
-    previous = set_metrics(registry)
-    try:
-        yield registry
-    finally:
-        set_metrics(previous)

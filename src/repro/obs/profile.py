@@ -4,7 +4,7 @@ Spans say which *stage* the time went to; the profiler says where
 *inside* a stage it went.  A :class:`SamplingProfiler` runs a daemon
 thread that wakes every ``interval`` seconds, snapshots the target
 thread's Python stack via ``sys._current_frames()``, prefixes it with
-the ambient span stack (:meth:`repro.obs.tracing.Tracer.stack_names`),
+the current span stack (:meth:`repro.obs.tracing.Tracer.stack_names`),
 and folds the sample into a counter keyed by the collapsed stack — the
 format flamegraph.pl and speedscope load directly::
 
@@ -16,22 +16,23 @@ format flamegraph.pl and speedscope load directly::
 Sampling is statistical and cheap: the profiled thread is never
 stopped, traced or patched, so enabled overhead stays inside the
 documented <15% envelope (measured low single digits at the default
-5 ms interval) and *disabled* overhead is one ambient lookup returning
-the shared :data:`NULL_PROFILER` — the same zero-cost-when-off
-contract as :mod:`repro.obs.tracing`.
+5 ms interval).  Profiling off means no profiler object at all: the
+entrypoint that wants one (the CLI's ``--profile``, or
+:func:`repro.batch.engine.execute_task` given a :class:`ProfileConfig`)
+builds it and drives it with ``with profiler:``.
 
 Deterministic per-span resource accounting is separate from sampling:
-a :class:`SpanResourceProbe` installed via :func:`use_resource_probe`
-stamps every closed span with its ``cpu_s`` (``time.process_time``
-delta) and, when built with ``memory=True`` (the ``--profile-memory``
-flag), ``mem_peak_kib``/``mem_alloc_kib`` from ``tracemalloc`` — exact
-measurements, not samples, so they are stable run to run.
+a :class:`SpanResourceProbe` handed to ``Tracer(probe=...)`` stamps
+every closed span of that tracer with its ``cpu_s``
+(``time.process_time`` delta) and, when built with ``memory=True`` (the
+``--profile-memory`` flag), ``mem_peak_kib``/``mem_alloc_kib`` from
+``tracemalloc`` — exact measurements, not samples, so they are stable
+run to run.  Whoever builds a memory probe closes it, which stops the
+``tracemalloc`` it started.
 
-Fork safety mirrors the other collectors: :func:`repro.obs.reset_ambient`
-clears the ambient profiler and profile config, so a batch worker
-never inherits the parent's sampler; each worker starts its own
-profiler per task (driven by the :class:`ProfileConfig` the pool
-initialiser installs) and the per-task sample sets merge through
+Batch runs pass their :class:`ProfileConfig` to every task, and each
+task starts its own profiler and probe, so a worker never samples on
+behalf of another task; the per-task sample sets merge through
 :func:`repro.obs.merge.merge_profiles`.
 """
 
@@ -40,27 +41,17 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
-from repro.obs.tracing import get_tracer, set_resource_probe
+from repro.obs.context import get_tracer
 
 __all__ = [
     "PROFILE_SCHEMA",
     "DEFAULT_INTERVAL",
     "ProfileConfig",
     "SamplingProfiler",
-    "NullProfiler",
-    "NULL_PROFILER",
     "SpanResourceProbe",
-    "get_profiler",
-    "set_profiler",
-    "use_profiler",
-    "get_profile_config",
-    "set_profile_config",
-    "use_profile_config",
-    "use_resource_probe",
     "collapsed_text",
 ]
 
@@ -80,9 +71,9 @@ TIMELINE_CAPACITY = 10_000
 class ProfileConfig:
     """How an entrypoint wants its run profiled.
 
-    Carried into batch workers through the pool initialiser (it is
-    picklable), so ``--profile`` on the CLI profiles every worker
-    independently.  ``memory=True`` additionally installs a
+    Passed to every batch task (it is picklable, so it travels with
+    the task into a worker), so ``--profile`` on the CLI profiles every
+    task independently.  ``memory=True`` additionally installs a
     ``tracemalloc``-backed :class:`SpanResourceProbe` (measurably
     slower; keep it opt-in behind ``--profile-memory``).
     """
@@ -96,15 +87,13 @@ class ProfileConfig:
 
 
 class SamplingProfiler:
-    """Wall-clock stack sampler attributed to the ambient span stack.
+    """Wall-clock stack sampler attributed to the current span stack.
 
     ``target_thread`` is the thread ident to sample (default: the
     creating thread); ``tracer`` the tracer whose span stack prefixes
     every sample (default: resolved via ``get_tracer()`` at sample
-    time, so the profiler composes with scoped ``use_tracer`` blocks).
+    time, so the profiler composes with scoped ``use_obs`` blocks).
     """
-
-    enabled = True
 
     def __init__(self, interval: float = DEFAULT_INTERVAL, *,
                  target_thread: int | None = None, tracer=None):
@@ -213,108 +202,6 @@ class SamplingProfiler:
         }
 
 
-class NullProfiler:
-    """The disabled profiler: no thread, no samples, queries see empty."""
-
-    enabled = False
-    interval = 0.0
-    sample_count = 0
-    samples: dict[tuple[str, ...], int] = {}
-    timeline: list[tuple[float, str]] = []
-    timeline_dropped = 0
-
-    def start(self) -> "NullProfiler":
-        """No-op: nothing is ever sampled."""
-        return self
-
-    def stop(self) -> "NullProfiler":
-        """No-op: there is nothing to stop."""
-        return self
-
-    def __enter__(self) -> "NullProfiler":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return False
-
-    def record(self, stack: tuple[str, ...],
-               count: int = 1, t: float | None = None) -> None:
-        """No-op: samples vanish."""
-        pass
-
-    def collapsed(self) -> str:
-        """Always empty: nothing is ever sampled."""
-        return ""
-
-    def to_dict(self) -> dict[str, Any]:
-        """An empty but schema-valid profile document."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "interval_s": 0.0,
-            "sample_count": 0,
-            "samples": {},
-            "timeline": [],
-            "timeline_dropped": 0,
-        }
-
-
-#: The process-wide default: profiling off.
-NULL_PROFILER = NullProfiler()
-
-_active_profiler: SamplingProfiler | NullProfiler = NULL_PROFILER
-_active_config: ProfileConfig | None = None
-
-
-def get_profiler() -> SamplingProfiler | NullProfiler:
-    """The ambient profiler (the shared no-op one unless installed)."""
-    return _active_profiler
-
-
-def set_profiler(
-    profiler: SamplingProfiler | NullProfiler | None,
-) -> SamplingProfiler | NullProfiler:
-    """Install ``profiler`` (``None`` = disable); returns the previous one."""
-    global _active_profiler
-    previous = _active_profiler
-    _active_profiler = NULL_PROFILER if profiler is None else profiler
-    return previous
-
-
-@contextmanager
-def use_profiler(
-    profiler: SamplingProfiler | NullProfiler,
-) -> Iterator[SamplingProfiler | NullProfiler]:
-    """Scoped installation: the previous profiler is restored on exit."""
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
-
-
-def get_profile_config() -> ProfileConfig | None:
-    """The ambient profiling request (``None`` = profiling off)."""
-    return _active_config
-
-
-def set_profile_config(config: ProfileConfig | None) -> ProfileConfig | None:
-    """Install ``config`` (``None`` = off); returns the previous one."""
-    global _active_config
-    previous = _active_config
-    _active_config = config
-    return previous
-
-
-@contextmanager
-def use_profile_config(config: ProfileConfig | None) -> Iterator[ProfileConfig | None]:
-    """Scoped installation: the previous config is restored on exit."""
-    previous = set_profile_config(config)
-    try:
-        yield config
-    finally:
-        set_profile_config(previous)
-
-
 def collapsed_text(document: dict[str, Any]) -> str:
     """A ``repro-profile/1`` document's samples in collapsed-stack format.
 
@@ -335,10 +222,11 @@ def collapsed_text(document: dict[str, Any]) -> str:
 class SpanResourceProbe:
     """Stamps every closed span with exact CPU (and memory) deltas.
 
-    Installed via :func:`use_resource_probe`; :class:`~repro.obs.tracing.Span`
-    calls :meth:`begin` at open and :meth:`finish` at close.  CPU is the
-    process-wide ``time.process_time`` delta over the span's window —
-    nested spans include their children, exactly like wall duration.
+    Handed to ``Tracer(probe=...)``; every
+    :class:`~repro.obs.tracing.Span` of that tracer calls :meth:`begin`
+    at open and :meth:`finish` at close.  CPU is the process-wide
+    ``time.process_time`` delta over the span's window — nested spans
+    include their children, exactly like wall duration.
     With ``memory=True`` the probe also records the net ``tracemalloc``
     allocation delta (``mem_alloc_kib``) and the traced peak over the
     span window (``mem_peak_kib``; each span open resets the peak, so a
@@ -357,7 +245,8 @@ class SpanResourceProbe:
                 self._started_tracemalloc = True
 
     def close(self) -> None:
-        """Stop tracemalloc if this probe started it."""
+        """Stop tracemalloc if this probe started it; its builder calls
+        this in a ``finally`` once the run is over."""
         if self._started_tracemalloc:
             self._tracemalloc.stop()
             self._started_tracemalloc = False
@@ -378,15 +267,3 @@ class SpanResourceProbe:
             current, peak = self._tracemalloc.get_traced_memory()
             span.attributes["mem_alloc_kib"] = round((current - mem0) / 1024, 3)
             span.attributes["mem_peak_kib"] = round(max(0, peak - mem0) / 1024, 3)
-
-
-@contextmanager
-def use_resource_probe(probe: SpanResourceProbe | None) -> Iterator[SpanResourceProbe | None]:
-    """Scoped span-resource accounting; restores the previous probe."""
-    previous = set_resource_probe(probe)
-    try:
-        yield probe
-    finally:
-        set_resource_probe(previous)
-        if probe is not None:
-            probe.close()

@@ -7,18 +7,23 @@ of where the time went.  A :class:`Tracer` hands out spans as context
 managers and keeps the nesting stack::
 
     tracer = Tracer()
-    with use_tracer(tracer):
+    with use_obs(ObsContext(tracer=tracer)):
         with tracer.span("pepa.statespace") as sp:
             ...
             sp.set(states=space.size, arcs=len(space.arcs))
     print(render_trace(tracer))
 
 Instrumented library code never imports a concrete tracer; it calls
-:func:`get_tracer`, which returns the ambient tracer — by default the
+:func:`repro.obs.get_tracer`, which returns the tracer of the installed
+:class:`~repro.obs.context.ObsContext` — by default the
 :data:`NULL_TRACER`, whose ``span`` hands back one shared no-op object.
 The disabled path is a method call returning a singleton, no
 allocation, no clock read — the "zero-cost when off" contract the
 benchmarks rely on.
+
+A tracer built with a resource ``probe`` (see
+:class:`repro.obs.profile.SpanResourceProbe`) hands it to every span it
+opens, so each closed span also carries exact CPU (and memory) deltas.
 
 Exceptions propagate through spans untouched; a span whose body raised
 is closed with ``error`` set to the exception type name, so partial
@@ -30,7 +35,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from typing import Any, Iterator
 
 __all__ = [
@@ -38,25 +42,7 @@ __all__ = [
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
-    "get_tracer",
-    "set_tracer",
-    "use_tracer",
-    "set_resource_probe",
 ]
-
-
-#: Ambient per-span resource probe (see :mod:`repro.obs.profile`).
-#: ``None`` keeps span creation at two clock reads; a probe adds
-#: deterministic CPU (and optionally tracemalloc) accounting per span.
-_resource_probe = None
-
-
-def set_resource_probe(probe) -> Any:
-    """Install a per-span resource probe (``None`` = off); returns previous."""
-    global _resource_probe
-    previous = _resource_probe
-    _resource_probe = probe
-    return previous
 
 
 class Span:
@@ -71,7 +57,8 @@ class Span:
     __slots__ = ("name", "start", "end", "attributes", "children",
                  "epoch", "pid", "tid", "_res")
 
-    def __init__(self, name: str, attributes: dict[str, Any] | None = None):
+    def __init__(self, name: str, attributes: dict[str, Any] | None = None,
+                 probe=None):
         self.name = name
         self.start = time.perf_counter()
         self.epoch = time.time()
@@ -80,7 +67,6 @@ class Span:
         self.end: float | None = None
         self.attributes: dict[str, Any] = dict(attributes) if attributes else {}
         self.children: list[Span] = []
-        probe = _resource_probe
         self._res = (probe, probe.begin()) if probe is not None else None
 
     @property
@@ -169,18 +155,22 @@ class Tracer:
 
     ``roots`` holds every top-level span opened while no other span was
     active (the Choreographer opens one root per diagram, so one
-    ``process_xmi`` run yields one trace per diagram).
+    ``process_xmi`` run yields one trace per diagram).  ``probe`` is an
+    optional per-span resource probe: ``None`` keeps span creation at
+    two clock reads; a probe adds deterministic CPU (and optionally
+    tracemalloc) accounting to every span.
     """
 
     enabled = True
 
-    def __init__(self):
+    def __init__(self, probe=None):
         self.roots: list[Span] = []
         self._stack: list[Span] = []
+        self.probe = probe
 
     def span(self, name: str, **attributes: Any) -> _SpanHandle:
         """Open a child span of the current span (or a new root)."""
-        span = Span(name, attributes)
+        span = Span(name, attributes, self.probe)
         if self._stack:
             self._stack[-1].children.append(span)
         else:
@@ -280,28 +270,3 @@ class NullTracer:
 
 #: The process-wide default: tracing off.
 NULL_TRACER = NullTracer()
-
-_active_tracer: Tracer | NullTracer = NULL_TRACER
-
-
-def get_tracer() -> Tracer | NullTracer:
-    """The ambient tracer instrumented code should emit spans to."""
-    return _active_tracer
-
-
-def set_tracer(tracer: Tracer | NullTracer | None) -> Tracer | NullTracer:
-    """Install ``tracer`` (``None`` = disable); returns the previous one."""
-    global _active_tracer
-    previous = _active_tracer
-    _active_tracer = NULL_TRACER if tracer is None else tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer | NullTracer) -> Iterator[Tracer | NullTracer]:
-    """Scoped installation: the previous tracer is restored on exit."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)

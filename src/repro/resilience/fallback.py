@@ -45,9 +45,7 @@ __all__ = [
 #: Methods that can profit from a retry with a different starting point
 #: or preconditioner; ``direct`` is deterministic, so retrying it with
 #: the same inputs would only burn the deadline.
-ITERATIVE_METHODS = frozenset(
-    {"gmres", "bicgstab", "lgmres", "power", "gauss_seidel", "jacobi"}
-)
+ITERATIVE_METHODS = frozenset({"gmres", "bicgstab", "power", "jacobi"})
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.batch.cache import DerivationCache, get_cache, set_cache, use_cache
 from repro.core.keys import DerivationKey
-from repro.obs import EventStream, MetricsRegistry, use_events, use_metrics
+from repro.obs import EventStream, MetricsRegistry, ObsContext, use_obs
 from repro.pepa.measures import analyse
 from repro.pepa.parser import parse_model
 from repro.pepa.statespace import derive
@@ -83,7 +83,7 @@ def test_truncated_entry_recovers_and_reports(cache):
     path.write_bytes(path.read_bytes()[:10])  # truncate mid-pickle
 
     events, metrics = EventStream(), MetricsRegistry()
-    with use_cache(cache), use_events(events), use_metrics(metrics):
+    with use_cache(cache), use_obs(ObsContext(metrics=metrics, events=events)):
         recovered = derive(parse_model(SRC))
     assert recovered.size == space.size
     assert cache.stats.corrupt == 1
@@ -174,7 +174,7 @@ def test_store_failure_degrades_not_raises(cache, monkeypatch):
     monkeypatch.setattr("repro.batch.cache.tempfile.mkstemp", full_disk)
     key = DerivationKey.of("pepa", "src")
     events = EventStream()
-    with use_events(events):
+    with use_obs(ObsContext(events=events)):
         assert cache.store(key, {"schema": "x"}) is None
     assert cache.stats.store_errors == 1
     assert cache.stats.stores == 0
@@ -269,7 +269,7 @@ def test_eviction_is_least_recently_used(tmp_path):
 def test_eviction_emits_metrics_and_events(tmp_path):
     events, metrics = EventStream(), MetricsRegistry()
     cache = DerivationCache(tmp_path / "cache", max_bytes=2000)
-    with use_events(events), use_metrics(metrics):
+    with use_obs(ObsContext(metrics=metrics, events=events)):
         for i in range(4):
             cache.store(DerivationKey.of("pepa", f"src{i}"),
                         _sized_payload(str(i), 900))
@@ -288,7 +288,7 @@ def test_unbounded_cache_never_evicts(cache):
 def test_hit_rate_gauge_tracks_ratio(cache):
     metrics = MetricsRegistry()
     key = DerivationKey.of("pepa", "src")
-    with use_metrics(metrics):
+    with use_obs(ObsContext(metrics=metrics)):
         cache.fetch(key)                   # miss
         cache.store(key, {"schema": "x"})
         cache.fetch(key)                   # hit
@@ -313,7 +313,7 @@ class TestStaleSchemaEviction:
         self._poison(cache, child)
 
         events, metrics = EventStream(), MetricsRegistry()
-        with use_cache(cache), use_events(events), use_metrics(metrics):
+        with use_cache(cache), use_obs(ObsContext(metrics=metrics, events=events)):
             warm = analyse(parse_model(SRC))
         assert warm.n_states == space.size
         stale = events.by_name("cache.stale_schema")

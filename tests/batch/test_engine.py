@@ -147,14 +147,6 @@ class TestProfileWiring:
         assert all(result.profile == {} for result in report.results)
         assert report.merged_profile()["sample_count"] == 0
 
-    def test_ambient_profile_config_reaches_inline_tasks(self):
-        from repro.obs import ProfileConfig, use_profile_config
-
-        with use_profile_config(ProfileConfig(interval=0.001)):
-            report = run_batch(_tasks())
-        assert all(result.profile.get("schema") == "repro-profile/1"
-                   for result in report.results)
-
     def test_profiled_pool_run(self, tmp_path):
         from repro.obs import ProfileConfig
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.batch import BatchTask, run_batch
+from repro.batch import BatchEngine, BatchTask, run_batch
 from repro.batch.engine import RetryPolicy, execute_task
-from repro.obs import EventStream, MetricsRegistry, use_events, use_metrics
+from repro.obs import EventStream, MetricsRegistry, ObsContext, Tracer, use_obs
 from repro.resilience.faultinject import BatchFaultPlan
 
 FAST = RetryPolicy(retries=2, backoff=0.0)
@@ -152,10 +152,39 @@ def test_retries_exhausted_on_persistent_error_not_quarantined(tmp_path):
 def test_supervisor_emits_retry_events_and_metrics():
     plan = BatchFaultPlan.parse(["kill:victim@1"])
     events, metrics = EventStream(), MetricsRegistry()
-    with use_events(events), use_metrics(metrics):
+    with use_obs(ObsContext(metrics=metrics, events=events)):
         run_batch([_model("victim")], retry=FAST, faults=plan)
     assert len(events.by_name("batch.retry")) == 1
     assert metrics.counter("batch.retries").value == 1
+
+
+def _span_tree(span: dict) -> tuple:
+    return (span["name"], tuple(_span_tree(c) for c in span["children"]))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tasks_are_isolated_from_a_live_parent_context(jobs):
+    """A caller with live collectors and an open span: every task still
+    records only its own spans, and only supervisor events reach the
+    caller's stream."""
+    alone = execute_task(_model("alone"))
+    expected = [_span_tree(root) for root in alone.trace["traces"]]
+    assert expected
+    parent = ObsContext(Tracer(), MetricsRegistry(), EventStream())
+    engine = BatchEngine(jobs=jobs, mp_start="fork", retry=FAST,
+                         faults=BatchFaultPlan.parse(["kill:victim@1"]))
+    with use_obs(parent), parent.tracer.span("caller") as caller:
+        report = engine.run([_model("a"), _model("victim"), _model("b")])
+    assert report.ok
+    for result in report.results:
+        assert [_span_tree(root) for root in result.trace["traces"]] == expected
+    assert caller.children == []
+    assert [root.name for root in parent.tracer.roots] == ["caller"]
+    # a killed worker may take a co-running task down with the victim
+    retried = {e.fields["task"] for e in parent.events.by_name("batch.retry")}
+    assert "victim" in retried
+    assert all(name.startswith("batch.") for name in parent.events.names())
+    assert all(name.startswith("batch.") for name in parent.metrics.names())
 
 
 def test_zero_retries_quarantines_immediately():

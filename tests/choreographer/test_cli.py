@@ -11,6 +11,7 @@ from repro.uml.xmi import add_synthetic_layout, write_model
 from repro.workloads import build_instant_message_diagram, build_client_statechart
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
+EXAMPLE_MODELS = Path(__file__).resolve().parents[2] / "examples" / "models"
 
 
 @pytest.fixture()
@@ -315,7 +316,7 @@ class TestEventsFlag:
         assert all(l["solver"] == "power" for l in convergence)
 
     @pytest.mark.parametrize(
-        "solver", ["gmres", "bicgstab", "power", "gauss_seidel", "jacobi"]
+        "solver", ["gmres", "bicgstab", "power", "jacobi"]
     )
     def test_every_iterative_solver_visible_on_pda_workload(
         self, pda_xmi_file, tmp_path, solver, capsys
@@ -343,3 +344,44 @@ class TestEventsFlag:
         main(["pepa", str(pepa_file), "--solver", "power",
               "--events", str(tmp_path / "e.jsonl")])
         assert get_events() is NULL_EVENTS
+
+
+class TestObservedRunRoot:
+    @pytest.mark.parametrize("command, model, stages", [
+        ("pepa", "file_protocol.pepa",
+         ["pepa.parse", "pepa.statespace", "ctmc.assemble", "ctmc.solve"]),
+        ("net", "instant_message.pepanet",
+         ["pepanet.parse", "pepanet.markingspace", "ctmc.assemble", "ctmc.solve"]),
+        ("analyse", "pda_project.xmi",
+         ["pipeline.read", "diagram.activity", "diagram.statecharts",
+          "pipeline.write"]),
+    ])
+    def test_one_root_whose_children_are_the_stage_spans(
+        self, command, model, stages, tmp_path, capsys
+    ):
+        trace = tmp_path / "trace.json"
+        code = main([command, str(EXAMPLE_MODELS / model), "--trace", str(trace)])
+        assert code == 0
+        (root,) = json.loads(trace.read_text())["traces"]
+        assert root["name"] == f"cli.{command}"
+        assert [child["name"] for child in root["children"]] == stages
+
+    def test_root_is_a_ledger_series(self, tmp_path, capsys):
+        from repro.obs import RunLedger
+
+        ledger_dir = tmp_path / "runs"
+        code = main(["pepa", str(EXAMPLE_MODELS / "file_protocol.pepa"),
+                     "--ledger", str(ledger_dir)])
+        assert code == 0
+        spans = RunLedger(ledger_dir).latest()["spans"]
+        assert spans["cli.pepa"]["count"] == 1
+        assert spans["cli.pepa"]["total_s"] >= spans["ctmc.solve"]["total_s"]
+
+    def test_failed_run_still_writes_one_root(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pepa"
+        bad.write_text("this is not PEPA ;;;")
+        trace = tmp_path / "trace.json"
+        assert main(["pepa", str(bad), "--trace", str(trace)]) == 2
+        (root,) = json.loads(trace.read_text())["traces"]
+        assert root["name"] == "cli.pepa"
+        assert "error" in root["attributes"]

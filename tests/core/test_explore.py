@@ -5,8 +5,7 @@ import pytest
 from repro.core.explore import Exploration, explore_lts
 from repro.core.lts import LabelledArc
 from repro.exceptions import BudgetExceededError, StateSpaceError
-from repro.obs import EventStream, MetricsRegistry, Tracer, use_events, \
-    use_metrics, use_tracer
+from repro.obs import EventStream, MetricsRegistry, ObsContext, Tracer, use_obs
 from repro.resilience.budget import ExecutionBudget
 
 
@@ -126,7 +125,7 @@ class TestHooks:
 class TestObservability:
     def test_span_reports_counts_under_given_key(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_obs(ObsContext(tracer=tracer)):
             explore_lts(0, counter_chain(3), stage="test.explore",
                         span_attrs={"flavour": "unit"}, span_count_key="markings")
         span = tracer.roots[0]
@@ -138,7 +137,7 @@ class TestObservability:
 
     def test_span_closed_with_counts_on_overflow(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_obs(ObsContext(tracer=tracer)):
             with pytest.raises(StateSpaceError):
                 explore_lts(0, counter_chain(100), stage="test.explore",
                             max_states=2)
@@ -148,7 +147,7 @@ class TestObservability:
 
     def test_progress_events_every_interval_and_final(self):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             explore_lts(0, counter_chain(6), stage="test.explore",
                         progress_interval=2)
         progress = stream.by_name("explore.progress")
@@ -160,7 +159,7 @@ class TestObservability:
 
     def test_metrics_counters_incremented(self):
         metrics = MetricsRegistry()
-        with use_metrics(metrics):
+        with use_obs(ObsContext(metrics=metrics)):
             explore_lts(0, counter_chain(4), stage="test.explore")
         assert metrics.counter("states_explored").value == 5
         assert metrics.counter("transitions").value == 4

@@ -26,7 +26,7 @@ from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
 AGREEMENT_ATOL = 1e-8
 
 #: methods safe at any size vs methods that need small, well-mixed chains
-FAST_METHODS = sorted(set(SOLVERS) & {"direct", "gmres", "bicgstab", "lgmres"})
+FAST_METHODS = sorted(set(SOLVERS) & {"direct", "gmres", "bicgstab"})
 SLOW_METHODS = sorted(set(SOLVERS) - set(FAST_METHODS))
 
 

@@ -15,7 +15,7 @@ from repro.fluid.crossval import (
     file_sink_model,
     roaming_sessions_model,
 )
-from repro.obs import EventStream, use_events
+from repro.obs import EventStream, ObsContext, use_obs
 from repro.pepa.population import population_ctmc
 
 
@@ -153,7 +153,7 @@ class TestCachingAndEvents:
     def test_fluid_step_events_emitted(self):
         nvf, _, _ = nvf_of_model(client_server_family(2))
         events = EventStream()
-        with use_events(events):
+        with use_obs(ObsContext(events=events)):
             trajectory(nvf, 1000, t_end=500.0, n_points=400)
         steps = events.by_name("fluid.step")
         assert steps, "expected sampled fluid.step events"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import (
+    ObsContext,
     Span,
     Tracer,
     aggregate_spans,
@@ -18,7 +19,7 @@ from repro.obs import (
     render_aggregate,
     render_critical_path,
     render_trace_diff,
-    use_tracer,
+    use_obs,
 )
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
@@ -86,7 +87,7 @@ class TestCriticalPath:
 
     def test_accepts_live_tracer_and_span(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_obs(ObsContext(tracer=tracer)):
             with tracer.span("root"):
                 with tracer.span("child"):
                     pass

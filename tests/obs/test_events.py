@@ -1,4 +1,4 @@
-"""Event streams: bounded buffer, ambient install, JSONL round-trip,
+"""Event streams: bounded buffer, JSONL round-trip,
 and the per-iteration convergence / exploration instrumentation."""
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from repro.obs import (
     NULL_EVENTS,
     EventStream,
     NullEventStream,
+    ObsContext,
     get_events,
     read_events_jsonl,
-    set_events,
-    use_events,
+    use_obs,
     write_events_jsonl,
 )
 from repro.pepa.ctmcgen import ctmc_from_statespace
@@ -24,7 +24,7 @@ from repro.pepa.statespace import derive
 from repro.pepanets.measures import ctmc_of_net
 from repro.pepanets.parser import parse_net
 
-ITERATIVE_SOLVERS = ["gmres", "bicgstab", "power", "gauss_seidel", "jacobi"]
+ITERATIVE_SOLVERS = ["gmres", "bicgstab", "power", "jacobi"]
 
 
 class TestEventStream:
@@ -59,6 +59,13 @@ class TestEventStream:
         with pytest.raises(ValueError):
             EventStream(capacity=0)
 
+    def test_null_stream_swallows_everything(self):
+        NULL_EVENTS.emit("anything", x=1)
+        assert len(NULL_EVENTS) == 0
+        assert NULL_EVENTS.by_name("anything") == []
+        assert NULL_EVENTS.to_dicts() == []
+        assert list(NULL_EVENTS) == []
+
     def test_clear_resets_buffer_and_dropped(self):
         stream = EventStream(capacity=2)
         for i in range(5):
@@ -82,35 +89,24 @@ class TestEventStream:
 
 
 class TestAmbientInstall:
+    """The events field of the installed :class:`ObsContext`."""
+
     def test_default_is_shared_null_stream(self):
         assert get_events() is NULL_EVENTS
         assert isinstance(get_events(), NullEventStream)
         assert get_events().enabled is False
 
-    def test_null_stream_swallows_everything(self):
-        NULL_EVENTS.emit("anything", x=1)
-        assert len(NULL_EVENTS) == 0
-        assert NULL_EVENTS.by_name("anything") == []
-        assert NULL_EVENTS.to_dicts() == []
-        assert list(NULL_EVENTS) == []
-
     def test_use_events_installs_and_restores(self):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             assert get_events() is stream
             assert get_events().enabled is True
         assert get_events() is NULL_EVENTS
 
     def test_use_events_restores_on_exception(self):
         with pytest.raises(RuntimeError):
-            with use_events(EventStream()):
+            with use_obs(ObsContext(events=EventStream())):
                 raise RuntimeError("boom")
-        assert get_events() is NULL_EVENTS
-
-    def test_set_events_none_disables(self):
-        previous = set_events(EventStream())
-        assert previous is NULL_EVENTS
-        assert set_events(None) is not NULL_EVENTS
         assert get_events() is NULL_EVENTS
 
 
@@ -155,7 +151,7 @@ class TestSolverConvergenceEvents:
         self, ergodic_chain, method
     ):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             steady_state(ergodic_chain, method=method, tol=1e-10)
         events = stream.by_name("solver.convergence")
         assert events, f"{method} emitted no convergence events"
@@ -169,7 +165,7 @@ class TestSolverConvergenceEvents:
 
     def test_stationary_iteration_residuals_decrease_overall(self, ergodic_chain):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             steady_state(ergodic_chain, method="power", tol=1e-10)
         residuals = [e.fields["residual"]
                      for e in stream.by_name("solver.convergence")]
@@ -179,7 +175,7 @@ class TestSolverConvergenceEvents:
 
     def test_direct_solver_emits_no_convergence_events(self, ergodic_chain):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             steady_state(ergodic_chain, method="direct")
         assert stream.by_name("solver.convergence") == []
 
@@ -191,7 +187,7 @@ class TestSolverConvergenceEvents:
 class TestUniformizationEvents:
     def test_steps_are_recorded_with_accumulating_mass(self, ergodic_chain):
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             transient_distribution(ergodic_chain, 0.5)
         steps = stream.by_name("uniformization.step")
         assert steps
@@ -209,7 +205,7 @@ class TestExplorationProgressEvents:
 
         monkeypatch.setattr(explore, "PROGRESS_INTERVAL", 2)
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             space = derive(file_model)
         progress = stream.by_name("explore.progress")
         assert progress
@@ -234,7 +230,7 @@ class TestExplorationProgressEvents:
             """
         )
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             space, _chain = ctmc_of_net(net)
         progress = stream.by_name("explore.progress")
         assert progress

@@ -1,5 +1,5 @@
 """The persistent run ledger: atomic append-only storage, id claiming,
-querying, pruning, run-document assembly and the null/ambient contracts."""
+querying, pruning and run-document assembly."""
 
 from __future__ import annotations
 
@@ -8,17 +8,11 @@ import json
 import pytest
 
 from repro.obs import (
-    NULL_LEDGER,
     EventStream,
     MetricsRegistry,
-    NullLedger,
     RunLedger,
     Tracer,
     build_run_document,
-    get_ledger,
-    reset_ambient,
-    set_ledger,
-    use_ledger,
 )
 from repro.obs.ledger import LEDGER_FORMAT, RUN_SCHEMA
 
@@ -105,40 +99,6 @@ class TestStore:
         leftovers = [p.name for p in tmp_path.iterdir()
                      if p.name.startswith(".")]
         assert leftovers == []
-
-
-class TestNullLedger:
-    def test_shared_singleton_is_the_default(self):
-        assert get_ledger() is NULL_LEDGER
-        assert isinstance(NULL_LEDGER, NullLedger)
-        assert NULL_LEDGER.enabled is False
-
-    def test_records_vanish_and_queries_see_empty(self):
-        assert NULL_LEDGER.record(make_doc()) == ""
-        assert NULL_LEDGER.run_ids() == []
-        assert NULL_LEDGER.runs() == []
-        assert NULL_LEDGER.latest() is None
-        assert NULL_LEDGER.prune(3) == 0
-        assert len(NULL_LEDGER) == 0
-        with pytest.raises(FileNotFoundError):
-            NULL_LEDGER.load("1")
-
-
-class TestAmbient:
-    def test_set_and_use_roundtrip(self, tmp_path):
-        ledger = RunLedger(tmp_path)
-        previous = set_ledger(ledger)
-        assert previous is NULL_LEDGER
-        assert get_ledger() is ledger
-        set_ledger(None)
-        with use_ledger(ledger):
-            assert get_ledger() is ledger
-        assert get_ledger() is NULL_LEDGER
-
-    def test_reset_ambient_clears_the_ledger(self, tmp_path):
-        set_ledger(RunLedger(tmp_path))
-        reset_ambient()
-        assert get_ledger() is NULL_LEDGER
 
 
 class TestBuildRunDocument:

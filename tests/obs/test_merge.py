@@ -15,10 +15,9 @@ from repro.obs import (
     merge_metrics,
     merge_profiles,
     merge_traces,
+    ObsContext,
     reset_ambient,
-    set_events,
-    set_metrics,
-    set_tracer,
+    use_obs,
 )
 
 
@@ -86,14 +85,12 @@ def test_merge_events_tags_each_event_with_its_task():
 def test_reset_ambient_restores_null_collectors():
     from repro.obs import NULL_EVENTS, NULL_METRICS, NULL_TRACER
 
-    set_tracer(Tracer())
-    set_metrics(MetricsRegistry())
-    set_events(EventStream())
-    assert get_tracer() is not NULL_TRACER
-    reset_ambient()
-    assert get_tracer() is NULL_TRACER
-    assert get_metrics() is NULL_METRICS
-    assert get_events() is NULL_EVENTS
+    with use_obs(ObsContext(Tracer(), MetricsRegistry(), EventStream())):
+        assert get_tracer() is not NULL_TRACER
+        reset_ambient()
+        assert get_tracer() is NULL_TRACER
+        assert get_metrics() is NULL_METRICS
+        assert get_events() is NULL_EVENTS
 
 
 def test_reset_ambient_is_idempotent():

@@ -10,10 +10,10 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    ObsContext,
     get_metrics,
     nearest_rank,
-    set_metrics,
-    use_metrics,
+    use_obs,
 )
 from repro.obs.metrics import _NULL_INSTRUMENT
 
@@ -133,46 +133,16 @@ class TestNullMetrics:
 
 
 class TestAmbientInstallation:
-    def test_default_is_null(self):
-        assert get_metrics() is NULL_METRICS
+    """The metrics field of the installed :class:`ObsContext`."""
 
-    def test_set_metrics_roundtrip(self):
-        reg = MetricsRegistry()
-        previous = set_metrics(reg)
-        try:
-            assert previous is NULL_METRICS
-            assert get_metrics() is reg
-        finally:
-            set_metrics(None)
+    def test_default_is_null(self):
         assert get_metrics() is NULL_METRICS
 
     def test_use_metrics_restores(self):
         reg = MetricsRegistry()
-        with use_metrics(reg):
+        with use_obs(ObsContext(metrics=reg)):
             assert get_metrics() is reg
         assert get_metrics() is NULL_METRICS
-
-    def test_statespace_records_counters(self):
-        from repro.pepa.parser import parse_model
-        from repro.pepa.statespace import derive
-
-        model = parse_model("P = (a, 1.0).Q;\nQ = (b, 2.0).P;\nP")
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            space = derive(model)
-        assert reg.counter("states_explored").value == space.size == 2
-        assert reg.counter("transitions").value == len(space.arcs) == 2
-
-    def test_solver_records_iterations(self):
-        from repro.pepa.measures import analyse
-        from repro.pepa.parser import parse_model
-
-        model = parse_model("P = (a, 1.0).Q;\nQ = (b, 2.0).P;\nP")
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            analyse(model, solver="power")
-        assert reg.counter("solver_iterations").value > 0
-        assert reg.counter("spmv_count").value > 0
 
 
 class TestNearestRank:

@@ -32,13 +32,12 @@ from repro.obs import (
     NULL_TRACER,
     EventStream,
     MetricsRegistry,
+    ObsContext,
     Tracer,
     get_events,
     get_metrics,
     get_tracer,
-    use_events,
-    use_metrics,
-    use_tracer,
+    use_obs,
 )
 from repro.pepa.ctmcgen import ctmc_from_statespace
 from repro.pepa.parser import parse_model
@@ -87,7 +86,7 @@ def test_disabled_overhead_within_documented_envelope():
 
     # 2. how many instrumentation calls does one run make?
     tracer, metrics, events = Tracer(), MetricsRegistry(), EventStream()
-    with use_tracer(tracer), use_metrics(metrics), use_events(events):
+    with use_obs(ObsContext(tracer, metrics, events)):
         run_workload()
     n_spans = sum(1 for root in tracer.roots for _ in root.iter_spans())
     n_metric_updates = max(len(metrics), 1) * 2  # lookup + update per use
@@ -129,68 +128,12 @@ def test_disabled_overhead_within_documented_envelope():
 
 
 def test_enabled_collectors_do_not_leak_after_use(two_state_model):
-    with use_tracer(Tracer()), use_metrics(MetricsRegistry()), \
-            use_events(EventStream()):
+    with use_obs(ObsContext(Tracer(), MetricsRegistry(), EventStream())):
         chain = ctmc_from_statespace(derive(two_state_model))
         steady_state(chain, method="power", tol=1e-8)
     assert get_tracer() is NULL_TRACER
     assert get_metrics() is NULL_METRICS
     assert get_events() is NULL_EVENTS
-
-
-def test_disabled_profiler_and_ledger_are_shared_no_ops():
-    from repro.obs import (
-        NULL_LEDGER,
-        NULL_PROFILER,
-        get_ledger,
-        get_profile_config,
-        get_profiler,
-    )
-
-    assert get_profiler() is NULL_PROFILER
-    assert get_ledger() is NULL_LEDGER
-    assert get_profile_config() is None
-    # the null paths never allocate or store
-    assert NULL_PROFILER.start() is NULL_PROFILER
-    NULL_PROFILER.record(("a",), count=100)
-    assert NULL_PROFILER.sample_count == 0
-    assert NULL_LEDGER.record({"schema": "repro-run/1"}) == ""
-    assert NULL_LEDGER.runs() == []
-
-
-def test_disabled_profiler_and_ledger_unit_costs_fit_the_envelope():
-    # same pricing approach as the main envelope guard: the disabled
-    # primitives (an enabled check + a no-op call) must cost no more
-    # than the other null collectors', so adding the profiler/ledger
-    # does not move the documented <2% disabled figure
-    from repro.obs import get_ledger, get_profile_config, get_profiler
-
-    rounds = 2000
-
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        if get_profiler().enabled:  # pragma: no cover — never taken
-            get_profiler().record(("x",))
-    profiler_unit = (time.perf_counter() - t0) / rounds
-
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        if get_ledger().enabled:  # pragma: no cover — never taken
-            get_ledger().record({})
-    ledger_unit = (time.perf_counter() - t0) / rounds
-
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        get_profile_config()
-    config_unit = (time.perf_counter() - t0) / rounds
-
-    # microseconds at most; a pipeline run makes a handful of these
-    # checks (one per entrypoint, not per span), so even a generous
-    # 50x margin keeps them invisible next to the workload
-    for name, unit in (("profiler", profiler_unit),
-                       ("ledger", ledger_unit),
-                       ("profile-config", config_unit)):
-        assert unit < 50e-6, f"disabled {name} check costs {unit:.2e}s"
 
 
 def test_enabled_profiler_overhead_within_documented_envelope():

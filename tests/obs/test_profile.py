@@ -1,6 +1,6 @@
 """The sampling profiler: deterministic sample folding, live sampling
-attributed to the ambient span stack, the resource probe's exact
-per-span accounting, and the null/ambient contracts."""
+attributed to the current span stack, and the resource probe's exact
+per-span accounting."""
 
 from __future__ import annotations
 
@@ -10,22 +10,13 @@ import time
 import pytest
 
 from repro.obs import (
-    NULL_PROFILER,
-    NullProfiler,
+    ObsContext,
     ProfileConfig,
     SamplingProfiler,
     SpanResourceProbe,
     Tracer,
     collapsed_text,
-    get_profile_config,
-    get_profiler,
-    reset_ambient,
-    set_profile_config,
-    set_profiler,
-    use_profile_config,
-    use_profiler,
-    use_resource_probe,
-    use_tracer,
+    use_obs,
 )
 from repro.obs.profile import DEFAULT_INTERVAL, PROFILE_SCHEMA
 
@@ -106,7 +97,7 @@ class TestLiveSampling:
         tracer = Tracer()
         profiler = SamplingProfiler(interval=0.001, tracer=tracer)
         deadline = time.perf_counter() + 0.25
-        with use_tracer(tracer), tracer.span("stage.busy"), profiler:
+        with use_obs(ObsContext(tracer=tracer)), tracer.span("stage.busy"), profiler:
             while time.perf_counter() < deadline and profiler.sample_count == 0:
                 sum(range(1000))  # keep the target thread busy
         assert profiler.sample_count > 0
@@ -150,72 +141,24 @@ class TestLiveSampling:
         assert profiler.sample_count > 0
 
 
-class TestNullProfiler:
-    def test_shared_singleton_is_the_default(self):
-        assert get_profiler() is NULL_PROFILER
-        assert isinstance(NULL_PROFILER, NullProfiler)
-        assert NULL_PROFILER.enabled is False
-
-    def test_everything_is_a_no_op(self):
-        NULL_PROFILER.record(("a",), count=5)
-        with NULL_PROFILER:
-            pass
-        assert NULL_PROFILER.sample_count == 0
-        assert NULL_PROFILER.collapsed() == ""
-        document = NULL_PROFILER.to_dict()
-        assert document["schema"] == PROFILE_SCHEMA
-        assert document["sample_count"] == 0
-
-
-class TestAmbient:
-    def test_set_profiler_roundtrip(self):
-        profiler = SamplingProfiler()
-        previous = set_profiler(profiler)
-        try:
-            assert previous is NULL_PROFILER
-            assert get_profiler() is profiler
-        finally:
-            set_profiler(None)
-        assert get_profiler() is NULL_PROFILER
-
-    def test_use_profiler_restores(self):
-        profiler = SamplingProfiler()
-        with use_profiler(profiler):
-            assert get_profiler() is profiler
-        assert get_profiler() is NULL_PROFILER
-
-    def test_profile_config_roundtrip(self):
-        config = ProfileConfig(interval=0.01)
-        assert get_profile_config() is None
-        with use_profile_config(config):
-            assert get_profile_config() is config
-        assert get_profile_config() is None
-
-    def test_reset_ambient_clears_profiler_and_config(self):
-        set_profiler(SamplingProfiler())
-        set_profile_config(ProfileConfig())
-        reset_ambient()
-        assert get_profiler() is NULL_PROFILER
-        assert get_profile_config() is None
-
-
 class TestSpanResourceProbe:
     def test_cpu_is_stamped_on_closed_spans(self):
-        tracer = Tracer()
-        with use_tracer(tracer), use_resource_probe(SpanResourceProbe()):
-            with tracer.span("work"):
-                sum(range(10_000))
+        tracer = Tracer(probe=SpanResourceProbe())
+        with tracer.span("work"):
+            sum(range(10_000))
         (root,) = tracer.roots
         assert "cpu_s" in root.attributes
         assert root.attributes["cpu_s"] >= 0
 
     def test_memory_mode_stamps_allocation_and_peak(self):
-        tracer = Tracer()
-        with use_tracer(tracer), \
-                use_resource_probe(SpanResourceProbe(memory=True)):
+        probe = SpanResourceProbe(memory=True)
+        try:
+            tracer = Tracer(probe=probe)
             with tracer.span("alloc"):
                 keep = [bytearray(64 * 1024)]
             del keep
+        finally:
+            probe.close()
         (root,) = tracer.roots
         assert root.attributes["mem_peak_kib"] >= 64
         assert "mem_alloc_kib" in root.attributes
@@ -224,14 +167,14 @@ class TestSpanResourceProbe:
         import tracemalloc
 
         assert not tracemalloc.is_tracing()
-        with use_resource_probe(SpanResourceProbe(memory=True)):
-            assert tracemalloc.is_tracing()
+        probe = SpanResourceProbe(memory=True)
+        assert tracemalloc.is_tracing()
+        probe.close()
         assert not tracemalloc.is_tracing()
 
     def test_no_probe_means_no_cpu_attribute(self):
         tracer = Tracer()
-        with use_tracer(tracer):
-            with tracer.span("work"):
-                pass
+        with tracer.span("work"):
+            pass
         (root,) = tracer.roots
         assert "cpu_s" not in root.attributes

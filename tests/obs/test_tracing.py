@@ -4,15 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import (
-    NULL_TRACER,
-    NullTracer,
-    Span,
-    Tracer,
-    get_tracer,
-    set_tracer,
-    use_tracer,
-)
+from repro.obs import NULL_TRACER, ObsContext, Span, Tracer, get_tracer, use_obs
 from repro.obs.tracing import _NULL_SPAN
 
 
@@ -167,58 +159,18 @@ class TestNullTracer:
 
 
 class TestAmbientInstallation:
+    """The tracer field of the installed :class:`ObsContext`."""
+
     def test_default_is_the_null_tracer(self):
         assert get_tracer() is NULL_TRACER
 
-    def test_set_tracer_returns_previous(self):
-        tracer = Tracer()
-        previous = set_tracer(tracer)
-        try:
-            assert previous is NULL_TRACER
-            assert get_tracer() is tracer
-        finally:
-            set_tracer(previous)
-        assert get_tracer() is NULL_TRACER
-
-    def test_set_tracer_none_disables(self):
-        tracer = Tracer()
-        set_tracer(tracer)
-        try:
-            set_tracer(None)
-            assert get_tracer() is NULL_TRACER
-        finally:
-            set_tracer(None)
-
     def test_use_tracer_restores_on_exit_and_error(self):
         tracer = Tracer()
-        with use_tracer(tracer) as installed:
-            assert installed is tracer
+        with use_obs(ObsContext(tracer=tracer)) as installed:
+            assert installed.tracer is tracer
             assert get_tracer() is tracer
         assert get_tracer() is NULL_TRACER
         with pytest.raises(ValueError):
-            with use_tracer(tracer):
+            with use_obs(ObsContext(tracer=tracer)):
                 raise ValueError
         assert get_tracer() is NULL_TRACER
-
-    def test_use_tracer_nests(self):
-        outer, inner = Tracer(), Tracer()
-        with use_tracer(outer):
-            with use_tracer(inner):
-                assert get_tracer() is inner
-            assert get_tracer() is outer
-
-    def test_instrumented_library_code_routes_to_ambient(self):
-        from repro.pepa.parser import parse_model
-
-        tracer = Tracer()
-        with use_tracer(tracer):
-            parse_model("P = (a, 1.0).P;\nP")
-        assert [r.name for r in tracer.roots] == ["pepa.parse"]
-        assert tracer.roots[0].attributes["components"] == 1
-
-    def test_null_tracer_collects_nothing_from_library_code(self):
-        from repro.pepa.parser import parse_model
-
-        assert isinstance(get_tracer(), NullTracer)
-        parse_model("P = (a, 1.0).P;\nP")
-        assert NULL_TRACER.roots == []

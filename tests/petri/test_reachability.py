@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import BudgetExceededError, StateSpaceError
-from repro.obs import EventStream, Tracer, use_events, use_tracer
+from repro.obs import EventStream, ObsContext, Tracer, use_obs
 from repro.petri import (
     PetriNet,
     build_reachability_graph,
@@ -153,7 +153,7 @@ class TestObservedReachability:
 
     def test_exploration_is_traced(self):
         tracer = Tracer()
-        with use_tracer(tracer):
+        with use_obs(ObsContext(tracer=tracer)):
             graph = build_reachability_graph(mutex_net())
         span = tracer.roots[0]
         assert span.name == "petri.reachability"
@@ -166,7 +166,7 @@ class TestObservedReachability:
 
         monkeypatch.setattr(explore, "PROGRESS_INTERVAL", 2)
         stream = EventStream()
-        with use_events(stream):
+        with use_obs(ObsContext(events=stream)):
             graph = build_reachability_graph(token_ring(4, tokens=2))
         progress = stream.by_name("explore.progress")
         assert progress
@@ -180,7 +180,7 @@ class TestObservedReachability:
         monkeypatch.setattr(explore, "PROGRESS_INTERVAL", 2)
         tracer, stream = Tracer(), EventStream()
         roomy = ExecutionBudget.of(deadline_seconds=300.0)
-        with use_tracer(tracer), use_events(stream):
+        with use_obs(ObsContext(tracer=tracer, events=stream)):
             graph = build_reachability_graph(mutex_net(), budget=roomy)
         assert graph.size == 3
         assert tracer.roots[0].name == "petri.reachability"

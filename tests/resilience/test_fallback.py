@@ -5,7 +5,7 @@ import pytest
 
 from repro.ctmc import build_ctmc, steady_state
 from repro.exceptions import SolverError
-from repro.obs import Tracer, use_tracer
+from repro.obs import ObsContext, Tracer, use_obs
 from repro.resilience import (
     FallbackPolicy,
     FaultSpec,
@@ -164,7 +164,7 @@ class TestReducibleChains:
         chain = build_ctmc(
             3, [(0, "s", 1.0, 1), (1, "a", 1.0, 2), (2, "b", 3.0, 1)]
         )
-        with use_tracer(tracer):
+        with use_obs(ObsContext(tracer=tracer)):
             _, diag = solve_with_fallback(chain, reducible="bscc")
         assert calls == [["ctmc.solve"]]
         [root] = tracer.roots
