@@ -40,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard import
 __all__ = [
     "DEFAULT_MAX_STATES",
     "PROGRESS_INTERVAL",
-    "BatchSuccessorFn",
     "Exploration",
     "SuccessorFn",
     "emit_progress",
@@ -60,13 +59,9 @@ PROGRESS_INTERVAL = 1_000
 #: A successor function: state -> iterable of (action, rate, target).
 SuccessorFn = Callable[[Any], Iterable[tuple[str, float, Any]]]
 
-#: A batched successor function: a whole BFS level of states -> one
-#: successor list per state, aligned with the input.  Lets a formalism
-#: amortise per-state work (memoised SOS derivation, vectorised rate
-#: evaluation) across the level instead of paying it per call.
-BatchSuccessorFn = Callable[
-    [list[Any]], Iterable[Iterable[tuple[str, float, Any]]]
-]
+#: Maps the interned states, in discovery order, to the states the
+#: returned LTS carries (a compiled search renders its numeric states).
+RenderFn = Callable[[list[Any]], list[Any]]
 
 
 def emit_progress(events, stage: str, explored: int, frontier: int,
@@ -116,7 +111,7 @@ def explore_lts(
     adjust_successor: Callable[[Any, int, Exploration], Any] | None = None,
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
     progress_interval: int | None = None,
-    successors_batch: BatchSuccessorFn | None = None,
+    render: RenderFn | None = None,
 ) -> Lts:
     """Breadth-first exploration of the reachable state space.
 
@@ -136,15 +131,10 @@ def explore_lts(
     Petri unboundedness check).  Providing either enables parent-chain
     tracking on the :class:`Exploration` they receive.
 
-    ``successors_batch`` switches the kernel to level-batched BFS: the
-    whole current frontier is handed to the callable in one call and the
-    results are expanded in frontier order.  Because a state discovered
-    while expanding level *k* always lands behind every remaining
-    level-*k* state, the interleaving is exactly the serial FIFO one —
-    discovery order, arc order, overflow point and progress cadence are
-    bit-identical to the per-state path; only the per-call overhead is
-    amortised.  ``successors`` is ignored while a batch function is
-    supplied (it remains the fallback contract for hooks and docs).
+    ``render`` maps the interned states to the ones the result carries,
+    once, inside the span, after the search: a compiled formalism
+    searches over compact numeric states and renders its terms there.
+    The result's ``index`` is then built lazily from the rendered states.
 
     States are interned in discovery order — the returned
     :class:`~repro.core.lts.Lts` numbers the initial state 0 and lists
@@ -165,11 +155,14 @@ def explore_lts(
     attrs["max_states"] = max_states
     with get_tracer().span(stage, **attrs) as sp:
 
-        def expand(src: int, succ: Iterable[tuple[str, float, Any]],
-                   pending: int) -> None:
-            """Intern one state's successors (``pending`` = frontier
-            states still waiting behind this one, for the vital signs)."""
-            for action, rate, target in succ:
+        while queue:
+            state = queue.popleft()
+            src = index[state]
+            if budget is not None:
+                budget.checkpoint(
+                    stage=budget_stage, explored=len(states), frontier=len(queue)
+                )
+            for action, rate, target in successors(state):
                 if adjust_successor is not None:
                     target = adjust_successor(target, src, exploration)
                 tgt = index.get(target)
@@ -189,38 +182,14 @@ def explore_lts(
                     if exploration is not None:
                         exploration.parent[tgt] = src
                     if events.enabled and tgt % interval == 0:
-                        emit_progress(
-                            events, stage, len(states), len(queue) + pending, start
-                        )
+                        emit_progress(events, stage, len(states), len(queue), start)
                 arcs.append(LabelledArc(src, action, rate, tgt))
-
-        if successors_batch is None:
-            while queue:
-                state = queue.popleft()
-                src = index[state]
-                if budget is not None:
-                    budget.checkpoint(
-                        stage=budget_stage, explored=len(states), frontier=len(queue)
-                    )
-                expand(src, successors(state), 0)
-        else:
-            while queue:
-                level = list(queue)
-                queue.clear()
-                batched = successors_batch(level)
-                for pos, (state, succ) in enumerate(zip(level, batched)):
-                    pending = len(level) - pos - 1
-                    src = index[state]
-                    if budget is not None:
-                        budget.checkpoint(
-                            stage=budget_stage, explored=len(states),
-                            frontier=len(queue) + pending,
-                        )
-                    expand(src, succ, pending)
+        if render is not None:
+            states = render(states)
         sp.set(**{span_count_key: len(states), "arcs": len(arcs)})
     if events.enabled:
         emit_progress(events, stage, len(states), 0, start)
     metrics = get_metrics()
     metrics.counter("states_explored").inc(len(states))
     metrics.counter("transitions").inc(len(arcs))
-    return Lts(states=states, arcs=arcs, index=index)
+    return Lts(states=states, arcs=arcs, index=None if render is not None else index)

@@ -46,6 +46,11 @@ class Lts:
     state object back to its index.  The initial state is always 0 —
     every exploration starts numbering from its root.
 
+    Unless passed in, ``index`` is built on first access
+    (:attr:`index_builds` counts the constructions): hashing every state
+    is a cost a compiled search or a cache hit should not pay for a map
+    nothing may read.
+
     The adjacency index is constructed at most once per instance, on
     the first call that needs it (:attr:`adjacency_builds` counts the
     constructions so tests can pin the "at most once" contract).  The
@@ -61,9 +66,9 @@ class Lts:
     ):
         self.states = states
         self.arcs = arcs
-        self.index: dict[Hashable, int] = (
-            {s: i for i, s in enumerate(states)} if index is None else index
-        )
+        self._index = index
+        #: How many times the state index has been built (0 or 1).
+        self.index_builds = 0
         self._out: list[list[LabelledArc]] | None = None
         self._by_action: dict[str, list[LabelledArc]] | None = None
         #: How many times the adjacency index has been built (0 or 1).
@@ -72,6 +77,14 @@ class Lts:
     # ------------------------------------------------------------------
     # Plain accessors
     # ------------------------------------------------------------------
+    @property
+    def index(self) -> dict[Hashable, int]:
+        """Each state object mapped to its index (built once, on demand)."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.states)}
+            self.index_builds += 1
+        return self._index
+
     @property
     def initial(self) -> int:
         return 0

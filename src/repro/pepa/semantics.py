@@ -48,7 +48,6 @@ from repro.pepa.syntax import (
 
 __all__ = [
     "Transition",
-    "TransitionCache",
     "derivatives",
     "apparent_rate",
     "enabled_actions",
@@ -73,7 +72,7 @@ class Transition:
 
 # Kept comfortably below CPython's default recursion limit so our
 # diagnostic fires before a raw RecursionError does (each depth level
-# costs a handful of interpreter frames through the memo wrappers).
+# costs a few interpreter frames).
 _MAX_CONST_DEPTH = 180
 
 
@@ -87,65 +86,11 @@ def derivatives(
     deterministic).  Action types in ``exclude`` are suppressed
     everywhere — used by PEPA nets to hold back firing types from the
     local (place-level) semantics."""
-    return _derive(expr, env, exclude, 0, None)
-
-
-class TransitionCache:
-    """Cross-state memoisation of the SOS derivation.
-
-    A breadth-first derivation calls :func:`derivatives` on thousands of
-    global states that share almost all of their subterms — every global
-    state ``P1 <L> P2`` re-derives ``P1`` and ``P2`` from scratch even
-    though only one of them changed since the parent state.  Expressions
-    are immutable (frozen dataclasses), so one-step transition lists and
-    apparent rates can be memoised per subexpression for the lifetime of
-    an exploration; every recursion node of :func:`derivatives` then
-    computes at most once per *distinct* subterm instead of once per
-    global state that contains it.
-
-    Callers must treat the returned lists as immutable — cache hits
-    alias the stored list.  One cache per (environment, exclude set);
-    the exploration kernel's batch successor path owns one per run.
-    """
-
-    __slots__ = ("env", "exclude", "transitions", "apparent")
-
-    def __init__(self, env: Environment, exclude: frozenset[str] = frozenset()):
-        self.env = env
-        self.exclude = exclude
-        self.transitions: dict[Expression, list[Transition]] = {}
-        self.apparent: dict[tuple[Expression, str], Rate | None] = {}
-
-    def derivatives(self, expr: Expression) -> list[Transition]:
-        """Memoised :func:`derivatives` (do not mutate the result)."""
-        return _derive(expr, self.env, self.exclude, 0, self)
-
-    def apparent_rate(self, expr: Expression, action: str) -> Rate | None:
-        """Memoised :func:`apparent_rate`."""
-        return apparent_rate(expr, action, self.env, cache=self)
-
-
-#: Sentinel distinguishing "memoised as None" from "not memoised".
-_MISSING = object()
+    return _derive(expr, env, exclude, 0)
 
 
 def _derive(
-    expr: Expression, env: Environment, exclude: frozenset[str], depth: int,
-    cache: TransitionCache | None,
-) -> list[Transition]:
-    if cache is not None:
-        hit = cache.transitions.get(expr)
-        if hit is not None:
-            return hit
-    result = _derive_uncached(expr, env, exclude, depth, cache)
-    if cache is not None:
-        cache.transitions[expr] = result
-    return result
-
-
-def _derive_uncached(
-    expr: Expression, env: Environment, exclude: frozenset[str], depth: int,
-    cache: TransitionCache | None,
+    expr: Expression, env: Environment, exclude: frozenset[str], depth: int
 ) -> list[Transition]:
     if depth > _MAX_CONST_DEPTH:
         raise WellFormednessError(
@@ -158,14 +103,14 @@ def _derive_uncached(
         return [Transition(expr.action, expr.rate, expr.continuation)]
     if isinstance(expr, Choice):
         return (
-            _derive(expr.left, env, exclude, depth, cache)
-            + _derive(expr.right, env, exclude, depth, cache)
+            _derive(expr.left, env, exclude, depth)
+            + _derive(expr.right, env, exclude, depth)
         )
     if isinstance(expr, Const):
-        return _derive(env.resolve(expr.name), env, exclude, depth + 1, cache)
+        return _derive(env.resolve(expr.name), env, exclude, depth + 1)
     if isinstance(expr, Hiding):
         out: list[Transition] = []
-        for t in _derive(expr.expr, env, exclude, depth, cache):
+        for t in _derive(expr.expr, env, exclude, depth):
             action = TAU if t.action in expr.actions else t.action
             if action in exclude:
                 continue
@@ -175,16 +120,16 @@ def _derive_uncached(
         if expr.content is None:
             return []
         out = []
-        for t in _derive(expr.content, env, exclude, depth, cache):
+        for t in _derive(expr.content, env, exclude, depth):
             target = t.target
-            if not target.is_sequential():  # pragma: no cover - grammar prevents
+            if not target.is_sequential():
                 raise WellFormednessError("cell content evolved to a non-sequential term")
             out.append(Transition(t.action, t.rate, Cell(expr.family, target)))  # type: ignore[arg-type]
         return out
     if isinstance(expr, Cooperation):
         out = []
-        left_ts = _derive(expr.left, env, exclude, depth, cache)
-        right_ts = _derive(expr.right, env, exclude, depth, cache)
+        left_ts = _derive(expr.left, env, exclude, depth)
+        right_ts = _derive(expr.right, env, exclude, depth)
         # Independent (interleaved) activities.
         for t in left_ts:
             if t.action not in expr.actions:
@@ -198,12 +143,8 @@ def _derive_uncached(
             t.action for t in right_ts if t.action in expr.actions
         }
         for action in sorted(shared):
-            if cache is not None:
-                ra_left = cache.apparent_rate(expr.left, action)
-                ra_right = cache.apparent_rate(expr.right, action)
-            else:
-                ra_left = apparent_rate(expr.left, action, env)
-                ra_right = apparent_rate(expr.right, action, env)
+            ra_left = apparent_rate(expr.left, action, env)
+            ra_right = apparent_rate(expr.right, action, env)
             assert ra_left is not None and ra_right is not None
             if ra_left.is_passive() and ra_right.is_passive():
                 # Both sides passive: the combined activity stays passive
@@ -225,61 +166,42 @@ def _derive_uncached(
 
 
 def apparent_rate(
-    expr: Expression, action: str, env: Environment, _depth: int = 0,
-    *, cache: TransitionCache | None = None,
+    expr: Expression, action: str, env: Environment, _depth: int = 0
 ) -> Rate | None:
     """The apparent rate ``rα(expr)`` of ``action`` in ``expr``.
 
     Returns ``None`` when the expression cannot perform the action at
     all (apparent rate zero).  Raises :class:`WellFormednessError` if a
     component enables both active and passive activities of the same
-    type (illegal in PEPA).  ``cache`` memoises per (subexpression,
-    action) across calls; a cached entry is only stored once its
-    computation completed, so the unguarded-recursion depth guard still
-    fires on cyclic constants.
+    type (illegal in PEPA).
     """
-    if cache is not None:
-        key = (expr, action)
-        hit = cache.apparent.get(key, _MISSING)
-        if hit is not _MISSING:
-            return hit  # type: ignore[return-value]
-    rate = _apparent_uncached(expr, action, env, _depth, cache)
-    if cache is not None:
-        cache.apparent[(expr, action)] = rate
-    return rate
-
-
-def _apparent_uncached(
-    expr: Expression, action: str, env: Environment, _depth: int,
-    cache: TransitionCache | None,
-) -> Rate | None:
     if _depth > _MAX_CONST_DEPTH:
         raise WellFormednessError("unguarded recursion while computing an apparent rate")
     if isinstance(expr, Prefix):
         return expr.rate if expr.action == action else None
     if isinstance(expr, Choice):
-        left = apparent_rate(expr.left, action, env, _depth, cache=cache)
-        right = apparent_rate(expr.right, action, env, _depth, cache=cache)
+        left = apparent_rate(expr.left, action, env, _depth)
+        right = apparent_rate(expr.right, action, env, _depth)
         if left is None:
             return right
         if right is None:
             return left
         return rate_sum(left, right)
     if isinstance(expr, Const):
-        return apparent_rate(env.resolve(expr.name), action, env, _depth + 1, cache=cache)
+        return apparent_rate(env.resolve(expr.name), action, env, _depth + 1)
     if isinstance(expr, Hiding):
         if action in expr.actions or action == TAU:
             # Hidden activities lose their type; tau has no apparent rate
             # because cooperation on tau is forbidden.
             return None
-        return apparent_rate(expr.expr, action, env, _depth, cache=cache)
+        return apparent_rate(expr.expr, action, env, _depth)
     if isinstance(expr, Cell):
         if expr.content is None:
             return None
-        return apparent_rate(expr.content, action, env, _depth, cache=cache)
+        return apparent_rate(expr.content, action, env, _depth)
     if isinstance(expr, Cooperation):
-        left = apparent_rate(expr.left, action, env, _depth, cache=cache)
-        right = apparent_rate(expr.right, action, env, _depth, cache=cache)
+        left = apparent_rate(expr.left, action, env, _depth)
+        right = apparent_rate(expr.right, action, env, _depth)
         if action in expr.actions:
             if left is None or right is None:
                 return None

@@ -16,19 +16,21 @@ bound as a first-class error instead of letting memory blow up.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.lts import LabelledArc, Lts
 from repro.exceptions import WellFormednessError
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.semantics import Transition, TransitionCache
+from repro.pepa.compiled import LeafTable, Skeleton, expansion
+from repro.pepa.rates import Rate
+from repro.pepa.semantics import derivatives
 from repro.pepa.syntax import Expression
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard import
     from repro.resilience.budget import ExecutionBudget
 
-__all__ = ["LabelledArc", "StateSpace", "explore", "derive"]
+__all__ = ["LabelledArc", "StateSpace", "explore", "explore_reference", "derive"]
 
 
 class StateSpace(Lts):
@@ -68,46 +70,81 @@ def explore(
     frontier size and a resumable summary is raised instead of the
     search silently grinding on.
 
-    Successors are produced level-batched through a
-    :class:`~repro.pepa.semantics.TransitionCache`: the one-step
-    transitions and apparent rates of every *subexpression* are memoised
-    across the whole exploration, so a global state pays only for the
-    component that actually moved since its parent.
+    The search runs compiled (:mod:`repro.pepa.compiled`): a state is a
+    tuple of leaf ids of the system equation's skeleton, successors come
+    from the memoised skeleton walk, and states are rendered back to
+    expressions once, after the search.  States, arcs and errors equal
+    :func:`explore_reference`'s.
     """
-    cache = TransitionCache(env, exclude)
+    table = LeafTable(env, exclude)
+    body = expansion(initial, env)
+    skeleton = Skeleton(body, table)
+    derive = skeleton.derive
 
-    def successors(state: Expression) -> Iterator[tuple[str, float, Expression]]:
-        for tr in cache.derivatives(state):
-            _require_active(tr, state)
-            yield tr.action, tr.rate.value, tr.target
+    def successors(state) -> list[tuple[str, float, tuple[int, ...]]]:
+        out = []
+        if state.__class__ is not tuple:
+            # A constant naming the system's structure: derive it by the
+            # reference semantics, once, and compile its successors.
+            for tr in derivatives(state, env, exclude=exclude):
+                _require_active(tr.action, tr.rate, state)
+                out.append((tr.action, tr.rate.value, skeleton.encode(tr.target)))
+            return out
+        for action, rate, target in derive(state):
+            if rate.is_passive():
+                _require_active(action, rate, skeleton.render(state))
+            out.append((action, rate.value, target))
+        return out
 
-    def successors_batch(
-        level: list[Expression],
-    ) -> Iterator[list[tuple[str, float, Expression]]]:
-        for state in level:
-            yield [
-                (tr.action, tr.rate.value, tr.target)
-                for tr in cache.derivatives(state)
-                if _require_active(tr, state) is None
-            ]
+    def render(states: list) -> list[Expression]:
+        return [s if s.__class__ is not tuple else skeleton.render(s) for s in states]
 
     lts = explore_lts(
-        initial,
+        skeleton.encode(initial) if body is initial else initial,
         successors,
-        stage="pepa.statespace",
-        budget_stage="pepa state space",
-        max_states=max_states,
-        budget=budget,
-        overflow=_overflow,
-        successors_batch=successors_batch,
+        render=render,
+        **_explore_options(max_states, budget),
     )
+    return StateSpace(states=lts.states, arcs=lts.arcs)
+
+
+def explore_reference(
+    initial: Expression,
+    env: Environment,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    exclude: frozenset[str] = frozenset(),
+    budget: "ExecutionBudget | None" = None,
+) -> StateSpace:
+    """:func:`explore` straight over the term-level semantics
+    (:func:`~repro.pepa.semantics.derivatives`, one term tree per
+    state): the oracle the compiled search is checked against."""
+
+    def successors(state: Expression) -> list[tuple[str, float, Expression]]:
+        out = []
+        for tr in derivatives(state, env, exclude=exclude):
+            _require_active(tr.action, tr.rate, state)
+            out.append((tr.action, tr.rate.value, tr.target))
+        return out
+
+    lts = explore_lts(initial, successors, **_explore_options(max_states, budget))
     return StateSpace(states=lts.states, arcs=lts.arcs, index=lts.index)
 
 
-def _require_active(tr: Transition, state: Expression) -> None:
-    if tr.rate.is_passive():
+def _explore_options(max_states: int, budget: "ExecutionBudget | None") -> dict:
+    return {
+        "stage": "pepa.statespace",
+        "budget_stage": "pepa state space",
+        "max_states": max_states,
+        "budget": budget,
+        "overflow": _overflow,
+    }
+
+
+def _require_active(action: str, rate: Rate, state: Expression) -> None:
+    if rate.is_passive():
         raise WellFormednessError(
-            f"activity ({tr.action}, {tr.rate}) of state {state} is passive at the "
+            f"activity ({action}, {rate}) of state {state} is passive at the "
             "top level: the system equation leaves it without an active partner"
         )
 

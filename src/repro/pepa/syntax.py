@@ -22,7 +22,7 @@ letter; the parser enforces this, the AST does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.exceptions import WellFormednessError
 from repro.pepa.rates import Rate
@@ -58,23 +58,33 @@ class _CachedHash:
     subtree on every call, which profiling showed to be ~25 % of
     derivation time.  Caching the value on first use (legal: nodes are
     immutable) makes repeated lookups O(1).
+
+    The cache is not pickled: string hashes differ between interpreters,
+    so a term read back from the derivation cache recomputes its hash
+    (and one pickled with its cache, by an older version, drops it).
+    ``_hash_fields`` holds each class's field names, set once below.
     """
+
+    _hash_fields: tuple[str, ...] = ()
 
     def __hash__(self) -> int:
         try:
             return self._hash_cache  # type: ignore[attr-defined]
         except AttributeError:
             value = hash((type(self).__name__,) + tuple(
-                getattr(self, f.name) for f in _fields(self)
+                [getattr(self, name) for name in self._hash_fields]
             ))
             object.__setattr__(self, "_hash_cache", value)
             return value
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash_cache", None)
+        return state
 
-def _fields(obj):
-    from dataclasses import fields
-
-    return fields(obj)
+    def __setstate__(self, state: dict) -> None:
+        state.pop("_hash_cache", None)
+        self.__dict__.update(state)
 
 
 @dataclass(frozen=True)
@@ -204,6 +214,7 @@ class Cell(Expression):
 # would shadow the caching mixin; install the cached version explicitly.
 for _cls in (Prefix, Choice, Const, Cooperation, Hiding, Cell):
     _cls.__hash__ = _CachedHash.__hash__  # type: ignore[method-assign]
+    _cls._hash_fields = tuple(f.name for f in fields(_cls))
 
 
 def _paren(expr: Expression) -> str:

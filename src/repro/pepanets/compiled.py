@@ -1,0 +1,199 @@
+"""Compiled PEPA-net derivation: markings as tuples of leaf states.
+
+Every place context is compiled once into a
+:class:`~repro.pepa.compiled.Skeleton`; the place skeletons sit side by
+side in one global tuple, in the net's place order.  A cell's state is
+its content's id in the shared :class:`~repro.pepa.compiled.LeafTable`,
+or ``-1`` when vacant; a static component's state is its term's id.
+
+* **Local transitions** come from each place's skeleton walk, memoised
+  on the place's sub-tuple with the place-level passive check applied.
+* **Firings** (Definitions 2–6) run the shared
+  :mod:`repro.pepanets.firing` logic over cell positions instead of cell
+  paths.  Concession and the resolved firings of a transition depend
+  only on the contents of its input places' cells and on which of its
+  output places' cells are vacant, so both are memoised per
+  ``(transition, input-cell states, output-cell vacancy)``; a firing is
+  then a list of cell writes applied to the marking tuple.
+* **Type admission** (Definition 4) is a table over
+  ``(family, content id)`` filled from
+  :class:`~repro.pepanets.firing.DerivativeSets`.
+
+Successors, their order and float rates, and the first error raised
+are those of :func:`repro.pepanets.semantics.net_arcs` on the rendered
+marking.
+"""
+
+from __future__ import annotations
+
+from operator import itemgetter
+
+from repro.exceptions import WellFormednessError
+from repro.pepa.compiled import LeafTable, Skeleton
+from repro.pepa.rates import Rate
+from repro.pepanets.firing import DerivativeSets, concession, resolved_firings, top_priority
+from repro.pepanets.syntax import NetMarking, NetTransitionSpec, PepaNet
+
+__all__ = ["CompiledNet", "passive_local_error"]
+
+#: A marking: the leaf states of every place, place after place.
+State = tuple[int, ...]
+
+#: Leaf state -> "is a vacant cell" (static leaves are never negative).
+_VACANT = (0).__gt__
+
+
+def passive_local_error(place: str, action: str, rate: Rate) -> WellFormednessError:
+    """A passive activity left without a partner at place level."""
+    return WellFormednessError(
+        f"place {place!r}: local activity ({action}, {rate}) is "
+        "passive at place level and has no partner"
+    )
+
+
+class CompiledNet:
+    """A PEPA net compiled for the marking-space search.
+
+    :attr:`initial` is the initial marking's tuple, :meth:`successors`
+    the search's successor function and :meth:`render` maps a tuple back
+    to its :class:`~repro.pepanets.syntax.NetMarking`.
+    """
+
+    def __init__(self, net: PepaNet):
+        env = net.environment
+        self.table = table = LeafTable(env, net.firing_actions)
+        self.ds = DerivativeSets(env)
+        self.names = net.place_order()
+        self._skeletons: list[Skeleton] = []
+        self._cells: dict[str, list[tuple[int, str]]] = {}
+        offset = 0
+        initial: list[int] = []
+        for name in self.names:
+            place = net.places[name]
+            skeleton = Skeleton(place.template, table, offset, memo_root=True)
+            self._skeletons.append(skeleton)
+            self._cells[name] = skeleton.cells
+            initial.extend(skeleton.encode(place.initial_expression()))
+            offset += skeleton.size
+        self.initial: State = tuple(initial)
+        self._local = [self._place_local(name, sk) for name, sk in zip(self.names, self._skeletons)]
+        self._admitted: dict[tuple[str, int], bool] = {}
+        self._transitions = [_Transition(spec, self._cells) for spec in net.transitions.values()]
+
+    # ------------------------------------------------------------------
+    def _place_local(self, name: str, skeleton: Skeleton):
+        """The place's local transitions as ``(lo, hi, fn)``: ``fn(state)``
+        lists ``(action, rate value, place sub-tuple)``."""
+        lo, hi = skeleton.offset, skeleton.offset + skeleton.size
+        derive = skeleton.derive
+        checked: dict[State, list[tuple[str, float, State]]] = {}
+
+        def local(state: State) -> list[tuple[str, float, State]]:
+            key = state[lo:hi]
+            arcs = checked.get(key)
+            if arcs is None:
+                arcs = []
+                for action, rate, target in derive(state):
+                    if rate.is_passive():
+                        raise passive_local_error(name, action, rate)
+                    arcs.append((action, rate.value, target))
+                checked[key] = arcs
+            return arcs
+
+        return lo, hi, local
+
+    def _admits(self, family: str, content: int) -> bool:
+        key = (family, content)
+        ok = self._admitted.get(key)
+        if ok is None:
+            ok = self._admitted[key] = self.ds.admits(family, self.table.terms[content])
+        return ok
+
+    def _view(self, state: State):
+        """Definitions 2–4's view of a marking: eligible tokens and vacant
+        cells by leaf position, and the admission table."""
+        table = self.table
+        cells = self._cells
+
+        def eligible(place: str, action: str):
+            out = []
+            for pos, _ in cells[place]:
+                content = state[pos]
+                if content < 0:
+                    continue
+                for act, rate, target in table.firing_rows(content):
+                    if act == action:
+                        out.append((pos, rate, target))
+            return out
+
+        def vacant(place: str):
+            return [(pos, family) for pos, family in cells[place] if state[pos] < 0]
+
+        return eligible, vacant, self._admits
+
+    # ------------------------------------------------------------------
+    def successors(self, state: State) -> list[tuple[str, float, State]]:
+        """Local transitions of every place, then the enabled firings."""
+        out = []
+        for lo, hi, local in self._local:
+            arcs = local(state)
+            if arcs:
+                head, tail = state[:lo], state[hi:]
+                out += [(action, rate, head + sub + tail) for action, rate, sub in arcs]
+        view = None
+        ready = []
+        vacancy = tuple(map(_VACANT, state))
+        for t in self._transitions:
+            key = (t.inputs(state), t.outputs(vacancy))
+            has = t.concession.get(key)
+            if has is None:
+                view = view or self._view(state)
+                has = t.concession[key] = concession(t.spec, *view)
+            if has:
+                ready.append(t)
+        for t in top_priority(ready):
+            key = (t.inputs(state), t.outputs(vacancy))
+            firings = t.firings.get(key)
+            if firings is None:
+                view = view or self._view(state)
+                firings = t.firings[key] = [
+                    (rate, [(cell, -1) for _, cell, _ in combo] + [
+                        (cell, target)
+                        for (_, _, target), (_, cell, _) in zip(combo, mapping)
+                    ])
+                    for rate, combo, mapping in resolved_firings(t.spec, *view)
+                ]
+            for rate, writes in firings:
+                successor = list(state)
+                for pos, content in writes:
+                    successor[pos] = content
+                out.append((t.action, rate, tuple(successor)))
+        return out
+
+    def render(self, state: State) -> NetMarking:
+        """The marking a tuple stands for."""
+        return NetMarking(self.names, tuple(sk.render(state) for sk in self._skeletons))
+
+
+class _Transition:
+    """One net transition: its memo key getters and its memos.
+
+    A marking's key is the states of the input places' cells, read off
+    the marking, and the vacancy of the output places' cells, read off
+    its vacancy mask."""
+
+    __slots__ = ("spec", "name", "priority", "action", "inputs", "outputs",
+                 "concession", "firings")
+
+    def __init__(self, spec: NetTransitionSpec, cells: dict[str, list[tuple[int, str]]]):
+        self.spec = spec
+        self.name, self.priority, self.action = spec.name, spec.priority, spec.action
+        # Every place has a cell, so neither getter is empty.
+        self.inputs = itemgetter(
+            *[pos for place in dict.fromkeys(spec.inputs) for pos, _ in cells[place]]
+        )
+        self.outputs = itemgetter(
+            *[pos for place in dict.fromkeys(spec.outputs) for pos, _ in cells[place]]
+        )
+        self.concession: dict[tuple, bool] = {}
+        self.firings: dict[tuple, list[tuple[float, list[tuple[int, int]]]]] = {}

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from repro.exceptions import RateError, WellFormednessError
 from repro.pepa.environment import Environment
@@ -58,6 +59,9 @@ __all__ = [
     "enabled_transitions",
     "firing_instances",
     "DerivativeSets",
+    "concession",
+    "resolved_firings",
+    "top_priority",
 ]
 
 
@@ -109,13 +113,28 @@ def vacant_cells(place_expr: Expression) -> list[tuple[CellPath, Cell]]:
     return [(path, cell) for path, cell in find_cells(place_expr) if cell.content is None]
 
 
-def _place_apparent_rate(
-    eligibles: list[tuple[CellPath, Cell, Transition]], place: str, action: str
-) -> Rate:
+#: A token eligible to fire: ``(cell, activity rate, derivative)``.  The
+#: cell handle orders like the cell's path within its place (the term
+#: level uses the path itself, the compiled search a leaf position).
+Eligible = tuple[object, Rate, object]
+
+#: ``eligible(place, action)``: the place's tokens able to fire ``action``.
+EligibleFn = Callable[[str, str], list[Eligible]]
+
+#: ``vacant(place)``: the place's vacant cells as ``(cell, family)``.
+VacantFn = Callable[[str], list[tuple[object, str]]]
+
+#: ``admits(family, derivative)``: Definition 4's type check.
+AdmitsFn = Callable[[str, object], bool]
+
+_T = TypeVar("_T")
+
+
+def _place_apparent_rate(rates: list[Rate], place: str, action: str) -> Rate:
     total: Rate | None = None
-    for _, _, tr in eligibles:
+    for rate in rates:
         try:
-            total = tr.rate if total is None else rate_sum(total, tr.rate)
+            total = rate if total is None else rate_sum(total, rate)
         except RateError:
             raise WellFormednessError(
                 f"place {place!r} mixes active and passive tokens for firing "
@@ -126,12 +145,12 @@ def _place_apparent_rate(
 
 
 def _token_combinations(
-    net: PepaNet, marking: NetMarking, spec: NetTransitionSpec, env: Environment
+    spec: NetTransitionSpec, eligible: EligibleFn
 ) -> tuple[list[tuple[tuple, float]], dict[str, Rate]]:
     """All token selections plus per-place apparent rates.
 
     Each entry is ``(combo, share)``: a tuple over input slots of
-    ``(place, path, Transition)`` together with its probabilistic share
+    ``(place, cell, derivative)`` together with its probabilistic share
     of the firing rate.  When a place appears once, the share is the
     classic apparent-rate ratio ``r_i / a_p``.  When a transition draws
     ``k`` tokens from one place (Definition 1 has single input places;
@@ -143,32 +162,34 @@ def _token_combinations(
     """
     apparent: dict[str, Rate] = {}
     multiplicity: dict[str, int] = {}
-    eligibles: dict[str, list[tuple[CellPath, Transition]]] = {}
+    eligibles: dict[str, list[Eligible]] = {}
     slot_order: list[str] = list(spec.inputs)
     for place in slot_order:
         multiplicity[place] = multiplicity.get(place, 0) + 1
         if place in eligibles:
             continue
-        elig = eligible_tokens(marking.state_of(place), spec.action, env)
+        elig = eligible(place, spec.action)
         if not elig:
             return [], {}
-        apparent[place] = _place_apparent_rate(elig, place, spec.action)
-        eligibles[place] = [(path, tr) for path, _, tr in elig]
+        apparent[place] = _place_apparent_rate(
+            [rate for _, rate, _ in elig], place, spec.action
+        )
+        eligibles[place] = elig
 
     # per-place weighted selections
-    per_place: dict[str, list[tuple[list[tuple[str, CellPath, Transition]], float]]] = {}
+    per_place: dict[str, list[tuple[list[tuple[str, object, object]], float]]] = {}
     for place, k in multiplicity.items():
         options = eligibles[place]
-        raw: list[tuple[list[tuple[str, CellPath, Transition]], float]] = []
+        raw: list[tuple[list[tuple[str, object, object]], float]] = []
         for subset in itertools.combinations(options, k):
-            paths = [p for p, _ in subset]
-            if len(set(paths)) != k:
+            cells = [cell for cell, _, _ in subset]
+            if len(set(cells)) != k:
                 continue  # one cell cannot supply two tokens
             weight = 1.0
             chosen = []
-            for path, tr in subset:
-                weight *= _rate_weight(tr.rate)
-                chosen.append((place, path, tr))
+            for cell, rate, target in subset:
+                weight *= _rate_weight(rate)
+                chosen.append((place, cell, target))
             raw.append((chosen, weight))
         if not raw:
             return [], {}
@@ -179,7 +200,7 @@ def _token_combinations(
     places = list(per_place)
     for assignment in itertools.product(*(per_place[p] for p in places)):
         share = 1.0
-        pool: dict[str, list[tuple[str, CellPath, Transition]]] = {}
+        pool: dict[str, list[tuple[str, object, object]]] = {}
         for (chosen, weight), place in zip(assignment, places):
             share *= weight
             pool[place] = list(chosen)
@@ -201,34 +222,34 @@ def _rate_weight(rate: Rate) -> float:
 
 
 def _output_mappings(
-    marking: NetMarking,
     spec: NetTransitionSpec,
-    targets: tuple[Sequential, ...],
-    ds: DerivativeSets,
-) -> list[tuple[tuple[str, CellPath, str], ...]]:
+    targets: tuple,
+    vacant: VacantFn,
+    admits: AdmitsFn,
+) -> list[tuple[tuple[str, object, str], ...]]:
     """All type-preserving bijections φ (Definition 4).
 
     Each mapping is a tuple over *input slots* ``i`` of
-    ``(output_place, cell_path, family)`` receiving token ``i``'s
+    ``(output_place, cell, family)`` receiving token ``i``'s
     derivative.  Deduplicated, because a permutation of equal slots can
     produce the same physical assignment twice.
     """
     k = len(spec.outputs)
-    vacant_per_outslot: list[list[tuple[str, CellPath, str]]] = []
+    vacant_per_outslot: list[list[tuple[str, object, str]]] = []
     for place in spec.outputs:
-        cells = vacant_cells(marking.state_of(place))
+        cells = vacant(place)
         if not cells:
             return []
-        vacant_per_outslot.append([(place, path, cell.family) for path, cell in cells])
+        vacant_per_outslot.append([(place, cell, family) for cell, family in cells])
 
-    mappings: set[tuple[tuple[str, CellPath, str], ...]] = set()
+    mappings: set[tuple[tuple[str, object, str], ...]] = set()
     for sigma in itertools.permutations(range(k)):
         # input slot i is delivered to output slot sigma[i]
         for cells_choice in itertools.product(*vacant_per_outslot):
-            used: set[tuple[str, CellPath]] = set()
+            used: set[tuple[str, object]] = set()
             clash = False
-            for place, path, _ in cells_choice:
-                key = (place, path)
+            for place, cell, _ in cells_choice:
+                key = (place, cell)
                 if key in used:
                     clash = True
                     break
@@ -236,9 +257,78 @@ def _output_mappings(
             if clash:
                 continue
             assignment = tuple(cells_choice[sigma[i]] for i in range(k))
-            if all(ds.admits(assignment[i][2], targets[i]) for i in range(k)):
+            if all(admits(assignment[i][2], targets[i]) for i in range(k)):
                 mappings.add(assignment)
-    return sorted(mappings)
+    return sorted(mappings)  # type: ignore[arg-type]
+
+
+def concession(
+    spec: NetTransitionSpec, eligible: EligibleFn, vacant: VacantFn, admits: AdmitsFn
+) -> bool:
+    """Definition 4 over a marking seen through ``eligible``/``vacant``:
+    some enabling admits a type-preserving bijection to an output."""
+    combos, _ = _token_combinations(spec, eligible)
+    for combo, _share in combos:
+        targets = tuple(target for _, _, target in combo)
+        if _output_mappings(spec, targets, vacant, admits):
+            return True
+    return False
+
+
+def top_priority(with_concession: list[_T]) -> list[_T]:
+    """Definition 5: of the transitions with concession, those of the
+    highest priority, in name order.  Works on anything carrying the
+    transition's ``priority`` and ``name``."""
+    if not with_concession:
+        return []
+    top = max(s.priority for s in with_concession)
+    return sorted((s for s in with_concession if s.priority == top), key=lambda s: s.name)
+
+
+def resolved_firings(
+    spec: NetTransitionSpec, eligible: EligibleFn, vacant: VacantFn, admits: AdmitsFn
+) -> list[tuple[float, tuple, tuple]]:
+    """Definition 6 for one enabled transition: every firing as
+    ``(rate, combo, mapping)``, where ``combo`` lists the fired tokens
+    as ``(place, cell, derivative)`` and ``mapping`` the receiving
+    cells as ``(place, cell, family)``, slot by slot."""
+    combos, apparent = _token_combinations(spec, eligible)
+    floor = spec.rate
+    for place_rate in apparent.values():
+        floor = rate_min(floor, place_rate)
+    if floor.is_passive():
+        raise WellFormednessError(
+            f"net transition {spec.name!r}: the label and every "
+            "participating token are passive; the firing rate is undefined"
+        )
+    out = []
+    for combo, share in combos:
+        targets = tuple(target for _, _, target in combo)
+        mappings = _output_mappings(spec, targets, vacant, admits)
+        if not mappings:
+            continue
+        combo_rate = share * floor.value
+        per_mapping = combo_rate / len(mappings)
+        for mapping in mappings:
+            out.append((per_mapping, combo, mapping))
+    return out
+
+
+def _term_view(
+    marking: NetMarking, env: Environment, ds: DerivativeSets
+) -> tuple[EligibleFn, VacantFn, AdmitsFn]:
+    """A marking's tokens and vacant cells, read off its terms."""
+
+    def eligible(place: str, action: str) -> list[Eligible]:
+        return [
+            (path, tr.rate, tr.target)
+            for path, _, tr in eligible_tokens(marking.state_of(place), action, env)
+        ]
+
+    def vacant(place: str) -> list[tuple[object, str]]:
+        return [(path, cell.family) for path, cell in vacant_cells(marking.state_of(place))]
+
+    return eligible, vacant, ds.admits
 
 
 def has_concession(
@@ -250,27 +340,15 @@ def has_concession(
 ) -> bool:
     """Definition 4: some enabling admits a type-preserving bijection to
     an output."""
-    combos, _ = _token_combinations(net, marking, spec, env)
-    for combo, _share in combos:
-        targets = tuple(tr.target for _, _, tr in combo)
-        if _output_mappings(marking, spec, targets, ds):
-            return True
-    return False
+    return concession(spec, *_term_view(marking, env, ds))
 
 
 def enabled_transitions(
     net: PepaNet, marking: NetMarking, env: Environment, ds: DerivativeSets
 ) -> list[NetTransitionSpec]:
     """Definition 5: transitions with concession, filtered by priority."""
-    with_concession = [
-        spec
-        for spec in net.transitions.values()
-        if has_concession(net, marking, spec, env, ds)
-    ]
-    if not with_concession:
-        return []
-    top = max(s.priority for s in with_concession)
-    return sorted((s for s in with_concession if s.priority == top), key=lambda s: s.name)
+    view = _term_view(marking, env, ds)
+    return top_priority([s for s in net.transitions.values() if concession(s, *view)])
 
 
 def firing_instances(
@@ -278,35 +356,19 @@ def firing_instances(
 ) -> list[FiringInstance]:
     """All firings enabled in ``marking`` with their rates and successor
     markings (Definitions 5 and 6)."""
+    view = _term_view(marking, env, ds)
     out: list[FiringInstance] = []
-    for spec in enabled_transitions(net, marking, env, ds):
-        combos, apparent = _token_combinations(net, marking, spec, env)
-        floor = spec.rate
-        for place_rate in apparent.values():
-            floor = rate_min(floor, place_rate)
-        if floor.is_passive():
-            raise WellFormednessError(
-                f"net transition {spec.name!r}: the label and every "
-                "participating token are passive; the firing rate is undefined"
-            )
-        for combo, share in combos:
-            targets = tuple(tr.target for _, _, tr in combo)
-            mappings = _output_mappings(marking, spec, targets, ds)
-            if not mappings:
-                continue
-            combo_rate = share * floor.value
-            per_mapping = combo_rate / len(mappings)
-            for mapping in mappings:
-                successor = _apply_firing(marking, combo, mapping)
-                out.append(
-                    FiringInstance(spec.name, spec.action, per_mapping, successor)
-                )
+    enabled = top_priority([s for s in net.transitions.values() if concession(s, *view)])
+    for spec in enabled:
+        for rate, combo, mapping in resolved_firings(spec, *view):
+            successor = _apply_firing(marking, combo, mapping)
+            out.append(FiringInstance(spec.name, spec.action, rate, successor))
     return out
 
 
 def _apply_firing(
     marking: NetMarking,
-    combo: tuple[tuple[str, CellPath, Transition], ...],
+    combo: tuple[tuple[str, CellPath, Sequential], ...],
     mapping: tuple[tuple[str, CellPath, str], ...],
 ) -> NetMarking:
     """Definition 6: vacate every fired cell, then deposit derivatives."""
@@ -317,9 +379,8 @@ def _apply_firing(
             (p, c) for p, c in find_cells(expr) if p == path
         )
         result = result.with_state(place, replace_cell(expr, path, old_cell.vacated()))
-    for (in_place, in_path, tr), (out_place, out_path, family) in zip(combo, mapping):
+    for (_, _, target), (out_place, out_path, family) in zip(combo, mapping):
         expr = result.state_of(out_place)
-        target = tr.target
         assert isinstance(target, Sequential)
         result = result.with_state(
             out_place, replace_cell(expr, out_path, Cell(family, target))

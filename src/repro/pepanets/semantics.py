@@ -12,7 +12,10 @@ Treating each marking as a distinct state yields the CTMC
 ("The structured operational semantics ... shows how a CTMC can be
 derived, treating each marking as a distinct state").  The breadth-first
 walk itself is the shared :func:`repro.core.explore.explore_lts`
-kernel; this module only supplies the successor relation.
+kernel.  This module supplies the term-level successor relation,
+:func:`net_arcs`, which is the reference; :func:`explore_net` searches
+over compiled markings (:mod:`repro.pepanets.compiled`) with the same
+result.
 """
 
 from __future__ import annotations
@@ -21,15 +24,15 @@ from typing import TYPE_CHECKING
 
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.lts import LabelledArc, Lts
-from repro.exceptions import WellFormednessError
 from repro.pepa.semantics import derivatives
+from repro.pepanets.compiled import CompiledNet, passive_local_error
 from repro.pepanets.firing import DerivativeSets, firing_instances
 from repro.pepanets.syntax import NetMarking, PepaNet
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids a hard import
     from repro.resilience.budget import ExecutionBudget
 
-__all__ = ["NetStateSpace", "explore_net", "net_arcs"]
+__all__ = ["NetStateSpace", "explore_net", "explore_net_reference", "net_arcs"]
 
 
 class NetStateSpace(Lts):
@@ -72,10 +75,7 @@ def net_arcs(
         expr = marking.state_of(place)
         for tr in derivatives(expr, env, exclude=exclude):
             if tr.rate.is_passive():
-                raise WellFormednessError(
-                    f"place {place!r}: local activity ({tr.action}, {tr.rate}) is "
-                    "passive at place level and has no partner"
-                )
+                raise passive_local_error(place, tr.action, tr.rate)
             out.append((tr.action, tr.rate.value, marking.with_state(place, tr.target)))
     for firing in firing_instances(net, marking, env, ds):
         out.append((firing.action, firing.rate, firing.marking))
@@ -126,23 +126,49 @@ def explore_net(
             )
             space.cache_key = key
             return space
-    ds = DerivativeSets(net.environment)
+    compiled = CompiledNet(net)
     lts = explore_lts(
-        net.initial_marking(),
-        lambda marking: net_arcs(net, marking, ds),
-        stage="pepanet.markingspace",
-        budget_stage="pepa-net marking space",
-        max_states=max_states,
-        budget=budget,
-        span_attrs={"places": len(net.places),
-                    "net_transitions": len(net.transitions)},
-        span_count_key="markings",
-        overflow=lambda n: f"PEPA-net marking space exceeds {n} states",
+        compiled.initial,
+        compiled.successors,
+        render=lambda states: [compiled.render(s) for s in states],
+        **_explore_options(net, max_states, budget),
     )
-    space = NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs, index=lts.index)
+    space = NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs)
     if cache is not None and key is not None:
         cache.store(
             key, {"schema": CACHE_SCHEMA, "markings": space.markings, "arcs": space.arcs}
         )
         space.cache_key = key
     return space
+
+
+def explore_net_reference(
+    net: PepaNet,
+    *,
+    max_states: int = DEFAULT_MAX_STATES,
+    budget: "ExecutionBudget | None" = None,
+) -> NetStateSpace:
+    """:func:`explore_net` straight over :func:`net_arcs` (one
+    :class:`NetMarking` term per marking, no derivation cache): the
+    oracle the compiled search is checked against."""
+    ds = DerivativeSets(net.environment)
+    lts = explore_lts(
+        net.initial_marking(),
+        lambda marking: net_arcs(net, marking, ds),
+        **_explore_options(net, max_states, budget),
+    )
+    return NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs, index=lts.index)
+
+
+def _explore_options(net: PepaNet, max_states: int,
+                     budget: "ExecutionBudget | None") -> dict:
+    return {
+        "stage": "pepanet.markingspace",
+        "budget_stage": "pepa-net marking space",
+        "max_states": max_states,
+        "budget": budget,
+        "span_attrs": {"places": len(net.places),
+                       "net_transitions": len(net.transitions)},
+        "span_count_key": "markings",
+        "overflow": lambda n: f"PEPA-net marking space exceeds {n} states",
+    }

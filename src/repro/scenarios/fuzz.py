@@ -13,8 +13,11 @@ independently implemented paths:
 The two constructions are LTS-isomorphic by design
 (:mod:`repro.scenarios.generator`), so state counts, arc counts,
 action/firing throughputs and location occupancies must agree to a
-relative 1e-8.  Any disagreement — or any crash along either path — is
-a finding: the failing spec is structurally shrunk to a minimal
+relative 1e-8.  The extracted net's marking space, derived by the
+compiled search, must also equal the term-level reference
+(:func:`repro.pepanets.semantics.explore_net_reference`) exactly:
+markings, arcs and float rates.  Any disagreement — or any crash along
+either path — is a finding: the failing spec is structurally shrunk to a minimal
 still-failing form and dumped as a reproducer directory (spec + both
 sources + rates + report) that replays without the generator.
 """
@@ -163,6 +166,7 @@ def _analyse_both(spec: ScenarioSpec, *, solver: str, max_states: int,
     from repro.extract import RateTable, extract_activity_diagram
     from repro.pepanets.measures import analyse_net
     from repro.pepanets.parser import parse_net
+    from repro.pepanets.semantics import explore_net_reference
     from repro.uml.xmi.reader import read_model
 
     scenario = scenario_from_spec(spec)
@@ -178,7 +182,9 @@ def _analyse_both(spec: ScenarioSpec, *, solver: str, max_states: int,
     direct_net = parse_net(scenario.net_text())
     via_direct = analyse_net(direct_net, solver=solver,
                              max_states=max_states, budget=budget)
-    return via_extract, via_direct
+    reference = explore_net_reference(extraction.net, max_states=max_states,
+                                      budget=budget)
+    return via_extract, via_direct, reference
 
 
 def compare_spec(spec: ScenarioSpec, *, solver: str = "direct",
@@ -194,7 +200,7 @@ def compare_spec(spec: ScenarioSpec, *, solver: str = "direct",
     sweep, it is not a finding.
     """
     try:
-        via_extract, via_direct = _analyse_both(
+        via_extract, via_direct, reference = _analyse_both(
             spec, solver=solver, max_states=max_states, budget=budget)
     except BudgetExceededError:
         raise
@@ -202,6 +208,16 @@ def compare_spec(spec: ScenarioSpec, *, solver: str = "direct",
         return [Mismatch("pipeline-error", f"{type(exc).__name__}: {exc}")]
 
     mismatches: list[Mismatch] = []
+    if via_extract.space.markings != reference.markings:
+        mismatches.append(Mismatch(
+            "compiled-markings",
+            "compiled marking space differs from the term-level reference",
+            len(via_extract.space.markings), len(reference.markings)))
+    elif via_extract.space.arcs != reference.arcs:
+        mismatches.append(Mismatch(
+            "compiled-arcs",
+            "compiled arcs or rates differ from the term-level reference",
+            len(via_extract.space.arcs), len(reference.arcs)))
     if via_extract.n_states != via_direct.n_states:
         mismatches.append(Mismatch(
             "n_states", "marking-space sizes differ",

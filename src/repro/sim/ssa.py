@@ -3,11 +3,14 @@
 The paper positions simulation as the complementary analysis route
 ("approximate solutions require the calculation of confidence
 intervals, but large state-space size is tolerated" — §1.1, discussing
-UML-Ψ).  This engine executes the *same* operational semantics the
-numerical route uses — it draws successor states from
-:func:`repro.pepa.semantics.derivatives` / :func:`repro.pepanets.semantics.net_arcs`
-— so agreement between the two routes is a genuine end-to-end check of
-the whole stack, which the benchmark suite performs.
+UML-Ψ).  This engine draws successor states from the term-level
+semantics, :func:`repro.pepa.semantics.derivatives` /
+:func:`repro.pepanets.semantics.net_arcs`.  The numerical route derives
+its state space by a compiled search instead
+(:mod:`repro.pepa.compiled`, :mod:`repro.pepanets.compiled`), which is
+checked state for state against those same functions; agreement between
+the two routes is therefore a genuine end-to-end check of the whole
+stack, which ``benchmarks/bench_simulation.py`` performs.
 
 States are visited lazily, so models far beyond the numerical
 state-space bound still simulate in bounded memory (transition lists

@@ -51,6 +51,9 @@ def test_derive_miss_populates_and_second_derive_hits(cache):
     assert cache.stats.hits == 1 and cache.stats.misses == 1
     assert [str(s) for s in second.states] == [str(s) for s in first.states]
     assert len(second.arcs) == len(first.arcs)
+    # the warm path hashes no cached state: the index is built on demand
+    assert second.index_builds == 0
+    assert second.index[second.states[1]] == 1
 
 
 def test_rate_change_invalidates(cache):

@@ -31,6 +31,13 @@ class TestAccessors:
         index = {"x": 0}
         lts = Lts(states=["x"], arcs=[], index=index)
         assert lts.index is index
+        assert lts.index_builds == 0
+
+    def test_index_is_built_once_on_first_access(self, diamond):
+        assert diamond.index_builds == 0
+        first = diamond.index
+        assert diamond.index is first
+        assert diamond.index_builds == 1
 
     def test_actions(self, diamond):
         assert diamond.actions() == {"a", "b", "c"}

@@ -61,3 +61,67 @@ class TestHashSemantics:
         assert clone == expr
         assert hash(clone) == hash(expr)
         assert {expr: "v"}[clone] == "v"
+
+
+_PICKLE_SCRIPT = """
+import pickle, sys
+from repro.pepa.syntax import Cell, Const
+
+path = sys.argv[2]
+if sys.argv[1] == "dump":
+    term = Cell("F", Const("Abc"))
+    hash(term)  # fill the cache before pickling
+    with open(path, "wb") as fh:
+        pickle.dump(term, fh)
+else:
+    with open(path, "rb") as fh:
+        loaded = pickle.load(fh)
+    fresh = Cell("F", Const("Abc"))
+    assert loaded == fresh
+    assert hash(loaded) == hash(fresh), "stale hash survived unpickling"
+    assert {loaded: 1}.get(fresh) == 1
+    print("ok")
+"""
+
+
+def test_pickled_term_rehashes_under_another_hash_seed(tmp_path):
+    """A term read back in another interpreter (the derivation cache's
+    case) must hash like a fresh equal term: string hashes are salted
+    per process, so the cached hash may not travel with the pickle."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    blob = tmp_path / "term.pickle"
+
+    def run(seed: str, mode: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-c", _PICKLE_SCRIPT, mode, str(blob)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    dumped = run("1", "dump")
+    assert dumped.returncode == 0, dumped.stderr
+    loaded = run("2", "load")
+    assert loaded.returncode == 0, loaded.stderr
+    assert loaded.stdout.strip() == "ok"
+
+
+def test_unpickling_drops_a_hash_cached_by_an_older_pickle(monkeypatch):
+    """Derivation-cache entries written before the cache was excluded
+    from pickling carry it; reading one must not revive it."""
+    import pickle
+
+    from repro.pepa.syntax import _CachedHash
+
+    term = Cell("F", Const("Abc"))
+    object.__setattr__(term, "_hash_cache", 12345)
+    with monkeypatch.context() as patched:
+        patched.setattr(_CachedHash, "__getstate__", lambda self: dict(self.__dict__))
+        blob = pickle.dumps(term)
+    loaded = pickle.loads(blob)
+    assert "_hash_cache" not in vars(loaded)
+    assert hash(loaded) == hash(Cell("F", Const("Abc")))

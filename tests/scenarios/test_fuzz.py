@@ -66,6 +66,21 @@ class TestOracleSensitivity:
         assert any("throughput" in m.field or "location" in m.field
                    for m in mismatches)
 
+    def test_detects_compiled_divergence_below_tolerance(self, monkeypatch):
+        """The compiled marking space must equal the term-level reference
+        exactly; a rate nudge far inside the 1e-8 measure tolerance, on
+        both paths alike, is still a finding."""
+        from repro.pepanets.compiled import CompiledNet
+
+        original = CompiledNet.successors
+
+        def nudged(self, state):
+            return [(a, r * (1 + 1e-12), t) for a, r, t in original(self, state)]
+
+        monkeypatch.setattr(CompiledNet, "successors", nudged)
+        mismatches = compare_spec(generate_scenario(3).spec)
+        assert [m.field for m in mismatches] == ["compiled-arcs"]
+
     def test_detects_pipeline_crash_as_finding(self, monkeypatch):
         from repro.exceptions import ExtractionError
 
