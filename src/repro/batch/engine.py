@@ -175,7 +175,8 @@ class BatchResult:
 
     ``measures`` is the deterministic, JSON-able outcome; ``trace`` /
     ``metrics`` / ``events`` are the worker's observability snapshots
-    for this task; ``cache`` is the task's hit/miss delta.
+    for this task, and ``events_dropped`` counts the events its bounded
+    stream evicted; ``cache`` is the task's hit/miss delta.
     ``attempts`` counts executions (1 in a healthy run);
     ``quarantined`` marks a task that exhausted its attempts crashing
     or hanging; ``error_context`` carries the structured
@@ -194,6 +195,7 @@ class BatchResult:
     trace: dict[str, Any] = field(default_factory=lambda: {"schema": "repro-trace/1", "traces": []})
     metrics: dict[str, Any] = field(default_factory=lambda: {"schema": "repro-metrics/1", "metrics": {}})
     events: list[dict[str, Any]] = field(default_factory=list)
+    events_dropped: int = 0
     cache: dict[str, int] = field(default_factory=dict)
     attempts: int = 1
     quarantined: bool = False
@@ -322,6 +324,7 @@ def execute_task(
         trace=obs.tracer.to_dict(),
         metrics=obs.metrics.as_dict(),
         events=obs.events.to_dicts(),
+        events_dropped=obs.events.dropped,
         cache=_cache_delta(stats_before, stats_after),
         attempts=attempt,
         error_context=error_context,
@@ -389,6 +392,11 @@ class BatchReport:
     def retries(self) -> int:
         """Extra attempts spent across the whole run (0 when healthy)."""
         return sum(result.attempts - 1 for result in self.results)
+
+    @property
+    def events_dropped(self) -> int:
+        """Events the tasks' bounded streams evicted, over the whole run."""
+        return sum(result.events_dropped for result in self.results)
 
     # ------------------------------------------------------------------
     # Merged observability views (task order ⇒ deterministic)

@@ -103,6 +103,7 @@ def result_to_dict(result) -> dict[str, Any]:
         "trace": result.trace,
         "metrics": result.metrics,
         "events": result.events,
+        "events_dropped": result.events_dropped,
         "cache": result.cache,
         "profile": result.profile,
     }
@@ -125,6 +126,7 @@ def result_from_dict(document: dict[str, Any]):
         trace=document.get("trace", {"schema": "repro-trace/1", "traces": []}),
         metrics=document.get("metrics", {"schema": "repro-metrics/1", "metrics": {}}),
         events=document.get("events", []),
+        events_dropped=document.get("events_dropped", 0),
         cache=document.get("cache", {}),
         profile=document.get("profile", {}),
     )

@@ -8,6 +8,8 @@ Sub-commands mirror the tool-chain stages::
     choreographer fluid model.pepa --replicas 100000
     choreographer net model.pepanet --export-prism out/model
     choreographer validate model.xmi
+    choreographer pepa model.pepa --ledger runs --profile
+    choreographer runs --ledger runs explain
 """
 
 from __future__ import annotations
@@ -50,23 +52,21 @@ def build_parser() -> argparse.ArgumentParser:
         """Run-ledger + profiler flags shared by every run-producing command."""
         cmd.add_argument(
             "--ledger", type=Path, metavar="DIR",
-            help="record this invocation as a repro-run/1 document in the "
-                 "repro-runs/1 ledger at DIR (query with 'choreographer runs')")
+            help="record this invocation (spans, metrics, events, profile) "
+                 "as one repro-run/1 document in the repro-runs/1 ledger at "
+                 "DIR; read it back with 'choreographer runs'")
         cmd.add_argument(
             "--profile", action="store_true",
             help="sample the run with the wall-clock profiler (statistical, "
-                 "low overhead; off by default)")
+                 "low overhead; off by default; needs --ledger)")
         cmd.add_argument(
             "--profile-interval", type=float, metavar="SECONDS",
-            help="profiler sampling period (default: 0.005)")
+            help="profiler sampling period (default: 0.005; needs --ledger)")
         cmd.add_argument(
             "--profile-memory", action="store_true",
             help="also stamp spans with tracemalloc allocation/peak deltas "
-                 "(exact but measurably slower; implies --profile)")
-        cmd.add_argument(
-            "--profile-out", type=Path, metavar="FILE",
-            help="write collapsed-stack samples here "
-                 "(flamegraph.pl / speedscope format)")
+                 "(exact but measurably slower; implies --profile; needs "
+                 "--ledger)")
 
     def add_solver_flag(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
@@ -83,17 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "-v", "--verbose", action="store_true",
             help="print the solver attempt table (SolveDiagnostics)")
-        cmd.add_argument(
-            "--trace", type=Path, metavar="FILE",
-            help="record a span trace of the run and write it as JSON")
-        cmd.add_argument(
-            "--metrics", action="store_true",
-            help="collect pipeline metrics (states, iterations, residuals) "
-                 "and print them after the run")
-        cmd.add_argument(
-            "--events", type=Path, metavar="FILE",
-            help="record solver convergence / exploration progress events "
-                 "and write them as JSON Lines")
         add_warehouse_flags(cmd)
 
     analyse = sub.add_parser("analyse", help="run the full Figure 4 pipeline on an XMI file")
@@ -274,28 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--measures", type=Path, metavar="FILE",
         help="write the canonical, schedule-independent measures JSON here "
              "(byte-identical across --jobs settings)")
-    batch.add_argument(
-        "--trace", type=Path, metavar="FILE",
-        help="write the merged repro-trace/1 span forest (all tasks, task order)")
-    batch.add_argument(
-        "--events", type=Path, metavar="FILE",
-        help="write the merged, task-tagged event stream as JSON Lines")
     add_warehouse_flags(batch)
-
-    analyze = sub.add_parser(
-        "analyze-trace",
-        help="critical path and per-span profile of a --trace JSON file",
-    )
-    # dest avoids colliding with the shared --trace recording flag
-    analyze.add_argument("trace_file", type=Path, metavar="TRACE",
-                         help="repro-trace/1 JSON file")
-
-    diff = sub.add_parser(
-        "diff-trace",
-        help="per-span-name time deltas between two --trace JSON files",
-    )
-    diff.add_argument("base", type=Path, help="baseline repro-trace/1 JSON file")
-    diff.add_argument("new", type=Path, help="current repro-trace/1 JSON file")
 
     fuzz = sub.add_parser(
         "fuzz",
@@ -350,6 +318,12 @@ def build_parser() -> argparse.ArgumentParser:
     runs_show.add_argument("run_id", nargs="?", default=None,
                            help="run id (default: the newest run)")
 
+    runs_explain = runs_sub.add_parser(
+        "explain",
+        help="critical path, per-span profile and metrics of one run")
+    runs_explain.add_argument("run_id", nargs="?", default=None,
+                              help="run id (default: the newest run)")
+
     runs_compare = runs_sub.add_parser(
         "compare",
         help="span-time regression gate between two recorded runs of "
@@ -385,12 +359,13 @@ def build_parser() -> argparse.ArgumentParser:
     runs_export.add_argument("run_id", nargs="?", default=None,
                              help="run id (default: the newest run)")
     runs_export.add_argument("--chrome", type=Path, metavar="FILE",
-                             help="Chrome Trace Event JSON (Perfetto-loadable; "
-                                  "needs a run recorded with an embedded trace)")
+                             help="Chrome Trace Event JSON of the run's spans, "
+                                  "events and profile (Perfetto-loadable)")
     runs_export.add_argument("--prometheus", type=Path, metavar="FILE",
                              help="Prometheus text exposition of the run's metrics")
     runs_export.add_argument("--collapsed", type=Path, metavar="FILE",
-                             help="collapsed-stack profiler samples")
+                             help="collapsed-stack profiler samples "
+                                  "(flamegraph.pl / speedscope format)")
 
     runs_prune = runs_sub.add_parser("prune", help="delete all but the newest runs")
     runs_prune.add_argument("--keep", type=int, required=True, metavar="N")
@@ -408,8 +383,7 @@ def _profile_config(args: argparse.Namespace):
 
     if not (getattr(args, "profile", False)
             or getattr(args, "profile_memory", False)
-            or getattr(args, "profile_interval", None) is not None
-            or getattr(args, "profile_out", None) is not None):
+            or getattr(args, "profile_interval", None) is not None):
         return None
     return ProfileConfig(
         interval=getattr(args, "profile_interval", None) or DEFAULT_INTERVAL,
@@ -703,13 +677,12 @@ def _batch_tasks(args: argparse.Namespace) -> list:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    import json
     import time
 
     from repro.batch import BatchEngine
     from repro.batch.engine import RetryPolicy
     from repro.batch.journal import tasks_fingerprint
-    from repro.obs import RunLedger, build_run_document, collapsed_text
+    from repro.obs import RunLedger, build_run_document
     from repro.resilience.budget import BudgetSpec
     from repro.resilience.faultinject import BatchFaultPlan
 
@@ -754,34 +727,17 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if args.measures:
         args.measures.write_text(report.measures_json())
         print(f"measures written to {args.measures}", file=sys.stderr)
-    if args.trace:
-        document = report.merged_trace()
-        document["metrics"] = report.merged_metrics()["metrics"]
-        args.trace.write_text(json.dumps(document, indent=2, default=str) + "\n")
-        print(f"merged trace written to {args.trace}", file=sys.stderr)
-    if args.events:
-        events = report.merged_events()
-        with open(args.events, "w") as fh:
-            fh.write(json.dumps(
-                {"schema": "repro-events/1", "events": len(events), "dropped": 0}
-            ) + "\n")
-            for record in events:
-                fh.write(json.dumps(record, default=str) + "\n")
-        print(f"{len(events)} events written to {args.events}", file=sys.stderr)
-    merged_profile = report.merged_profile()
-    if args.profile_out:
-        args.profile_out.write_text(collapsed_text(merged_profile))
-        print(f"collapsed profile written to {args.profile_out}", file=sys.stderr)
     if args.ledger:
         document = build_run_document(
             command="batch",
             created_unix=created_unix,
             config=_ledger_config(args),
             tasks_fingerprint=tasks_fingerprint(tasks) if tasks else None,
-            tracer=report.merged_trace(),
+            trace=report.merged_trace(),
             metrics=report.merged_metrics(),
             events=report.merged_events(),
-            profile=merged_profile,
+            events_dropped=report.events_dropped,
+            profile=report.merged_profile(),
             cache=report.cache_totals(),
             incidents=report.incidents,
             extra={
@@ -816,62 +772,32 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_analyze_trace(args: argparse.Namespace) -> int:
-    from repro.obs import (
-        aggregate_spans, critical_path, load_trace, render_aggregate,
-        render_critical_path,
-    )
-
-    document = load_trace(args.trace_file)
-    print(render_critical_path(critical_path(document)))
-    print()
-    print(render_aggregate(aggregate_spans(document)))
-    return 0
-
-
-def _cmd_diff_trace(args: argparse.Namespace) -> int:
-    from repro.obs import diff_traces, load_trace, render_trace_diff
-
-    print(render_trace_diff(diff_traces(load_trace(args.base),
-                                        load_trace(args.new))))
-    return 0
-
-
 def _run_observed(handler, args: argparse.Namespace) -> int:
-    """Run a handler under live collectors when requested.
+    """Run a handler; with ``--ledger DIR``, record it as one run document.
 
-    The handler runs inside one ``cli.<command>`` root span, so the
-    recorded trace is one tree and the stage spans are its children.
-    ``--trace FILE`` serialises the span forest (plus any metrics) as
-    JSON; ``--metrics`` prints the metrics table after the run;
-    ``--events FILE`` records per-iteration solver convergence and
-    exploration progress events as JSON Lines; ``--profile`` samples
-    the run (``--profile-out FILE`` keeps the collapsed stacks);
-    ``--ledger DIR`` records the whole invocation as a run document.
-    All artefacts are still emitted when the handler raises, so failed
-    runs leave evidence behind.
+    The recorded handler runs under live collectors, inside one
+    ``cli.<command>`` root span, so the trace is one tree and the stage
+    spans are its children.  The run document carries that trace, its
+    span aggregates, the metrics snapshot, every buffered event and,
+    under ``--profile``, the sampled stacks.  It is recorded even when
+    the handler raises, so failed runs leave evidence behind.
     """
+    ledger_dir = getattr(args, "ledger", None)
+    if ledger_dir is None:
+        return handler(args)
+
     import time
     from contextlib import nullcontext
 
     from repro.obs import (
-        NULL_EVENTS, EventStream, MetricsRegistry, ObsContext, RunLedger,
-        SamplingProfiler, SpanResourceProbe, Tracer, build_run_document,
-        render_metrics, use_obs, write_events_jsonl, write_trace_file,
+        EventStream, MetricsRegistry, ObsContext, RunLedger, SamplingProfiler,
+        SpanResourceProbe, Tracer, build_run_document, use_obs,
     )
 
-    trace_path = getattr(args, "trace", None)
-    want_metrics = getattr(args, "metrics", False)
-    events_path = getattr(args, "events", None)
-    ledger_dir = getattr(args, "ledger", None)
-    profile_out = getattr(args, "profile_out", None)
     config = _profile_config(args)
-    if not any((trace_path, want_metrics, events_path, ledger_dir, config)):
-        return handler(args)
     created_unix = time.time()
     probe = SpanResourceProbe(memory=config.memory) if config is not None else None
-    tracer, metrics = Tracer(probe=probe), MetricsRegistry()
-    events = EventStream() if (events_path or ledger_dir) else NULL_EVENTS
+    tracer, metrics, events = Tracer(probe=probe), MetricsRegistry(), EventStream()
     profiler = SamplingProfiler(config.interval) if config is not None else None
     exit_code: int | None = None
     try:
@@ -886,41 +812,31 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     finally:
         if probe is not None:
             probe.close()
-        if trace_path:
-            write_trace_file(trace_path, tracer, metrics)
-            print(f"trace written to {trace_path}", file=sys.stderr)
-        if events_path:
-            count = write_events_jsonl(events_path, events)
-            print(f"{count} events written to {events_path}", file=sys.stderr)
-        if profiler is not None and profile_out:
-            profile_out.write_text(profiler.collapsed())
-            print(f"collapsed profile written to {profile_out}", file=sys.stderr)
-        if want_metrics:
-            print(render_metrics(metrics))
-        if ledger_dir:
-            document = build_run_document(
-                command=args.command,
-                created_unix=created_unix,
-                config=_ledger_config(args),
-                tracer=tracer,
-                metrics=metrics,
-                events=events,
-                profile=profiler.to_dict() if profiler is not None else None,
-                trace=tracer.to_dict(),
-                extra={"exit_code": exit_code},
-            )
-            run_id = RunLedger(ledger_dir).record(document)
-            print(f"run {run_id} recorded in ledger {ledger_dir}",
-                  file=sys.stderr)
+        document = build_run_document(
+            command=args.command,
+            created_unix=created_unix,
+            config=_ledger_config(args),
+            trace=tracer.to_dict(),
+            metrics=metrics.as_dict(),
+            events=events.to_dicts(),
+            events_dropped=events.dropped,
+            profile=profiler.to_dict() if profiler is not None else None,
+            extra={"exit_code": exit_code},
+        )
+        run_id = RunLedger(ledger_dir).record(document)
+        print(f"run {run_id} recorded in ledger {ledger_dir}", file=sys.stderr)
 
 
 def _cmd_runs(args: argparse.Namespace) -> int:
-    """The ledger query surface: list/show/compare/trend/export/prune."""
+    """The ledger query surface: list/show/explain/compare/trend/export/prune."""
     import json
     from datetime import datetime, timezone
 
-    from repro.obs import RunLedger, collapsed_text, prometheus_text
-    from repro.obs.export import write_chrome_trace
+    from repro.obs import (
+        RunLedger, collapsed_text, critical_path, prometheus_text,
+        render_aggregate, render_critical_path, render_metrics,
+        write_chrome_trace,
+    )
     from repro.obs.regress import (
         DEFAULT_MIN_SECONDS, DEFAULT_THRESHOLD, detect_trend, trend_markdown,
     )
@@ -960,8 +876,27 @@ def _cmd_runs(args: argparse.Namespace) -> int:
         ))
         return 0
 
+    def _trace_of(document: dict) -> dict | None:
+        if "trace" not in document:
+            print(f"error: run {document.get('run_id')} embeds no trace; "
+                  "record it with --ledger on a run-producing command",
+                  file=sys.stderr)
+        return document.get("trace")
+
     if args.runs_command == "show":
         print(json.dumps(_load(args.run_id), sort_keys=True, indent=2))
+        return 0
+
+    if args.runs_command == "explain":
+        document = _load(args.run_id)
+        trace = _trace_of(document)
+        if trace is None:
+            return 2
+        print(render_critical_path(critical_path(trace)))
+        print()
+        print(render_aggregate(document["spans"]))
+        print()
+        print(render_metrics(document.get("metrics", {})))
         return 0
 
     if args.runs_command in ("compare", "trend"):
@@ -992,13 +927,12 @@ def _cmd_runs(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         if args.chrome:
-            if "trace" not in document:
-                print(f"error: run {document.get('run_id')} embeds no trace; "
-                      "record it with --ledger on a run-producing command",
-                      file=sys.stderr)
+            trace = _trace_of(document)
+            if trace is None:
                 return 2
             count = write_chrome_trace(
-                args.chrome, document["trace"],
+                args.chrome, trace,
+                events=document.get("events", {}).get("records"),
                 profile=document.get("profile"),
             )
             print(f"{count} Chrome trace events written to {args.chrome}")
@@ -1028,7 +962,13 @@ def _cmd_runs(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point: dispatch a sub-command, mapping library errors to exit code 2."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if _profile_config(args) is not None and getattr(args, "ledger", None) is None:
+        # the profile lands in the run document; with no ledger it has
+        # nowhere to go
+        parser.error("--profile, --profile-interval and --profile-memory "
+                     "require --ledger")
     handlers = {
         "analyse": _cmd_analyse,
         "pepa": _cmd_pepa,
@@ -1041,15 +981,12 @@ def main(argv: list[str] | None = None) -> int:
         "dot": _cmd_dot,
         "batch": _cmd_batch,
         "fuzz": _cmd_fuzz,
-        "analyze-trace": _cmd_analyze_trace,
-        "diff-trace": _cmd_diff_trace,
         "runs": _cmd_runs,
     }
     try:
         if args.command in ("batch", "runs"):
-            # batch owns --trace/--events/--ledger itself: they name
-            # *merged* artefacts over every task, not a single-run
-            # recording; runs *queries* a ledger rather than filling one
+            # batch records its own --ledger document, merged over every
+            # task; runs *queries* a ledger rather than filling one
             return handlers[args.command](args)
         return _run_observed(handlers[args.command], args)
     except ReproError as exc:

@@ -5,8 +5,9 @@ The numerical representation dominates the cost of the whole pipeline
 visible: hierarchical wall-clock spans over every stage (parse, derive,
 assemble, solve, reflect), a metrics registry for the vital counts
 (``states_explored``, ``transitions``, ``solver_iterations``,
-``spmv_count``, ``residual``), and exporters to JSON and terminal
-trees.
+``spmv_count``, ``residual``), exporters to terminal trees and
+standard formats, and one ``repro-run/1`` document per recorded run
+(:mod:`repro.obs.ledger`).
 
 Everything is off by default and zero-cost when off: instrumented code
 routes through :func:`get_tracer` / :func:`get_metrics` /
@@ -20,7 +21,7 @@ collectors::
     with use_obs(ObsContext(tracer=tracer, metrics=metrics)):
         analysis = workbench.solve_source(source)
     print(render_trace(tracer))
-    print(render_metrics(metrics))
+    print(render_metrics(metrics.as_dict()["metrics"]))
 
 :func:`observe` installs a fresh tracer + registry for the common case.
 """
@@ -30,11 +31,8 @@ from __future__ import annotations
 from repro.obs.analysis import (
     aggregate_spans,
     critical_path,
-    diff_traces,
-    load_trace,
     render_aggregate,
     render_critical_path,
-    render_trace_diff,
 )
 from repro.obs.context import (
     ObsContext,
@@ -51,19 +49,13 @@ from repro.obs.events import (
     Event,
     EventStream,
     NullEventStream,
-    read_events_jsonl,
-    write_events_jsonl,
 )
 from repro.obs.export import (
     chrome_trace_document,
-    metrics_to_json,
     prometheus_text,
     render_metrics,
     render_trace,
-    trace_to_json,
     write_chrome_trace,
-    write_prometheus_file,
-    write_trace_file,
 )
 from repro.obs.ledger import RunLedger, build_run_document
 from repro.obs.merge import merge_events, merge_metrics, merge_profiles, merge_traces
@@ -107,21 +99,15 @@ __all__ = [
     "NullEventStream",
     "NULL_EVENTS",
     "DEFAULT_CAPACITY",
-    "write_events_jsonl",
-    "read_events_jsonl",
     "merge_metrics",
     "merge_traces",
     "merge_events",
     "merge_profiles",
-    "trace_to_json",
-    "metrics_to_json",
     "render_trace",
     "render_metrics",
-    "write_trace_file",
     "chrome_trace_document",
     "write_chrome_trace",
     "prometheus_text",
-    "write_prometheus_file",
     "nearest_rank",
     "RunLedger",
     "build_run_document",
@@ -131,9 +117,6 @@ __all__ = [
     "collapsed_text",
     "critical_path",
     "aggregate_spans",
-    "diff_traces",
-    "load_trace",
     "render_critical_path",
     "render_aggregate",
-    "render_trace_diff",
 ]

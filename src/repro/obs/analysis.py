@@ -1,28 +1,25 @@
-"""Trace analysis: critical paths, per-name aggregation, trace diffs.
+"""Trace analysis: critical paths and per-name aggregation.
 
 A raw span forest answers "where did the time go" only after staring at
 it; this module turns a trace — a live :class:`~repro.obs.tracing.Tracer`,
-a single :class:`~repro.obs.tracing.Span`, or a ``repro-trace/1`` JSON
-document loaded from disk — into three directly actionable views:
+a single :class:`~repro.obs.tracing.Span`, or the ``repro-trace/1``
+forest a run document embeds — into two directly actionable views:
 
 * :func:`critical_path` — the chain of heaviest spans from the heaviest
   root down, with per-span self time, i.e. "the one stack that bounds
   the run";
 * :func:`aggregate_spans` — per-span-name count / total / mean / p95 /
-  max over the whole forest, the profile view;
-* :func:`diff_traces` — per-span-name total-time deltas between two
-  traces of the same pipeline, the "what changed since the last PR"
-  view (:mod:`repro.obs.regress` judges the same per-span totals
-  across a ledger's run history).
+  max over the whole forest, the profile view every run document
+  stores as its ``spans`` section (:mod:`repro.obs.regress` judges
+  those totals across a ledger's run history).
 
-All three accept any trace form and return plain data; the ``render_*``
-companions format them for terminals, and the Choreographer CLI exposes
-them as ``analyze-trace`` / ``diff-trace``.
+Both accept any trace form and return plain data; the ``render_*``
+companions format them for terminals, and ``choreographer runs
+explain`` prints both for a recorded run.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.obs.metrics import nearest_rank
@@ -32,23 +29,9 @@ from repro.utils.formatting import format_table
 __all__ = [
     "critical_path",
     "aggregate_spans",
-    "diff_traces",
-    "load_trace",
     "render_critical_path",
     "render_aggregate",
-    "render_trace_diff",
 ]
-
-TRACE_SCHEMA = "repro-trace/1"
-
-
-def load_trace(path) -> dict[str, Any]:
-    """Read and schema-check a ``repro-trace/1`` JSON document."""
-    with open(path) as fh:
-        document = json.load(fh)
-    if not isinstance(document, dict) or document.get("schema") != TRACE_SCHEMA:
-        raise ValueError(f"{path}: not a {TRACE_SCHEMA} trace document")
-    return document
 
 
 def _roots_of(trace) -> list[dict[str, Any]]:
@@ -123,35 +106,8 @@ def aggregate_spans(trace) -> dict[str, dict[str, Any]]:
     return dict(sorted(out.items(), key=lambda kv: -kv[1]["total_s"]))
 
 
-def diff_traces(base, new) -> list[dict[str, Any]]:
-    """Per-span-name total-time deltas between two traces.
-
-    Each row has ``name``, ``base_s``, ``new_s``, ``delta_s`` and
-    ``ratio`` (``new/base``; ``None`` when the name is absent from one
-    side).  Rows are sorted by descending absolute delta, so the first
-    line is the biggest mover.
-    """
-    base_agg = aggregate_spans(base)
-    new_agg = aggregate_spans(new)
-    rows = []
-    for name in sorted(set(base_agg) | set(new_agg)):
-        base_s = base_agg.get(name, {}).get("total_s")
-        new_s = new_agg.get(name, {}).get("total_s")
-        delta = (new_s or 0.0) - (base_s or 0.0)
-        ratio = new_s / base_s if base_s and new_s is not None else None
-        rows.append({
-            "name": name,
-            "base_s": base_s,
-            "new_s": new_s,
-            "delta_s": delta,
-            "ratio": ratio,
-        })
-    rows.sort(key=lambda r: -abs(r["delta_s"]))
-    return rows
-
-
-def _ms(seconds: float | None) -> str:
-    return "-" if seconds is None else f"{seconds * 1e3:.3f}"
+def _ms(seconds: float) -> str:
+    return f"{seconds * 1e3:.3f}"
 
 
 def render_critical_path(path: list[dict[str, Any]]) -> str:
@@ -168,29 +124,19 @@ def render_critical_path(path: list[dict[str, Any]]) -> str:
 
 
 def render_aggregate(aggregate: dict[str, dict[str, Any]]) -> str:
-    """The per-name aggregation as an aligned table (times in ms)."""
+    """The per-name aggregation as an aligned table (times in ms).
+
+    Rows run heaviest first, ties by name, whatever order the mapping
+    arrives in: a stored run document keeps its ``spans`` keyed by name.
+    """
     if not aggregate:
         return "(empty trace)"
     rows = [
         [name, s["count"], _ms(s["total_s"]), _ms(s["mean_s"]),
          _ms(s["p95_s"]), _ms(s["max_s"])]
-        for name, s in aggregate.items()
+        for name, s in sorted(aggregate.items(),
+                              key=lambda kv: (-kv[1]["total_s"], kv[0]))
     ]
     return format_table(
         ["span", "count", "total ms", "mean ms", "p95 ms", "max ms"], rows
-    )
-
-
-def render_trace_diff(rows: list[dict[str, Any]]) -> str:
-    """The trace diff as an aligned table, biggest mover first."""
-    if not rows:
-        return "(both traces empty)"
-    table = [
-        [r["name"], _ms(r["base_s"]), _ms(r["new_s"]),
-         f"{r['delta_s'] * 1e3:+.3f}",
-         "-" if r["ratio"] is None else f"{r['ratio']:.2f}x"]
-        for r in rows
-    ]
-    return format_table(
-        ["span", "base ms", "new ms", "delta ms", "ratio"], table
     )

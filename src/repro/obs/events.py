@@ -23,20 +23,20 @@ the oldest events are evicted and counted in :attr:`EventStream.dropped`
 the tail (the interesting part of a convergence history) is what
 survives.
 
-Serialisation is JSON Lines, one event per line, so streams concatenate
-and stream through standard tooling::
+A run document (:func:`repro.obs.build_run_document`) stores the
+stream as flat dicts in ``events.records``, next to the eviction
+count::
 
     stream = EventStream()
     with use_obs(ObsContext(events=stream)):
         steady_state(chain, method="gmres")
-    write_events_jsonl("events.jsonl", stream)
-    # {"event": "solver.convergence", "t_s": 0.0012, "solver": "gmres",
-    #  "iteration": 1, "residual": 3.2e-05}
+    stream.to_dicts()
+    # [{"event": "solver.convergence", "t_s": 0.0012, "solver": "gmres",
+    #   "iteration": 1, "residual": 3.2e-05}, ...]
 """
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 from typing import Any, Iterator
@@ -47,8 +47,6 @@ __all__ = [
     "NullEventStream",
     "NULL_EVENTS",
     "DEFAULT_CAPACITY",
-    "write_events_jsonl",
-    "read_events_jsonl",
 ]
 
 #: Default bound on buffered events; old events are evicted (and
@@ -162,29 +160,3 @@ class NullEventStream:
 
 #: The process-wide default: event recording off.
 NULL_EVENTS = NullEventStream()
-
-
-def write_events_jsonl(path, stream: EventStream | NullEventStream) -> int:
-    """Serialise the stream as JSON Lines; returns the event count.
-
-    A header line records the schema and how many events were evicted
-    from the bounded buffer, so a truncated history is never mistaken
-    for a complete one.
-    """
-    dicts = stream.to_dicts()
-    with open(path, "w") as fh:
-        header = {"schema": "repro-events/1", "events": len(dicts),
-                  "dropped": stream.dropped}
-        fh.write(json.dumps(header) + "\n")
-        for record in dicts:
-            fh.write(json.dumps(record, default=str) + "\n")
-    return len(dicts)
-
-
-def read_events_jsonl(path) -> tuple[dict[str, Any], list[dict[str, Any]]]:
-    """Parse a JSONL event file back into ``(header, events)``."""
-    with open(path) as fh:
-        lines = [json.loads(line) for line in fh if line.strip()]
-    if not lines or lines[0].get("schema") != "repro-events/1":
-        raise ValueError(f"{path}: not a repro-events/1 JSONL file")
-    return lines[0], lines[1:]

@@ -1,13 +1,14 @@
-"""Exporters: trace/metric state to JSON documents and terminal text.
+"""Exporters: trace/metric state to terminal text and standard formats.
 
-Three audiences:
+The machine-readable form of a run is its ``repro-run/1`` document
+(:mod:`repro.obs.ledger`), built from :meth:`Tracer.to_dict` /
+:meth:`MetricsRegistry.as_dict` snapshots.  This module serves two
+other audiences:
 
-* machines — :func:`trace_to_json` / :func:`metrics_to_json` produce
-  schema-versioned dicts (``repro-trace/1``, ``repro-metrics/1``) that
-  the CLI ``--trace FILE`` flag and the run ledger serialise;
 * humans — :func:`render_trace` draws the span forest as an indented
-  tree with durations and attributes, :func:`render_metrics` an aligned
-  table, both plain ASCII-art suitable for a terminal or a CI log;
+  tree with durations and attributes, :func:`render_metrics` a metrics
+  snapshot as an aligned table, both plain ASCII-art suitable for a
+  terminal or a CI log;
 * standard tooling — :func:`chrome_trace_document` renders a run as
   Chrome Trace Event Format (load it in Perfetto / ``chrome://tracing``:
   spans as duration events, solver/exploration/batch events as
@@ -22,42 +23,17 @@ import json
 import re
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry, NullMetrics
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NullTracer, Span, Tracer
 from repro.utils.formatting import format_table
 
 __all__ = [
-    "trace_to_json",
-    "metrics_to_json",
     "render_trace",
     "render_metrics",
-    "write_trace_file",
     "chrome_trace_document",
     "write_chrome_trace",
     "prometheus_text",
-    "write_prometheus_file",
 ]
-
-
-def trace_to_json(tracer: Tracer | NullTracer) -> dict[str, Any]:
-    """The tracer's span forest as a schema-versioned JSON-ready dict."""
-    return tracer.to_dict()
-
-
-def metrics_to_json(registry: MetricsRegistry | NullMetrics) -> dict[str, Any]:
-    """The registry's snapshot as a schema-versioned JSON-ready dict."""
-    return registry.as_dict()
-
-
-def write_trace_file(path, tracer: Tracer | NullTracer,
-                     metrics: MetricsRegistry | NullMetrics | None = None) -> None:
-    """Serialise the trace (and optional metrics) to one JSON file."""
-    document: dict[str, Any] = trace_to_json(tracer)
-    if metrics is not None:
-        document["metrics"] = metrics_to_json(metrics)["metrics"]
-    with open(path, "w") as fh:
-        json.dump(document, fh, indent=2, default=str)
-        fh.write("\n")
 
 
 def _format_value(value: Any) -> str:
@@ -95,9 +71,12 @@ def render_trace(tracer: Tracer | NullTracer) -> str:
     return "\n".join(lines)
 
 
-def render_metrics(registry: MetricsRegistry | NullMetrics) -> str:
-    """The registry as an aligned name/type/value table."""
-    snapshot = registry.as_dict()["metrics"]
+def render_metrics(snapshot: dict[str, dict[str, Any]]) -> str:
+    """A metrics snapshot as an aligned name/type/value table.
+
+    ``snapshot`` is the ``{name: instrument}`` mapping a run document
+    stores as ``metrics`` (``MetricsRegistry.as_dict()["metrics"]``).
+    """
     if not snapshot:
         return "(no metrics recorded)"
     rows = []
@@ -158,10 +137,10 @@ def chrome_trace_document(trace, events=None, profile=None) -> dict[str, Any]:
     ``trace`` is a live tracer or a ``repro-trace/1`` document (merged
     batch traces included — per-span ``pid``/``tid`` keep worker
     attribution).  Spans render as duration events (``ph: "X"``); the
-    optional ``events`` (an :class:`~repro.obs.events.EventStream` or a
-    flat event-dict list, e.g. ``solver.convergence`` /
-    ``explore.progress`` / ``batch.*``) render as thread-scoped
-    instants (``ph: "i"``); the optional ``profile`` (a
+    optional ``events`` (flat event records, e.g. a run document's
+    ``events.records``: ``solver.convergence`` / ``explore.progress`` /
+    ``batch.*``) render as thread-scoped instants (``ph: "i"``); the
+    optional ``profile`` (a
     :class:`~repro.obs.profile.SamplingProfiler` or its
     ``repro-profile/1`` dict) renders its timeline as a sampled track
     (``ph: "P"``).  Every emitted event carries the format's required
@@ -179,15 +158,13 @@ def chrome_trace_document(trace, events=None, profile=None) -> dict[str, Any]:
     )
     base_pid = int(roots[0].get("pid", 0)) if roots else 0
 
-    if events is not None:
-        flat = events if isinstance(events, list) else events.to_dicts()
-        if flat:
-            trace_events.append({
-                "name": "thread_name", "ph": "M", "ts": 0,
-                "pid": base_pid, "tid": 1_000_001,
-                "args": {"name": "events"},
-            })
-        for event in flat:
+    if events:
+        trace_events.append({
+            "name": "thread_name", "ph": "M", "ts": 0,
+            "pid": base_pid, "tid": 1_000_001,
+            "args": {"name": "events"},
+        })
+        for event in events:
             fields = {k: v for k, v in event.items()
                       if k not in ("event", "t_s")}
             trace_events.append({
@@ -299,9 +276,3 @@ def prometheus_text(metrics) -> str:
                     lines.append(f"# TYPE {prom}_{bound} gauge")
                     lines.append(f"{prom}_{bound} {_prom_value(data[bound])}")
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def write_prometheus_file(path, metrics) -> None:
-    """Serialise :func:`prometheus_text` to ``path``."""
-    with open(path, "w") as fh:
-        fh.write(prometheus_text(metrics))

@@ -7,11 +7,12 @@ on-disk store (format ``repro-runs/1``) of **run documents** — one
 invocation, carrying the run's identity (command, label, wall-clock
 timestamp passed in from the entrypoint, config fingerprint via
 :func:`repro.core.keys.stable_digest`, host info), its per-span
-aggregates, metrics snapshot, event/cache/incident statistics and
-profiler samples — so ``choreographer runs
-list|show|compare|trend|export`` can answer "how has this pipeline
-been behaving?" across days of history instead of one process
-lifetime.
+aggregates and full span forest, metrics snapshot, event records,
+cache/incident statistics and profiler samples — so ``choreographer
+runs list|show|explain|compare|trend|export`` can answer "where did
+this run's time go?" and "how has this pipeline been behaving?"
+across days of history instead of one process lifetime.  The document
+is the only thing a run records.
 
 Storage discipline follows :mod:`repro.batch.cache`: documents are
 serialised fully before touching the store, published with a temp file
@@ -192,25 +193,28 @@ def build_run_document(
     label: str | None = None,
     config: dict[str, Any] | None = None,
     tasks_fingerprint: str | None = None,
-    tracer=None,
-    metrics=None,
-    events=None,
+    trace: dict[str, Any] | None = None,
+    metrics: dict[str, Any] | None = None,
+    events: list[dict[str, Any]] | None = None,
+    events_dropped: int = 0,
     profile: dict[str, Any] | None = None,
     cache: dict[str, int] | None = None,
     incidents: list[dict[str, Any]] | None = None,
-    trace: dict[str, Any] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
-    """Assemble one ``repro-run/1`` document from a run's artefacts.
+    """Assemble one ``repro-run/1`` document from a run's snapshots.
 
-    ``created_unix`` is the wall-clock timestamp the *entrypoint*
-    observed (defaults to now); ``config`` is fingerprinted via
-    :func:`~repro.core.keys.stable_digest` so ``runs trend`` can group
-    comparable runs.  ``tracer``/``metrics``/``events`` contribute
-    their aggregate views (per-span aggregates, metrics snapshot, event
-    counts); pass ``trace`` to additionally embed the full span forest
-    (what ``runs export --chrome`` replays) and ``profile`` a
-    ``repro-profile/1`` document.
+    Every argument is plain data.  ``created_unix`` is the wall-clock
+    timestamp the *entrypoint* observed (defaults to now); ``config`` is
+    fingerprinted via :func:`~repro.core.keys.stable_digest` so ``runs
+    trend`` can group comparable runs.  ``trace`` is a
+    ``repro-trace/1`` forest, embedded whole (what ``runs explain`` and
+    ``runs export --chrome`` replay) and aggregated per span name into
+    ``spans`` (what ``runs compare``/``trend`` judge); ``metrics`` a
+    ``repro-metrics/1`` snapshot; ``events`` the flat event dicts, kept
+    as ``events.records`` beside their count, the ``events_dropped``
+    evictions and a per-name tally; ``profile`` a ``repro-profile/1``
+    document, kept when it caught samples.
     """
     # Imported here, not at module top: repro.core pulls in the numeric
     # layers, which themselves import repro.obs for instrumentation.
@@ -230,33 +234,28 @@ def build_run_document(
     }
     if tasks_fingerprint is not None:
         document["tasks_fingerprint"] = tasks_fingerprint
-    if tracer is not None:
-        document["spans"] = aggregate_spans(tracer)
+    if trace is not None:
+        if trace.get("schema") != "repro-trace/1":
+            raise ValueError(
+                f"not a repro-trace/1 forest: schema={trace.get('schema')!r}"
+            )
+        document["trace"] = trace
+        document["spans"] = aggregate_spans(trace)
     if metrics is not None:
-        snapshot = metrics if isinstance(metrics, dict) else metrics.as_dict()
-        document["metrics"] = snapshot.get("metrics", {})
+        document["metrics"] = metrics.get("metrics", {})
     if events is not None:
-        if isinstance(events, list):
-            names: dict[str, int] = {}
-            for event in events:
-                name = str(event.get("event"))
-                names[name] = names.get(name, 0) + 1
-            document["events"] = {"count": len(events), "dropped": 0,
-                                  "by_name": names}
-        else:
-            names = {}
-            for event in events:
-                names[event.name] = names.get(event.name, 0) + 1
-            document["events"] = {"count": len(events),
-                                  "dropped": events.dropped, "by_name": names}
+        names: dict[str, int] = {}
+        for event in events:
+            name = str(event.get("event"))
+            names[name] = names.get(name, 0) + 1
+        document["events"] = {"count": len(events), "dropped": events_dropped,
+                              "by_name": names, "records": list(events)}
     if profile is not None and profile.get("sample_count"):
         document["profile"] = profile
     if cache:
         document["cache"] = dict(cache)
     if incidents:
         document["incidents"] = list(incidents)
-    if trace is not None:
-        document["trace"] = trace
     if extra:
         document.update(extra)
     return document

@@ -3,11 +3,11 @@
 The batch engine (:mod:`repro.batch.engine`) runs each task in its own
 process under a fresh tracer, metrics registry and event stream; what
 comes back over the pipe are their JSON-ready snapshots.  These
-functions fold any number of such snapshots into the single documents
-the rest of the tool chain already understands — ``repro-trace/1`` for
-``choreographer analyze-trace``/``diff-trace``, ``repro-metrics/1`` for
-the metrics table, flat event dicts for ``repro-events/1`` JSONL — so
-parallel runs are analysed with exactly the tools serial runs use.
+functions fold any number of such snapshots into the single sections
+a run document carries — a ``repro-trace/1`` forest, a
+``repro-metrics/1`` snapshot, flat task-tagged event records, a
+``repro-profile/1`` profile — so a parallel run is recorded, and read
+back through ``choreographer runs``, exactly like a serial one.
 
 Merging is deterministic: snapshots are folded in the order given
 (task-submission order, not completion order), counters and histograms
@@ -73,7 +73,7 @@ def merge_traces(documents: Iterable[dict[str, Any]]) -> dict[str, Any]:
 
     Each worker's roots (one per diagram/task) are appended in fold
     order, so the merged document reads like one long serial run and
-    ``analyze-trace`` aggregates across every worker.
+    its span aggregates cover every worker.
     """
     traces: list[dict[str, Any]] = []
     for document in documents:

@@ -20,6 +20,16 @@ def ok_task(value: int = 1) -> dict:
     return {"value": value}
 
 
+def emit_events(count: int) -> dict:
+    """Emit ``count`` events into the task's stream, then succeed."""
+    from repro.obs import get_events
+
+    stream = get_events()
+    for i in range(count):
+        stream.emit("chaos.tick", i=i)
+    return {"emitted": count}
+
+
 def fail_first_attempts(counter_dir: str, times: int, value: int = 7) -> dict:
     """Fail the first ``times`` invocations, then succeed.
 

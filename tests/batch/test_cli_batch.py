@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.choreographer.cli import main
-from repro.obs import read_events_jsonl
+from repro.obs import RunLedger
 
 PEPA_SRC = """
 r = 2.0;
@@ -80,21 +80,34 @@ def test_batch_without_inputs_exits_2(tmp_path, capsys):
     assert "nothing to do" in capsys.readouterr().err
 
 
-def test_batch_merged_artifacts_are_consumable(model_file, tmp_path):
-    trace_path = tmp_path / "trace.json"
-    events_path = tmp_path / "events.jsonl"
+def test_batch_merged_artifacts_are_consumable(model_file, tmp_path, capsys):
+    ledger = tmp_path / "runs"
     assert main([
         "batch", str(model_file),
         "--cache-dir", str(tmp_path / "cache"),
-        "--trace", str(trace_path), "--events", str(events_path),
+        "--ledger", str(ledger),
     ]) == 0
-    # The merged trace is a regular repro-trace/1 document...
-    assert main(["analyze-trace", str(trace_path)]) == 0
-    # ...and the merged events are regular repro-events/1 JSONL,
-    # task-tagged.
-    header, events = read_events_jsonl(events_path)
-    assert header["events"] == len(events)
-    assert all(event["task"] == "toy" for event in events)
+    document = RunLedger(ledger).latest()
+    # The merged trace is a regular repro-trace/1 forest that runs
+    # explain reads...
+    assert document["trace"]["schema"] == "repro-trace/1"
+    assert main(["runs", "--ledger", str(ledger), "explain"]) == 0
+    # ...and the merged events are regular flat records, task-tagged.
+    events = document["events"]
+    assert events["count"] == len(events["records"]) > 0
+    assert all(event["task"] == "toy" for event in events["records"])
+
+
+def test_batch_document_exports_to_chrome(model_file, tmp_path, capsys):
+    ledger = tmp_path / "runs"
+    assert main([
+        "batch", str(model_file), "--no-cache", "--ledger", str(ledger),
+    ]) == 0
+    chrome = tmp_path / "trace.chrome.json"
+    assert main(["runs", "--ledger", str(ledger), "export",
+                 "--chrome", str(chrome)]) == 0
+    phases = {event["ph"] for event in json.loads(chrome.read_text())["traceEvents"]}
+    assert {"X", "i"} <= phases  # spans and the events track
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,24 @@ def test_merged_events_are_task_tagged(tmp_path):
     assert task_sequence == sorted(task_sequence, key=["model", "e1"].index)
 
 
+def test_event_evictions_reach_the_run_document():
+    from repro.obs import DEFAULT_CAPACITY, build_run_document
+
+    report = run_batch([BatchTask(id="noisy", kind="call", payload={
+        "target": "tests.batch.chaos_helpers:emit_events",
+        "kwargs": {"count": DEFAULT_CAPACITY + 500},
+    })])
+    (result,) = report.results
+    assert result.ok
+    assert len(result.events) == DEFAULT_CAPACITY
+    assert result.events_dropped == report.events_dropped == 500
+    document = build_run_document(
+        command="batch", events=report.merged_events(),
+        events_dropped=report.events_dropped)
+    assert document["events"]["count"] == DEFAULT_CAPACITY
+    assert document["events"]["dropped"] == 500
+
+
 def test_merged_trace_concatenates_in_task_order():
     report = run_batch(_tasks())
     merged = report.merged_trace()

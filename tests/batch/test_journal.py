@@ -174,3 +174,14 @@ def test_pre_profile_journal_lines_load_with_empty_profile():
     document = result_to_dict(_result())
     del document["profile"]  # a checkpoint written before the field existed
     assert result_from_dict(document).profile == {}
+
+
+def test_events_dropped_round_trips_through_the_journal():
+    restored = result_from_dict(result_to_dict(_result(events_dropped=500)))
+    assert restored.events_dropped == 500
+
+
+def test_pre_eviction_count_journal_lines_load_with_zero_dropped():
+    document = result_to_dict(_result(events_dropped=3))
+    del document["events_dropped"]  # written before the field existed
+    assert result_from_dict(document).events_dropped == 0

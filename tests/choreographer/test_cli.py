@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.choreographer.cli import main
+from repro.obs import RunLedger, build_run_document
 from repro.uml.model import UmlModel
 from repro.uml.xmi import add_synthetic_layout, write_model
 from repro.workloads import build_instant_message_diagram, build_client_statechart
@@ -268,52 +269,100 @@ def pda_xmi_file(tmp_path):
     return path
 
 
-class TestTraceTools:
-    def test_analyze_trace_prints_critical_path_for_golden(self, capsys):
-        code = main(["analyze-trace", str(GOLDENS / "trace_pda_base.json")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "critical path" in out
-        assert "diagram.activity" in out
-        assert "p95 ms" in out  # the aggregation table rode along
+def _golden_run(ledger_dir, name: str) -> str:
+    """Record a run document around one of the golden PDA traces."""
+    trace = json.loads((GOLDENS / f"trace_pda_{name}.json").read_text())
+    return RunLedger(ledger_dir).record(build_run_document(
+        command="analyse", config={"command": "analyse"}, trace=trace))
 
-    def test_diff_trace_names_the_mover(self, capsys):
-        code = main(["diff-trace", str(GOLDENS / "trace_pda_base.json"),
-                     str(GOLDENS / "trace_pda_slow.json")])
+
+#: What ``runs explain`` prints first for the golden base trace: the
+#: critical path, then the per-span table heaviest first.
+GOLDEN_BASE_EXPLAINED = """\
+critical path (heaviest chain):
+  diagram.activity  3.245 ms (self 0.013 ms, 100.0%)
+    solve  2.370 ms (self 0.175 ms, 73.0%)
+      ctmc.assemble  1.047 ms (self 1.047 ms, 32.3%)
+
+span                  count  total ms  mean ms  p95 ms  max ms
+--------------------  -----  --------  -------  ------  ------
+diagram.activity          1  3.245     3.245    3.245   3.245
+solve                     1  2.370     2.370    2.370   2.370
+pipeline.write            1  1.253     1.253    1.253   1.253
+ctmc.assemble             1  1.047     1.047    1.047   1.047
+ctmc.solve                1  0.796     0.796    0.796   0.796
+extract                   1  0.727     0.727    0.727   0.727
+pipeline.read             1  0.669     0.669    0.669   0.669
+pepanet.markingspace      1  0.352     0.352    0.352   0.352
+reflect                   1  0.134     0.134    0.134   0.134
+"""
+
+
+class TestTraceTools:
+    """``runs explain`` and ``runs compare`` over run documents built
+    from the golden PDA traces."""
+
+    def test_explain_prints_critical_path_for_golden(self, tmp_path, capsys):
+        ledger = tmp_path / "runs"
+        _golden_run(ledger, "base")
+        code = main(["runs", "--ledger", str(ledger), "explain"])
         out = capsys.readouterr().out
         assert code == 0
+        assert out.startswith(GOLDEN_BASE_EXPLAINED)
+        # the metrics table follows the span profile
+        assert out[len(GOLDEN_BASE_EXPLAINED):] == "\n(no metrics recorded)\n"
+
+    def test_compare_names_the_mover(self, tmp_path, capsys):
+        ledger = tmp_path / "runs"
+        base, slow = _golden_run(ledger, "base"), _golden_run(ledger, "slow")
+        code = main(["runs", "--ledger", str(ledger), "compare", base, slow,
+                     "--min-seconds", "0"])
+        out = capsys.readouterr().out
+        assert code == 1
         assert "ctmc.solve" in out
         assert "2.00x" in out
 
-    def test_analyze_trace_rejects_non_trace_json(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/1"}')
-        code = main(["analyze-trace", str(bad)])
+    def test_explain_rejects_document_without_trace(self, tmp_path, capsys):
+        ledger = tmp_path / "runs"
+        RunLedger(ledger).record(build_run_document(command="analyse"))
+        code = main(["runs", "--ledger", str(ledger), "explain"])
         assert code == 2
-        assert "error" in capsys.readouterr().err
+        assert "embeds no trace" in capsys.readouterr().err
 
-    def test_analyze_trace_does_not_clobber_its_input(self, capsys):
-        # 'analyze-trace FILE' must never be confused with '--trace FILE'
-        path = GOLDENS / "trace_pda_base.json"
-        before = path.read_text()
-        main(["analyze-trace", str(path)])
-        assert path.read_text() == before
+    def test_explain_does_not_clobber_the_document(self, tmp_path, capsys):
+        ledger = tmp_path / "runs"
+        run_id = _golden_run(ledger, "base")
+        path = ledger / f"run-{run_id}.json"
+        before = path.read_bytes()
+        assert main(["runs", "--ledger", str(ledger), "explain", run_id]) == 0
+        assert path.read_bytes() == before
+
+
+def _recorded(ledger_dir) -> dict:
+    """The newest run document of a ledger."""
+    return RunLedger(ledger_dir).latest()
 
 
 class TestEventsFlag:
+    """Solver and exploration events a ``--ledger`` run records land in
+    its document's ``events.records``."""
+
     def test_events_file_written_with_convergence_stream(
         self, pepa_file, tmp_path, capsys
     ):
-        out = tmp_path / "events.jsonl"
+        ledger = tmp_path / "runs"
         code = main(["pepa", str(pepa_file), "--solver", "power",
-                     "--events", str(out)])
+                     "--ledger", str(ledger)])
         assert code == 0
-        assert "events written" in capsys.readouterr().err
-        lines = [json.loads(line) for line in out.read_text().splitlines()]
-        assert lines[0]["schema"] == "repro-events/1"
-        convergence = [l for l in lines[1:] if l["event"] == "solver.convergence"]
+        assert "recorded in ledger" in capsys.readouterr().err
+        events = _recorded(ledger)["events"]
+        assert events["count"] == len(events["records"])
+        assert events["dropped"] == 0
+        convergence = [e for e in events["records"]
+                       if e["event"] == "solver.convergence"]
         assert convergence
-        assert all(l["solver"] == "power" for l in convergence)
+        assert events["by_name"]["solver.convergence"] == len(convergence)
+        assert all(e["solver"] == "power" for e in convergence)
 
     @pytest.mark.parametrize(
         "solver", ["gmres", "bicgstab", "power", "jacobi"]
@@ -323,11 +372,11 @@ class TestEventsFlag:
     ):
         # the acceptance scenario: the full PDA pipeline, one iterative
         # solver at a time, each leaving >= 1 convergence event behind
-        out = tmp_path / "events.jsonl"
+        ledger = tmp_path / "runs"
         code = main(["analyse", str(pda_xmi_file), "--solver", solver,
-                     "--events", str(out)])
+                     "--ledger", str(ledger)])
         assert code == 0
-        events = [json.loads(line) for line in out.read_text().splitlines()][1:]
+        events = _recorded(ledger)["events"]["records"]
         convergence = [e for e in events
                        if e["event"] == "solver.convergence"
                        and e["solver"] == solver]
@@ -342,7 +391,7 @@ class TestEventsFlag:
         from repro.obs import NULL_EVENTS, get_events
 
         main(["pepa", str(pepa_file), "--solver", "power",
-              "--events", str(tmp_path / "e.jsonl")])
+              "--ledger", str(tmp_path / "runs")])
         assert get_events() is NULL_EVENTS
 
 
@@ -359,29 +408,28 @@ class TestObservedRunRoot:
     def test_one_root_whose_children_are_the_stage_spans(
         self, command, model, stages, tmp_path, capsys
     ):
-        trace = tmp_path / "trace.json"
-        code = main([command, str(EXAMPLE_MODELS / model), "--trace", str(trace)])
+        ledger = tmp_path / "runs"
+        code = main([command, str(EXAMPLE_MODELS / model),
+                     "--ledger", str(ledger)])
         assert code == 0
-        (root,) = json.loads(trace.read_text())["traces"]
+        (root,) = _recorded(ledger)["trace"]["traces"]
         assert root["name"] == f"cli.{command}"
         assert [child["name"] for child in root["children"]] == stages
 
     def test_root_is_a_ledger_series(self, tmp_path, capsys):
-        from repro.obs import RunLedger
-
         ledger_dir = tmp_path / "runs"
         code = main(["pepa", str(EXAMPLE_MODELS / "file_protocol.pepa"),
                      "--ledger", str(ledger_dir)])
         assert code == 0
-        spans = RunLedger(ledger_dir).latest()["spans"]
+        spans = _recorded(ledger_dir)["spans"]
         assert spans["cli.pepa"]["count"] == 1
         assert spans["cli.pepa"]["total_s"] >= spans["ctmc.solve"]["total_s"]
 
     def test_failed_run_still_writes_one_root(self, tmp_path, capsys):
         bad = tmp_path / "bad.pepa"
         bad.write_text("this is not PEPA ;;;")
-        trace = tmp_path / "trace.json"
-        assert main(["pepa", str(bad), "--trace", str(trace)]) == 2
-        (root,) = json.loads(trace.read_text())["traces"]
+        ledger = tmp_path / "runs"
+        assert main(["pepa", str(bad), "--ledger", str(ledger)]) == 2
+        (root,) = _recorded(ledger)["trace"]["traces"]
         assert root["name"] == "cli.pepa"
         assert "error" in root["attributes"]

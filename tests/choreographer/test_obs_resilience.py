@@ -19,7 +19,7 @@ import json
 import pytest
 
 from repro.choreographer import Choreographer
-from repro.obs import metrics_to_json, observe, render_trace, trace_to_json
+from repro.obs import observe, render_trace
 from repro.resilience import FallbackPolicy, FaultSpec, inject_fault
 from repro.uml.model import UmlModel
 from repro.uml.xmi import add_synthetic_layout, write_model
@@ -71,8 +71,8 @@ class TestFallbackAbsorbsInjectedFault:
         assert metrics.gauge("residual").value < 1e-6
 
         # Both documents serialise.
-        json.dumps(trace_to_json(tracer))
-        json.dumps(metrics_to_json(metrics))
+        json.dumps(tracer.to_dict())
+        json.dumps(metrics.as_dict())
 
 
 class TestExhaustedChainIsReportedNotFatal:
@@ -110,8 +110,8 @@ class TestExhaustedChainIsReportedNotFatal:
         assert fallback_span.attributes["solved_by"] == "none"
 
         # Trace and metrics of the failed run still serialise and render.
-        json.dumps(trace_to_json(tracer))
-        json.dumps(metrics_to_json(metrics))
+        json.dumps(tracer.to_dict())
+        json.dumps(metrics.as_dict())
         assert "diagram.activity" in render_trace(tracer)
         # Derivation happened before the solve died, so its counters exist.
         assert metrics.counter("states_explored").value > 0
@@ -122,8 +122,8 @@ class TestExhaustedChainIsReportedNotFatal:
                 result = broken_platform.process_xmi(one_diagram_document(), IM_RATES)
         assert not result.report.ok
         assert result.report.failures[0].stage == "solve"
-        json.dumps(trace_to_json(tracer))
-        json.dumps(metrics_to_json(metrics))
+        json.dumps(tracer.to_dict())
+        json.dumps(metrics.as_dict())
 
     def test_strict_mode_still_raises_but_trace_survives(self, broken_platform):
         from repro.exceptions import SolverError
@@ -137,8 +137,8 @@ class TestExhaustedChainIsReportedNotFatal:
         # Even a fail-fast run leaves a coherent, serialisable trace:
         # every span was closed on the way out of the raise.
         assert all(s.closed for s in all_spans(tracer))
-        json.dumps(trace_to_json(tracer))
-        json.dumps(metrics_to_json(metrics))
+        json.dumps(tracer.to_dict())
+        json.dumps(metrics.as_dict())
 
 
 class TestRegistryRestoration:

@@ -4,16 +4,23 @@ pruning them."""
 
 from __future__ import annotations
 
+import argparse
 import copy
 import json
 from pathlib import Path
 
 import pytest
 
-from repro.choreographer.cli import main
+from repro.choreographer.cli import build_parser, main
 from repro.obs import RunLedger, build_run_document
 
 MODELS = Path(__file__).resolve().parents[2] / "examples" / "models"
+
+ROAMING = """
+Session = (download, 1.0).Roaming;
+Roaming = (handover, 0.5).Session;
+Session || Session || Session
+"""
 
 
 @pytest.fixture()
@@ -32,7 +39,7 @@ def span_doc(scale=1.0, label="ci"):
             "name": "ctmc.solve", "start_unix": 0.3, "duration_s": solve_s,
             "attributes": {}, "children": []}]}]}
     return build_run_document(
-        command="pepa", label=label, tracer=trace,
+        command="pepa", label=label, trace=trace,
         config={"command": "pepa", "model": "file_protocol.pepa"})
 
 
@@ -63,15 +70,20 @@ class TestRecording:
         ledger_dir = tmp_path / "runs"
         out = tmp_path / "profile.folded"
         code = main(["pepa", str(pepa_file), "--ledger", str(ledger_dir),
-                     "--profile-interval", "0.001",
-                     "--profile-out", str(out)])
+                     "--profile-interval", "0.001"])
         assert code == 0
         (document,) = RunLedger(ledger_dir).runs()
         assert document["trace"]["schema"] == "repro-trace/1"
         # sampling is statistical: the profile section appears only if
-        # the short run caught samples, but the collapsed file always
-        # exists (possibly empty)
-        assert out.exists()
+        # the short run caught samples; the collapsed export follows it
+        code = main(["runs", "--ledger", str(ledger_dir), "export",
+                     "--collapsed", str(out)])
+        if "profile" in document:
+            assert code == 0
+            assert out.read_text().endswith("\n")
+        else:
+            assert code == 2
+            assert "no profiler samples" in capsys.readouterr().err
 
     def test_failed_run_still_leaves_evidence(self, tmp_path, capsys):
         ledger_dir = tmp_path / "runs"
@@ -80,6 +92,65 @@ class TestRecording:
         assert code != 0
         (document,) = RunLedger(ledger_dir).runs()
         assert document["exit_code"] == code
+
+
+class TestRecordingFlags:
+    """``--ledger DIR`` is the only way a run records anything."""
+
+    @pytest.mark.parametrize("command, argv", [
+        ("analyse", ["{models}/pda_project.xmi",
+                     "--rates", "{models}/tomcat.rates"]),
+        ("pepa", ["{models}/file_protocol.pepa"]),
+        ("net", ["{models}/instant_message.pepanet"]),
+        ("fluid", ["{tmp}/roaming.pepa"]),
+        ("fuzz", ["--seeds", "1"]),
+        ("batch", ["{models}/file_protocol.pepa", "--no-cache"]),
+    ])
+    def test_every_recording_command_writes_a_complete_document(
+            self, command, argv, tmp_path, capsys):
+        (tmp_path / "roaming.pepa").write_text(ROAMING)
+        argv = [arg.format(models=MODELS, tmp=tmp_path) for arg in argv]
+        ledger_dir = tmp_path / "runs"
+        assert main([command, *argv, "--ledger", str(ledger_dir)]) == 0
+        document = RunLedger(ledger_dir).latest()
+        assert document["command"] == command
+        assert document["trace"]["schema"] == "repro-trace/1"
+        assert document["spans"]
+        events = document["events"]
+        assert events["count"] == len(events["records"])
+        chrome = tmp_path / "trace.chrome.json"
+        assert main(["runs", "--ledger", str(ledger_dir), "export",
+                     "--chrome", str(chrome)]) == 0
+        assert json.loads(chrome.read_text())["traceEvents"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--profile"], ["--profile-memory"], ["--profile-interval", "0.01"],
+    ])
+    @pytest.mark.parametrize("command", ["pepa", "batch"])
+    def test_profile_flags_require_the_ledger(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(MODELS / "file_protocol.pepa"), *flags])
+        assert exit_info.value.code == 2
+        assert "require --ledger" in capsys.readouterr().err
+
+    def test_no_command_accepts_the_removed_options(self):
+        def parsers(parser):
+            yield parser
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from parsers(child)
+
+        removed = {"--trace", "--metrics", "--events", "--profile-out"}
+        seen = 0
+        for parser in parsers(build_parser()):
+            seen += 1
+            assert not removed & set(parser._option_string_actions), parser.prog
+        assert seen > 10
+        commands = next(a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)).choices
+        assert "analyze-trace" not in commands
+        assert "diff-trace" not in commands
 
 
 class TestQueries:

@@ -1,5 +1,5 @@
-"""Trace analysis: critical path, aggregation, diff — on hand-built
-span trees and on the bundled golden PDA traces."""
+"""Trace analysis: critical path, aggregation, and run-to-run span
+deltas — on hand-built span trees and on the bundled golden PDA traces."""
 
 from __future__ import annotations
 
@@ -13,16 +13,30 @@ from repro.obs import (
     Span,
     Tracer,
     aggregate_spans,
+    build_run_document,
     critical_path,
-    diff_traces,
-    load_trace,
     render_aggregate,
     render_critical_path,
-    render_trace_diff,
     use_obs,
 )
+from repro.obs.regress import detect_trend, trend_markdown
 
 GOLDENS = Path(__file__).resolve().parents[1] / "goldens"
+
+
+def load_golden(name):
+    return json.loads((GOLDENS / f"trace_pda_{name}.json").read_text())
+
+
+def run_doc(trace):
+    """A run document embedding ``trace`` (one config, so comparable)."""
+    return build_run_document(command="analyse",
+                              config={"command": "analyse"}, trace=trace)
+
+
+def span_deltas(base, new):
+    """What ``runs compare`` judges: per-span totals, new against base."""
+    return detect_trend([run_doc(base), run_doc(new)], min_seconds=0.0)
 
 
 def span_dict(name, duration, *children, attributes=None):
@@ -161,47 +175,52 @@ class TestAggregate:
 
 
 class TestDiff:
+    """Span deltas between two run documents (``runs compare``)."""
+
     def test_biggest_mover_first_and_ratio(self, pipeline_doc):
         slower = json.loads(json.dumps(pipeline_doc))
         slower["traces"][0]["children"][1]["children"][2]["duration_s"] = 9.0
-        rows = diff_traces(pipeline_doc, slower)
-        assert rows[0]["name"] == "ctmc.solve"
-        assert rows[0]["delta_s"] == pytest.approx(4.5)
-        assert rows[0]["ratio"] == pytest.approx(2.0)
+        (mover,) = span_deltas(pipeline_doc, slower).regressions
+        assert mover.span == "ctmc.solve"
+        assert mover.new_s - mover.base_s == pytest.approx(4.5)
+        assert mover.ratio == pytest.approx(2.0)
 
     def test_identical_traces_have_zero_deltas(self, pipeline_doc):
-        rows = diff_traces(pipeline_doc, pipeline_doc)
-        assert all(r["delta_s"] == pytest.approx(0.0) for r in rows)
+        report = span_deltas(pipeline_doc, pipeline_doc)
+        assert report.ok and report.deltas
+        assert all(d.new_s - d.base_s == pytest.approx(0.0)
+                   for d in report.deltas)
 
     def test_span_only_on_one_side(self, pipeline_doc):
         pruned = json.loads(json.dumps(pipeline_doc))
         pruned["traces"] = pruned["traces"][:1]  # drop pipeline.write
-        rows = {r["name"]: r for r in diff_traces(pipeline_doc, pruned)}
-        gone = rows["pipeline.write"]
-        assert gone["new_s"] is None
-        assert gone["ratio"] is None
-        assert gone["delta_s"] == pytest.approx(-1.0)
+        report = span_deltas(pipeline_doc, pruned)
+        assert report.stale_series == ["pipeline.write"]
+        assert "pipeline.write" not in {d.span for d in report.deltas}
+        assert span_deltas(pruned, pipeline_doc).new_series == ["pipeline.write"]
 
     def test_golden_pda_traces_diff_names_the_inflated_solver(self):
-        base = load_trace(GOLDENS / "trace_pda_base.json")
-        slow = load_trace(GOLDENS / "trace_pda_slow.json")
-        rows = {r["name"]: r for r in diff_traces(base, slow)}
-        assert rows["ctmc.solve"]["ratio"] == pytest.approx(2.0, rel=1e-6)
+        report = span_deltas(load_golden("base"), load_golden("slow"))
+        rows = {d.span: d for d in report.deltas}
+        assert rows["ctmc.solve"].ratio == pytest.approx(2.0, rel=1e-6)
         # untouched stages stay put
-        assert rows["pipeline.read"]["delta_s"] == pytest.approx(0.0, abs=1e-12)
+        read = rows["pipeline.read"]
+        assert read.new_s - read.base_s == pytest.approx(0.0, abs=1e-12)
 
 
 class TestLoadTrace:
-    def test_loads_golden(self):
-        document = load_trace(GOLDENS / "trace_pda_base.json")
-        assert document["schema"] == "repro-trace/1"
-        assert any(t["name"] == "diagram.activity" for t in document["traces"])
+    """A run document embeds its trace whole and checks its schema."""
 
-    def test_rejects_wrong_schema(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"schema": "other/9"}')
+    def test_loads_golden(self):
+        trace = load_golden("base")
+        document = run_doc(trace)
+        assert document["trace"] == trace
+        assert "diagram.activity" in document["spans"]
+        assert document["spans"] == aggregate_spans(trace)
+
+    def test_rejects_wrong_schema(self):
         with pytest.raises(ValueError):
-            load_trace(bad)
+            run_doc({"schema": "other/9"})
 
 
 class TestRenderers:
@@ -216,12 +235,20 @@ class TestRenderers:
         assert "span" in text and "p95 ms" in text
         assert "diagram.activity" in text
 
+    def test_render_aggregate_orders_heaviest_first(self, pipeline_doc):
+        # a stored document keeps its spans keyed by name, not by weight
+        by_name = dict(sorted(aggregate_spans(pipeline_doc).items()))
+        text = render_aggregate(by_name)
+        assert text == render_aggregate(aggregate_spans(pipeline_doc))
+        assert text.splitlines()[2].startswith("diagram.activity")
+
     def test_render_diff(self, pipeline_doc):
-        text = render_trace_diff(diff_traces(pipeline_doc, pipeline_doc))
-        assert "ratio" in text
-        assert "1.00x" in text
+        slower = json.loads(json.dumps(pipeline_doc))
+        slower["traces"][0]["children"][1]["children"][2]["duration_s"] = 9.0
+        text = trend_markdown(span_deltas(pipeline_doc, slower))
+        assert "| ratio |" in text
+        assert "| **ctmc.solve** |" in text and "2.00x" in text
 
     def test_empty_renderings(self):
         assert render_critical_path([]) == "(empty trace)"
         assert render_aggregate({}) == "(empty trace)"
-        assert render_trace_diff([]) == "(both traces empty)"

@@ -1,4 +1,4 @@
-"""Event streams: bounded buffer, JSONL round-trip,
+"""Event streams: bounded buffer, the run document's event records,
 and the per-iteration convergence / exploration instrumentation."""
 
 from __future__ import annotations
@@ -13,10 +13,10 @@ from repro.obs import (
     EventStream,
     NullEventStream,
     ObsContext,
+    RunLedger,
+    build_run_document,
     get_events,
-    read_events_jsonl,
     use_obs,
-    write_events_jsonl,
 )
 from repro.pepa.ctmcgen import ctmc_from_statespace
 from repro.pepa.parser import parse_model
@@ -110,34 +110,43 @@ class TestAmbientInstall:
         assert get_events() is NULL_EVENTS
 
 
+def _recorded(tmp_path, stream):
+    """A stream's records and evictions, through a ledger round-trip."""
+    ledger = RunLedger(tmp_path / "runs")
+    run_id = ledger.record(build_run_document(
+        command="x", events=stream.to_dicts(), events_dropped=stream.dropped))
+    return ledger.load(run_id)["events"]
+
+
 class TestJsonl:
+    """A run document keeps the stream as flat ``events.records``."""
+
     def test_round_trip(self, tmp_path):
         stream = EventStream()
         stream.emit("a", x=1, label="first")
         stream.emit("b", y=2.25)
-        path = tmp_path / "events.jsonl"
-        assert write_events_jsonl(path, stream) == 2
-        header, events = read_events_jsonl(path)
-        assert header == {"schema": "repro-events/1", "events": 2, "dropped": 0}
-        assert [e["event"] for e in events] == ["a", "b"]
-        assert events[0]["x"] == 1 and events[0]["label"] == "first"
-        assert events[1]["y"] == 2.25
+        events = _recorded(tmp_path, stream)
+        assert {k: events[k] for k in ("count", "dropped", "by_name")} == {
+            "count": 2, "dropped": 0, "by_name": {"a": 1, "b": 1}}
+        records = events["records"]
+        assert [e["event"] for e in records] == ["a", "b"]
+        assert records[0]["x"] == 1 and records[0]["label"] == "first"
+        assert records[1]["y"] == 2.25
 
     def test_header_records_evictions(self, tmp_path):
         stream = EventStream(capacity=2)
         for i in range(5):
             stream.emit("e", i=i)
-        path = tmp_path / "events.jsonl"
-        write_events_jsonl(path, stream)
-        header, events = read_events_jsonl(path)
-        assert header["dropped"] == 3
-        assert len(events) == 2
+        events = _recorded(tmp_path, stream)
+        assert events["dropped"] == 3
+        assert [e["i"] for e in events["records"]] == [3, 4]
 
     def test_read_rejects_non_event_files(self, tmp_path):
-        path = tmp_path / "junk.jsonl"
-        path.write_text('{"schema": "other/1"}\n')
+        ledger = RunLedger(tmp_path / "runs")
+        (tmp_path / "runs" / "run-000001.json").write_text(
+            '{"schema": "other/1"}\n')
         with pytest.raises(ValueError):
-            read_events_jsonl(path)
+            ledger.load("1")
 
 
 @pytest.fixture

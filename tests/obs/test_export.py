@@ -10,18 +10,16 @@ from repro.obs import (
     NULL_METRICS,
     NULL_TRACER,
     MetricsRegistry,
+    RunLedger,
     SamplingProfiler,
     Tracer,
+    build_run_document,
     chrome_trace_document,
-    metrics_to_json,
     observe,
     prometheus_text,
     render_metrics,
     render_trace,
-    trace_to_json,
     write_chrome_trace,
-    write_prometheus_file,
-    write_trace_file,
 )
 
 
@@ -37,7 +35,7 @@ def _sample_tracer() -> Tracer:
 
 class TestJsonExport:
     def test_trace_to_json_is_serialisable(self):
-        data = trace_to_json(_sample_tracer())
+        data = _sample_tracer().to_dict()
         text = json.dumps(data)
         parsed = json.loads(text)
         assert parsed["schema"] == "repro-trace/1"
@@ -51,40 +49,43 @@ class TestJsonExport:
         reg.counter("states_explored").inc(12)
         reg.gauge("residual").set(1e-13)
         reg.histogram("solve_s").observe(0.25)
-        parsed = json.loads(json.dumps(metrics_to_json(reg)))
+        parsed = json.loads(json.dumps(reg.as_dict()))
         assert parsed["schema"] == "repro-metrics/1"
         assert parsed["metrics"]["states_explored"]["value"] == 12
         assert parsed["metrics"]["solve_s"]["count"] == 1
 
     def test_null_collectors_export_empty_documents(self):
-        assert trace_to_json(NULL_TRACER)["traces"] == []
-        assert metrics_to_json(NULL_METRICS)["metrics"] == {}
+        assert NULL_TRACER.to_dict()["traces"] == []
+        assert NULL_METRICS.as_dict()["metrics"] == {}
+
+
+def _recorded(tmp_path, **sections) -> dict:
+    """A run document carrying ``sections``, through a ledger round-trip."""
+    ledger = RunLedger(tmp_path / "runs")
+    return ledger.load(ledger.record(build_run_document(command="x", **sections)))
 
 
 class TestWriteTraceFile:
+    """The trace and metrics a run records land in its run document."""
+
     def test_trace_only(self, tmp_path):
-        path = tmp_path / "trace.json"
-        write_trace_file(path, _sample_tracer())
-        document = json.loads(path.read_text())
-        assert document["schema"] == "repro-trace/1"
+        document = _recorded(tmp_path, trace=_sample_tracer().to_dict())
+        assert document["trace"]["schema"] == "repro-trace/1"
         assert "metrics" not in document
 
     def test_trace_with_metrics(self, tmp_path):
         reg = MetricsRegistry()
         reg.counter("transitions").inc(3)
-        path = tmp_path / "trace.json"
-        write_trace_file(path, _sample_tracer(), reg)
-        document = json.loads(path.read_text())
+        document = _recorded(tmp_path, trace=_sample_tracer().to_dict(),
+                             metrics=reg.as_dict())
         assert document["metrics"]["transitions"]["value"] == 3
 
     def test_non_json_attributes_are_stringified(self, tmp_path):
         tracer = Tracer()
         with tracer.span("x", path=tmp_path):  # Path is not JSON-native
             pass
-        out = tmp_path / "trace.json"
-        write_trace_file(out, tracer)
-        document = json.loads(out.read_text())
-        assert document["traces"][0]["attributes"]["path"] == str(tmp_path)
+        document = _recorded(tmp_path, trace=tracer.to_dict())
+        assert document["trace"]["traces"][0]["attributes"]["path"] == str(tmp_path)
 
 
 class TestRenderTrace:
@@ -119,15 +120,16 @@ class TestRenderMetrics:
         reg.counter("states_explored").inc(42)
         reg.gauge("residual").set(2.5e-14)
         reg.histogram("solve_s").observe(0.5)
-        text = render_metrics(reg)
+        text = render_metrics(reg.as_dict()["metrics"])
         assert "states_explored" in text
         assert "counter" in text
         assert "2.5e-14" in text
         assert "count=1" in text
 
     def test_empty(self):
-        assert render_metrics(MetricsRegistry()) == "(no metrics recorded)"
-        assert render_metrics(NULL_METRICS) == "(no metrics recorded)"
+        assert render_metrics({}) == "(no metrics recorded)"
+        assert render_metrics(NULL_METRICS.as_dict()["metrics"]) == \
+            "(no metrics recorded)"
 
 
 class TestObserve:
@@ -317,10 +319,18 @@ class TestPrometheus:
         assert prometheus_text(MetricsRegistry()) == ""
         assert prometheus_text(NULL_METRICS) == ""
 
-    def test_write_prometheus_file(self, tmp_path):
+    def test_write_prometheus_file(self, tmp_path, capsys):
+        from repro.choreographer.cli import main
+
+        ledger = tmp_path / "runs"
+        RunLedger(ledger).record(build_run_document(
+            command="x", metrics=self._registry().as_dict()))
         path = tmp_path / "metrics.prom"
-        write_prometheus_file(path, self._registry())
-        assert path.read_text().endswith("\n")
+        assert main(["runs", "--ledger", str(ledger), "export",
+                     "--prometheus", str(path)]) == 0
+        text = path.read_text()
+        assert text.endswith("\n")
+        assert "repro_states_explored_total 42" in text
 
     def test_golden_prometheus_exposition(self, golden):
         golden("obs/prometheus",

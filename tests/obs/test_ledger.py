@@ -126,11 +126,15 @@ class TestBuildRunDocument:
         metrics.counter("states_explored").inc(7)
         events.emit("solver.converged", iterations=3)
         document = build_run_document(
-            command="analyse", tracer=tracer, metrics=metrics, events=events)
+            command="analyse", trace=tracer.to_dict(),
+            metrics=metrics.as_dict(), events=events.to_dicts(),
+            events_dropped=events.dropped)
         assert document["spans"]["stage.solve"]["count"] == 1
+        assert document["trace"] == tracer.to_dict()
         assert document["metrics"]["states_explored"]["value"] == 7
         assert document["events"] == {
-            "count": 1, "dropped": 0, "by_name": {"solver.converged": 1}}
+            "count": 1, "dropped": 0, "by_name": {"solver.converged": 1},
+            "records": events.to_dicts()}
 
     def test_events_accepts_plain_dicts(self):
         document = build_run_document(
@@ -139,6 +143,13 @@ class TestBuildRunDocument:
                     {"event": "task.failed"}])
         assert document["events"]["by_name"] == \
                {"task.done": 2, "task.failed": 1}
+        assert document["events"]["dropped"] == 0
+
+    def test_events_dropped_is_recorded(self):
+        document = build_run_document(
+            command="batch", events=[{"event": "e"}], events_dropped=500)
+        assert document["events"]["count"] == 1
+        assert document["events"]["dropped"] == 500
 
     def test_empty_profile_is_elided(self):
         empty = {"schema": "repro-profile/1", "sample_count": 0, "samples": {}}
@@ -148,23 +159,22 @@ class TestBuildRunDocument:
         assert build_run_document(command="x", profile=full)["profile"] == full
 
     def test_optional_sections_and_extra(self):
-        # batch hands over its merged trace document, not a live Tracer
+        # batch hands over its merged trace document
         merged = {"schema": "repro-trace/1", "traces": [{
             "name": "batch.task", "start_unix": 0.0, "duration_s": 0.25,
             "attributes": {}, "children": []}]}
         document = build_run_document(
             command="batch",
-            tracer=merged,
+            trace=merged,
             cache={"hits": 3, "misses": 1},
             incidents=[{"task": "t1"}],
-            trace={"schema": "repro-trace/1", "traces": []},
             tasks_fingerprint="abc123",
             extra={"exit_code": 0},
         )
         assert document["spans"]["batch.task"]["total_s"] == 0.25
         assert document["cache"] == {"hits": 3, "misses": 1}
         assert document["incidents"] == [{"task": "t1"}]
-        assert document["trace"]["schema"] == "repro-trace/1"
+        assert document["trace"] == merged
         assert document["tasks_fingerprint"] == "abc123"
         assert document["exit_code"] == 0
 
@@ -172,7 +182,7 @@ class TestBuildRunDocument:
         tracer = Tracer()
         with tracer.span("s"):
             pass
-        document = build_run_document(command="x", tracer=tracer,
+        document = build_run_document(command="x", trace=tracer.to_dict(),
                                       config={"path": str(tmp_path)})
         json.dumps(document)
         ledger = RunLedger(tmp_path / "runs")
