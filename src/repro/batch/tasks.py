@@ -13,7 +13,8 @@ Kinds:
     ``{"text": ..., "rates": {...}, "loop": true, "reset_rate": 1.0,
     "solver": "direct", "strict": false}``; ``solver`` is a method name
     or a comma-separated fallback chain such as ``"direct,gmres,power"``
-    (as in every kind that solves); ``rates_text`` (raw ``.rates`` file
+    (as in every kind that solves; absent or ``None`` means the default
+    chain, ordered by chain size); ``rates_text`` (raw ``.rates`` file
     content) may replace ``rates``.
 ``pepa`` / ``net``
     Parse-and-solve of a textual PEPA model / PEPA net:
@@ -64,7 +65,7 @@ def _run_xmi(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict[
     from repro.choreographer.platform import Choreographer
 
     platform = Choreographer(
-        solver=payload.get("solver", "direct"),
+        solver=payload.get("solver"),
         max_states=payload.get("max_states", 1_000_000),
         strict=payload.get("strict", False),
         budget=budget,
@@ -115,7 +116,7 @@ def _run_pepa(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict
             "occupancies": _round_map(analysis.occupancies()),
         }
     workbench = PepaWorkbench(
-        solver=payload.get("solver", "direct"),
+        solver=payload.get("solver"),
         max_states=payload.get("max_states", 1_000_000),
         budget=budget,
     )
@@ -131,7 +132,7 @@ def _run_net(payload: dict[str, Any], budget: "ExecutionBudget | None") -> dict[
     from repro.choreographer.workbench import PepaNetWorkbench
 
     workbench = PepaNetWorkbench(
-        solver=payload.get("solver", "direct"),
+        solver=payload.get("solver"),
         max_states=payload.get("max_states", 1_000_000),
         budget=budget,
     )

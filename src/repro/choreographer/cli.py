@@ -23,7 +23,7 @@ from repro.choreographer.workbench import PepaNetWorkbench, PepaWorkbench
 from repro.ctmc.export import write_prism_files
 from repro.exceptions import ReproError, SolverError
 from repro.extract.rates import RateTable, load_rates
-from repro.resilience.fallback import FallbackPolicy
+from repro.resilience.fallback import GMRES_FIRST_STATES, FallbackPolicy
 from repro.uml.validate import validate_for_extraction
 from repro.utils.formatting import format_table
 
@@ -70,10 +70,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_solver_flag(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--solver", type=_solver_spec, default="direct", metavar="METHODS",
+            "--solver", type=_solver_spec, default=None, metavar="METHODS",
             help="steady-state method, or a comma-separated fallback chain "
                  "tried in order with retries (e.g. direct,gmres,power); "
-                 "default: direct")
+                 f"default: direct,gmres,power below {GMRES_FIRST_STATES} "
+                 "states, gmres,direct,power from there on")
 
     def add_resilience_flags(cmd: argparse.ArgumentParser) -> None:
         add_solver_flag(cmd)

@@ -186,7 +186,7 @@ class Choreographer:
     :class:`PipelineReport` and keep going.
     """
 
-    def __init__(self, *, solver="direct", max_states: int = 1_000_000,
+    def __init__(self, *, solver=None, max_states: int = 1_000_000,
                  deadline: float | None = None, strict: bool = True, budget=None):
         self.max_states = max_states
         self.deadline = deadline

@@ -33,7 +33,7 @@ from repro.resilience.fallback import FallbackPolicy
 __all__ = ["PepaWorkbench", "PepaNetWorkbench"]
 
 
-def _parse_solver(solver: FallbackPolicy | str) -> FallbackPolicy:
+def _parse_solver(solver: FallbackPolicy | str | None) -> FallbackPolicy:
     """Parse and check a ``solver`` argument (O(1), before any solve)."""
     policy = FallbackPolicy.of(solver)
     policy.validate()
@@ -43,7 +43,7 @@ def _parse_solver(solver: FallbackPolicy | str) -> FallbackPolicy:
 class PepaWorkbench:
     """Solve plain PEPA models (the Java-edition Workbench stand-in)."""
 
-    def __init__(self, *, solver: FallbackPolicy | str = "direct",
+    def __init__(self, *, solver: FallbackPolicy | str | None = None,
                  max_states: int = 1_000_000, reducible: str = "error",
                  deadline: float | None = None,
                  budget: ExecutionBudget | None = None,
@@ -90,7 +90,7 @@ class PepaWorkbench:
 class PepaNetWorkbench:
     """Solve PEPA nets (the PEPA Workbench for PEPA nets stand-in)."""
 
-    def __init__(self, *, solver: FallbackPolicy | str = "direct",
+    def __init__(self, *, solver: FallbackPolicy | str | None = None,
                  max_states: int = 1_000_000, reducible: str = "bscc",
                  deadline: float | None = None,
                  budget: ExecutionBudget | None = None):

@@ -5,29 +5,31 @@ several methods, mirroring the solver menu of the PEPA Workbench the
 paper builds on, and following the HPC guide's advice to prefer
 ``scipy.sparse`` solvers and to pick the method by problem size:
 
-* ``direct``        sparse LU on the normal system (exact, the default
-  for small/medium chains — "exact solution is an advantage");
-* ``gmres`` / ``bicgstab``  preconditioned Krylov iterations for large
-  chains;
-* ``power``         power iteration on the uniformized DTMC (lowest
-  memory footprint, tolerant of very large state spaces);
-* ``jacobi``        damped Jacobi, the classical stationary iteration,
+* ``direct``  sparse LU on the normal system (exact; first in the
+  default chain below :data:`~repro.resilience.fallback.GMRES_FIRST_STATES`
+  states — "exact solution is an advantage");
+* ``gmres``   ILU-preconditioned restarted GMRES (first in the default
+  chain at or above that size, where the LU factors' fill dominates);
+* ``power``   power iteration on the uniformized DTMC (lowest memory
+  footprint, the default chain's last resort);
+* ``jacobi``  damped Jacobi, the classical stationary iteration,
   kept as a baseline for the solver benchmark.
 
-The Krylov methods precondition with ILU; when the factorisation
-fails they solve unpreconditioned, and the preconditioner path actually
-taken is reported through the ``options["info"]`` dict (it surfaces in
-the attempt records of
+``gmres`` preconditions with ILU; when the factorisation fails it
+solves unpreconditioned, and the preconditioner path actually taken is
+reported through the ``options["info"]`` dict (it surfaces in the
+attempt records of
 :class:`~repro.resilience.fallback.SolveDiagnostics`).
 
 :func:`steady_state` runs the one solve path,
-:func:`repro.resilience.fallback.solve_with_fallback`: a method name is
-a one-element policy, a comma-separated list such as
-``"direct,gmres,power"`` an ordered fallback chain, and every answer
-must pass the residual check ``‖πQ‖∞ ≤ 1e-6 × max exit rate``.  All
-methods require an irreducible chain; hand a reducible one to
-:func:`steady_state` and you get a :class:`SolverError` naming the
-offending structure (use :meth:`CTMC.bottom_sccs` to analyse further).
+:func:`repro.resilience.fallback.solve_with_fallback`: ``None`` is the
+size-ordered default chain, a method name a one-element policy, a
+comma-separated list such as ``"direct,gmres,power"`` an ordered
+fallback chain, and every answer must pass the residual check
+``‖πQ‖∞ ≤ 1e-6 × max exit rate``.  All methods require an irreducible
+chain; hand a reducible one to :func:`steady_state` and you get a
+:class:`SolverError` naming the offending structure (use
+:meth:`CTMC.bottom_sccs` to analyse further).
 
 Every solver callable takes ``(chain, tol, max_iterations, options)``;
 ``options`` carries per-attempt hints (``x0``, ``ilu_drop_tol``,
@@ -60,7 +62,7 @@ _DEFAULT_MAXITER = 200_000
 
 def steady_state(
     chain: CTMC,
-    method: str | FallbackPolicy = "direct",
+    method: str | FallbackPolicy | None = None,
     *,
     tol: float = _DEFAULT_TOL,
     max_iterations: int = _DEFAULT_MAXITER,
@@ -70,8 +72,9 @@ def steady_state(
     """The stationary distribution π of a CTMC.
 
     Returns a dense probability vector of length ``chain.n_states``.
-    ``method`` is a method name, a comma-separated fallback chain or a
-    :class:`~repro.resilience.fallback.FallbackPolicy`; ``tol`` and
+    ``method`` is ``None`` (the default chain, ordered by the size of
+    the chain solved), a method name, a comma-separated fallback chain
+    or a :class:`~repro.resilience.fallback.FallbackPolicy`; ``tol`` and
     ``max_iterations`` apply to a policy built from a name.
     ``reducible`` and ``check_irreducible`` are those of
     :func:`~repro.resilience.fallback.solve_with_fallback`, which also
@@ -116,99 +119,83 @@ def _normalise(pi: np.ndarray, method: str, tol: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 # Individual methods
 # ----------------------------------------------------------------------
-def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
-                  options: Mapping | None = None) -> np.ndarray:
-    """Sparse LU on ``Qᵀ π = 0`` with one row replaced by ``Σπ = 1``."""
+def _balance_system(chain: CTMC):
+    """``(A, b)``: ``Qᵀ π = 0`` with its last row replaced by ``Σπ = 1``,
+    ``A`` in CSC form."""
     n = chain.n_states
     A = chain.Q.transpose().tocsr(copy=True).tolil()
     A[n - 1, :] = np.ones(n)
     b = np.zeros(n)
     b[n - 1] = 1.0
-    pi = spla.spsolve(A.tocsc(), b)
+    return A.tocsc(), b
+
+
+def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
+                  options: Mapping | None = None) -> np.ndarray:
+    """Sparse LU on the :func:`_balance_system`."""
+    A, b = _balance_system(chain)
+    pi = spla.spsolve(A, b)
     return np.asarray(pi).ravel()
 
 
-_KRYLOV_FNS = {
-    "gmres": spla.gmres,
-    "bicgstab": spla.bicgstab,
-}
+def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
+                 options: Mapping | None = None) -> np.ndarray:
+    """ILU-preconditioned restarted GMRES on the :func:`_balance_system`."""
+    options = options or {}
+    info_out = options.get("info")
+    if not isinstance(info_out, dict):
+        info_out = {}
+    n = chain.n_states
+    A, b = _balance_system(chain)
+    try:
+        ilu = spla.spilu(
+            A,
+            drop_tol=options.get("ilu_drop_tol", 1e-5),
+            fill_factor=options.get("ilu_fill_factor", 20),
+        )
+        M = spla.LinearOperator((n, n), ilu.solve)
+        info_out["preconditioner"] = "ilu"
+    except (RuntimeError, ValueError, MemoryError):
+        # spilu raises RuntimeError on exactly-singular factors, but
+        # near-singular or very large systems can also surface as
+        # ValueError/MemoryError — an unpreconditioned solve beats a
+        # crashed one in every case.
+        M = None
+        info_out["preconditioner"] = "none-fallback"
+    x0 = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
+    iterations = [0]
+    events = get_events()
+    start = time.perf_counter() if events.enabled else 0.0
 
-
-def _krylov(name: str) -> Callable[..., np.ndarray]:
-    def solve(chain: CTMC, tol: float, max_iterations: int,
-              options: Mapping | None = None) -> np.ndarray:
-        options = options or {}
-        info_out = options.get("info")
-        if not isinstance(info_out, dict):
-            info_out = {}
-        n = chain.n_states
-        b = np.zeros(n)
-        b[n - 1] = 1.0
-        A = chain.Q.transpose().tocsr(copy=True).tolil()
-        A[n - 1, :] = np.ones(n)
-        A = A.tocsc()
-        try:
-            ilu = spla.spilu(
-                A,
-                drop_tol=options.get("ilu_drop_tol", 1e-5),
-                fill_factor=options.get("ilu_fill_factor", 20),
-            )
-            M = spla.LinearOperator((n, n), ilu.solve)
-            info_out["preconditioner"] = "ilu"
-        except (RuntimeError, ValueError, MemoryError):
-            # spilu raises RuntimeError on exactly-singular factors, but
-            # near-singular or very large systems can also surface as
-            # ValueError/MemoryError — an unpreconditioned solve beats a
-            # crashed one in every case.
-            M = None
-            info_out["preconditioner"] = "none-fallback"
-        x0 = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
-        fn = _KRYLOV_FNS[name]
-        iterations = [0]
-        events = get_events()
-        start = time.perf_counter() if events.enabled else 0.0
-
-        def count_iteration(arg):
-            iterations[0] += 1
-            if events.enabled:
-                # gmres (legacy callback) hands us the preconditioned
-                # residual norm directly; bicgstab hands us the
-                # iterate, so the true residual costs one extra SpMV —
-                # paid only while an event stream is live.
-                if name == "gmres":
-                    residual = float(arg)
-                else:
-                    residual = float(np.abs(b - A @ np.asarray(arg).ravel()).max())
-                events.emit(
-                    "solver.convergence", solver=name,
-                    iteration=iterations[0], residual=residual,
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
-
-        kwargs = {"rtol": max(tol, 1e-12), "maxiter": max_iterations, "M": M,
-                  "x0": x0, "callback": count_iteration}
-        if name == "gmres":
-            kwargs["restart"] = min(50, n)
-            kwargs["callback_type"] = "legacy"
-        pi, info = fn(A, b, **kwargs)
-        if events.enabled and iterations[0] == 0:
-            # scipy skips the callback when x0 already satisfies the
-            # tolerance; record the solve anyway so every Krylov call
-            # leaves at least one convergence event behind.
-            residual = float(np.abs(b - A @ np.asarray(pi).ravel()).max())
+    def count_iteration(residual):
+        # The legacy callback hands over the preconditioned residual norm.
+        iterations[0] += 1
+        if events.enabled:
             events.emit(
-                "solver.convergence", solver=name, iteration=0,
-                residual=residual,
+                "solver.convergence", solver="gmres",
+                iteration=iterations[0], residual=float(residual),
                 elapsed_s=round(time.perf_counter() - start, 9),
             )
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(iterations[0])
-        metrics.counter("spmv_count").inc(iterations[0])
-        if info != 0:
-            raise SolverError(f"{name} failed to converge (info={info})")
-        return np.asarray(pi).ravel()
 
-    return solve
+    pi, info = spla.gmres(A, b, rtol=max(tol, 1e-12), maxiter=max_iterations,
+                          M=M, x0=x0, callback=count_iteration,
+                          restart=min(50, n), callback_type="legacy")
+    if events.enabled and iterations[0] == 0:
+        # scipy skips the callback when x0 already satisfies the
+        # tolerance; record the solve anyway so every GMRES call
+        # leaves at least one convergence event behind.
+        residual = float(np.abs(b - A @ np.asarray(pi).ravel()).max())
+        events.emit(
+            "solver.convergence", solver="gmres", iteration=0,
+            residual=residual,
+            elapsed_s=round(time.perf_counter() - start, 9),
+        )
+    metrics = get_metrics()
+    metrics.counter("solver_iterations").inc(iterations[0])
+    metrics.counter("spmv_count").inc(iterations[0])
+    if info != 0:
+        raise SolverError(f"gmres failed to converge (info={info})")
+    return np.asarray(pi).ravel()
 
 
 def _solve_power(chain: CTMC, tol: float, max_iterations: int,
@@ -259,15 +246,20 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     diagonal of ``Q`` is ``-exit``.  Undamped Jacobi has
     iteration-matrix spectral radius 1 on this singular system and
     oscillates on cyclic chains; a relaxation factor < 1 restores
-    convergence without moving the fixed point.
+    convergence without moving the fixed point.  The sweeps start from
+    ``options["x0"]`` when given (a retry's perturbed start), else from
+    the uniform vector.
     """
+    options = options or {}
     omega = 0.7
     n = chain.n_states
     QT = chain.Q.transpose().tocsr()
     exits = chain.exit_rates()
     if np.any(exits == 0.0):
         raise SolverError("stationary iteration requires every state to have an exit rate")
-    pi = np.full(n, 1.0 / n)
+    pi = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
+    pi = np.clip(pi, 0.0, None)
+    pi /= pi.sum()
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
     sweeps = 0
@@ -303,8 +295,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
 #: call time rather than caching the callable.
 SOLVERS: dict[str, Callable[..., np.ndarray]] = {
     "direct": _solve_direct,
-    "gmres": _krylov("gmres"),
-    "bicgstab": _krylov("bicgstab"),
+    "gmres": _solve_gmres,
     "power": _solve_power,
     "jacobi": _solve_jacobi,
 }

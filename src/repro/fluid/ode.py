@@ -318,8 +318,7 @@ def steady_fluid(
         return float(np.abs(nvf.vector_field(x)).max())
 
     with get_tracer().span("fluid.solve", dimension=nvf.dimension,
-                           replicas=n_replicas,
-                           methods=",".join(policy.methods)) as span:
+                           replicas=n_replicas) as span:
         try:
             return run_chain(policy, attempt, residual, bound,
                              n_states=nvf.dimension, span=span, stage="fluid.solve")

@@ -106,7 +106,7 @@ class ModelAnalysis:
 def analyse(
     model: PepaModel,
     *,
-    solver: "FallbackPolicy | str" = "direct",
+    solver: "FallbackPolicy | str | None" = None,
     max_states: int = DEFAULT_MAX_STATES,
     reducible: str = "error",
     budget: "ExecutionBudget | None" = None,

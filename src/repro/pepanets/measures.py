@@ -166,7 +166,7 @@ class NetAnalysis:
 def analyse_net(
     net: PepaNet,
     *,
-    solver: "FallbackPolicy | str" = "direct",
+    solver: "FallbackPolicy | str | None" = None,
     max_states: int = DEFAULT_MAX_STATES,
     reducible: str = "bscc",
     budget: "ExecutionBudget | None" = None,

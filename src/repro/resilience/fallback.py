@@ -36,6 +36,7 @@ from repro.utils.formatting import format_table
 __all__ = [
     "AttemptRecord",
     "FallbackPolicy",
+    "GMRES_FIRST_STATES",
     "SolveDiagnostics",
     "ITERATIVE_METHODS",
     "run_chain",
@@ -45,24 +46,34 @@ __all__ = [
 #: Methods that can profit from a retry with a different starting point
 #: or preconditioner; ``direct`` is deterministic, so retrying it with
 #: the same inputs would only burn the deadline.
-ITERATIVE_METHODS = frozenset({"gmres", "bicgstab", "power", "jacobi"})
+ITERATIVE_METHODS = frozenset({"gmres", "power", "jacobi"})
+
+#: The size, in states of the chain actually solved (after any
+#: bottom-SCC restriction), from which the default chain tries ILU-GMRES
+#: before sparse LU.  Below it LU wins outright; above it the LU factors'
+#: fill grows faster than the GMRES iterations' cost.  The crossover
+#: sweep in ``benchmarks/bench_solvers.py`` put it between 2,200 and
+#: 2,900 states on client/server, tandem-queue and courier-ring chains.
+GMRES_FIRST_STATES = 2_500
 
 
 @dataclass(frozen=True)
 class FallbackPolicy:
     """An ordered solving policy: which methods, how hard, how long.
 
-    ``methods`` are tried left to right; each iterative method gets up
-    to ``1 + retries`` attempts with exponential ``backoff`` sleeps and
-    per-retry perturbation of the starting vector (relative magnitude
-    ``perturbation``) plus a 100×-per-retry relaxed ILU ``drop_tol``.
+    ``methods`` are tried left to right; ``None`` (the default) means
+    the size-ordered chain of :meth:`methods_for`.  Each iterative
+    method gets up to ``1 + retries`` attempts with exponential
+    ``backoff`` sleeps and per-retry perturbation of the starting vector
+    (relative magnitude ``perturbation``) plus a 100×-per-retry relaxed
+    ILU ``drop_tol``.
     ``deadline`` bounds the whole chain in wall-clock seconds
     (cooperatively — a running scipy kernel is never pre-empted).
     A candidate answer is rejected unless its residual ``‖πQ‖∞`` is
     below ``residual_tol`` scaled by the chain's largest exit rate.
     """
 
-    methods: tuple[str, ...] = ("direct", "gmres", "bicgstab", "power")
+    methods: tuple[str, ...] | None = None
     retries: int = 2
     backoff: float = 0.05
     deadline: float | None = None
@@ -79,7 +90,8 @@ class FallbackPolicy:
 
         ``spec`` is a method name (a one-element policy), a
         comma-separated method list, a sequence of names, ``None`` (the
-        default chain) or a ready policy, which is returned unchanged.
+        size-ordered default chain) or a ready policy, which is returned
+        unchanged.
         ``overrides`` fill the remaining fields of a policy built here.
         """
         if isinstance(spec, cls):
@@ -108,14 +120,28 @@ class FallbackPolicy:
         ``registry`` defaults to :data:`repro.ctmc.steady.SOLVERS`.
         """
         known = SOLVERS if registry is None else registry
-        unknown = [m for m in self.methods if m not in known]
+        methods = self.methods_for(0)  # both default orders name the same methods
+        unknown = [m for m in methods if m not in known]
         if unknown:
             raise SolverError(
                 f"unknown steady-state method(s) {unknown}; "
                 f"choose from {sorted(known)}"
             )
-        if not self.methods:
+        if not methods:
             raise SolverError("fallback policy has no methods")
+
+    def methods_for(self, n_states: int) -> tuple[str, ...]:
+        """The methods tried, in order, on a chain of ``n_states`` states.
+
+        An explicit ``methods`` is honoured at every size.  The default
+        is ``direct → gmres → power`` below :data:`GMRES_FIRST_STATES`
+        and ``gmres → direct → power`` from it on.
+        """
+        if self.methods is not None:
+            return self.methods
+        if n_states < GMRES_FIRST_STATES:
+            return ("direct", "gmres", "power")
+        return ("gmres", "direct", "power")
 
     def attempts_for(self, method: str) -> int:
         """Total attempts granted to ``method`` (1 + retries if iterative)."""
@@ -155,13 +181,18 @@ class SolveDiagnostics:
 
     ``attempts`` lists every try in order; ``method`` names the solver
     that produced the accepted answer (``None`` if the whole chain
-    failed); ``elapsed`` is total wall-clock time.
+    failed); ``elapsed`` is total wall-clock time.  ``exit_rate_spread``
+    (max/min exit rate of the chain solved) is a cheap condition proxy:
+    the error in π is bounded by the residual times the inverse spectral
+    gap, and a wide spread is where a small residual says least.  It is
+    ``None`` where it does not apply (the fluid solve, a one-state chain).
     """
 
     n_states: int = 0
     attempts: list[AttemptRecord] = field(default_factory=list)
     method: str | None = None
     elapsed: float = 0.0
+    exit_rate_spread: float | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -235,7 +266,8 @@ def run_chain(
     span,
     stage: str = "solve",
 ) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Try ``policy.methods`` in order until one yields an accepted answer.
+    """Try ``policy.methods_for(n_states)`` in order until one yields an
+    accepted answer.
 
     ``attempt(method, k, info)`` runs try ``k`` (1-based) of ``method``
     and returns a candidate vector; it may write
@@ -244,18 +276,21 @@ def run_chain(
     :class:`SolverError` from an attempt is a ``"failed"`` attempt, any
     other exception an ``"error"``; both move the chain on.  Each try
     opens a ``solve.attempt`` span; ``span`` (the caller's enclosing
-    span) receives ``solved_by``, ``attempts`` and ``residual``.
+    span) receives ``methods``, ``solved_by``, ``attempts`` and
+    ``residual``.
 
     Returns ``(candidate, diagnostics)``.  Raises :class:`SolverError`
     with ``exc.diagnostics`` attached, ``stage`` in its context, when
     every attempt failed or the policy's deadline ran out.
     """
+    methods = policy.methods_for(n_states)
+    span.set(methods=",".join(methods))
     diag = SolveDiagnostics(n_states=n_states)
     deadline = Deadline.after(policy.deadline)
     start = time.monotonic()
     tracer = get_tracer()
     try:
-        for method in policy.methods:
+        for method in methods:
             for k in range(1, policy.attempts_for(method) + 1):
                 if deadline.expired:
                     diag.record(
@@ -299,7 +334,7 @@ def run_chain(
             for a in diag.attempts
         )
         raise _chain_failure(
-            f"all {len(policy.methods)} fallback method(s) failed "
+            f"all {len(methods)} fallback method(s) failed "
             f"({len(diag.attempts)} attempts): {failures}", diag, stage)
     finally:
         diag.elapsed = time.monotonic() - start
@@ -325,9 +360,10 @@ def solve_with_fallback(
     """Solve ``πQ = 0, Σπ = 1``; returns ``(pi, diagnostics)``.
 
     ``policy`` is anything :meth:`FallbackPolicy.of` accepts; ``None``
-    is the default ``direct → gmres → bicgstab → power`` chain.  Method
-    names are checked first, so a typo fails in O(1), before any
-    structural analysis of the chain.
+    is the default chain, ordered by the size of the chain actually
+    solved (:meth:`FallbackPolicy.methods_for`).  Method names are
+    checked first, so a typo fails in O(1), before any structural
+    analysis of the chain.
 
     ``reducible`` selects the policy for chains that are not
     irreducible: ``"error"`` raises, naming an absorbing state if there
@@ -344,6 +380,8 @@ def solve_with_fallback(
     are honoured.  A one-state chain needs no solver: its π is ``[1]``
     and the diagnostics credit the policy's first method, so
     ``diagnostics.method`` names the requested method on every chain.
+    The ``ctmc.solve`` span records the chain's ``states``, the
+    ``methods`` tried and the ``exit_rate_spread`` of the chain solved.
 
     Raises :class:`SolverError` — with the full :class:`SolveDiagnostics`
     attached as ``exc.diagnostics`` — when every method of the policy
@@ -357,8 +395,7 @@ def solve_with_fallback(
     n = chain.n_states
     if n == 0:
         raise SolverError("cannot solve an empty chain").with_context(stage="solve")
-    with get_tracer().span("ctmc.solve", states=n,
-                           methods=",".join(policy.methods)) as span:
+    with get_tracer().span("ctmc.solve", states=n) as span:
         if n == 1 or not check_irreducible:
             return _solve_irreducible(chain, policy, registry, span)
         # One SCC pass answers both questions: an irreducible chain is
@@ -387,8 +424,10 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
     """:func:`run_chain` over an irreducible chain, inside ``span``."""
     n = chain.n_states
     if n == 1:
-        diag = SolveDiagnostics(n_states=1, method=policy.methods[0])
-        diag.record(policy.methods[0], 1, "converged", 0.0, residual=0.0,
+        methods = policy.methods_for(1)
+        span.set(methods=",".join(methods))
+        diag = SolveDiagnostics(n_states=1, method=methods[0])
+        diag.record(methods[0], 1, "converged", 0.0, residual=0.0,
                     detail="one state")
         return np.ones(1), diag
 
@@ -404,7 +443,11 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
     # Relative to the chain's own time scale: an absolute floor would
     # accept any vector on a slow chain.  Irreducible with n >= 2, so
     # every state has a positive exit rate.
-    bound = policy.residual_tol * chain.max_exit_rate()
+    exits = chain.exit_rates()
+    bound = policy.residual_tol * float(exits.max())
+    spread = float(exits.max() / exits.min()) if exits.min() > 0 else float("inf")
+    span.set(exit_rate_spread=spread)
     pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span)
+    diag.exit_rate_spread = spread
     get_metrics().gauge("residual").set(diag.residual)
     return pi, diag

@@ -161,7 +161,7 @@ def within_tolerance(a: float, b: float, tolerance: float = DEFAULT_TOLERANCE) -
 # ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
-def _analyse_both(spec: ScenarioSpec, *, solver: str, max_states: int,
+def _analyse_both(spec: ScenarioSpec, *, solver: str | None, max_states: int,
                   budget: ExecutionBudget | None):
     from repro.extract import RateTable, extract_activity_diagram
     from repro.pepanets.measures import analyse_net
@@ -187,7 +187,7 @@ def _analyse_both(spec: ScenarioSpec, *, solver: str, max_states: int,
     return via_extract, via_direct, reference
 
 
-def compare_spec(spec: ScenarioSpec, *, solver: str = "direct",
+def compare_spec(spec: ScenarioSpec, *, solver: str | None = None,
                  max_states: int = DEFAULT_MAX_STATES,
                  tolerance: float = DEFAULT_TOLERANCE,
                  budget: ExecutionBudget | None = None) -> list[Mismatch]:
@@ -250,7 +250,7 @@ def compare_spec(spec: ScenarioSpec, *, solver: str = "direct",
 
 
 def compare_seed(seed: int, *, params: GeneratorParams | None = None,
-                 solver: str = "direct", max_states: int = DEFAULT_MAX_STATES,
+                 solver: str | None = None, max_states: int = DEFAULT_MAX_STATES,
                  tolerance: float = DEFAULT_TOLERANCE,
                  budget: ExecutionBudget | None = None) -> SeedResult:
     """Generate one seed's scenario and run the differential oracle."""
@@ -397,7 +397,7 @@ def dump_reproducer(out_dir: str | Path, result: SeedResult) -> str:
 # ----------------------------------------------------------------------
 def run_sweep(seeds: Sequence[int] | Iterable[int], *,
               params: GeneratorParams | None = None,
-              solver: str = "direct",
+              solver: str | None = None,
               max_states: int = DEFAULT_MAX_STATES,
               tolerance: float = DEFAULT_TOLERANCE,
               deadline: float | None = None,

@@ -65,6 +65,24 @@ class TestRecording:
         assert document["exit_code"] == 0
         assert document["spans"]  # per-span aggregates came along
 
+    def test_document_carries_the_solve_evidence(self, pepa_file, tmp_path):
+        ledger_dir = tmp_path / "runs"
+        assert main(["pepa", str(pepa_file), "--ledger", str(ledger_dir)]) == 0
+        document = RunLedger(ledger_dir).latest()
+
+        def spans(node):
+            yield node
+            for child in node["children"]:
+                yield from spans(child)
+
+        [solve] = [span for root in document["trace"]["traces"]
+                   for span in spans(root) if span["name"] == "ctmc.solve"]
+        attributes = solve["attributes"]
+        assert attributes["methods"] == "direct,gmres,power"
+        assert attributes["solved_by"] == "direct"
+        assert attributes["exit_rate_spread"] == 2.0  # exit rates 2 and 1
+        assert attributes["residual"] >= 0.0
+
     def test_profiled_run_embeds_samples_and_trace(self, pepa_file, tmp_path,
                                                    capsys):
         ledger_dir = tmp_path / "runs"

@@ -26,7 +26,7 @@ from repro.resilience.fallback import FallbackPolicy, solve_with_fallback
 AGREEMENT_ATOL = 1e-8
 
 #: methods safe at any size vs methods that need small, well-mixed chains
-FAST_METHODS = sorted(set(SOLVERS) & {"direct", "gmres", "bicgstab"})
+FAST_METHODS = sorted(set(SOLVERS) & {"direct", "gmres"})
 SLOW_METHODS = sorted(set(SOLVERS) - set(FAST_METHODS))
 
 
@@ -103,9 +103,7 @@ class TestPropertyAgreement:
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_krylov_methods_match_direct(self, n, seed):
         chain = random_ergodic_ctmc(n, seed)
-        reference = reference_pi(chain)
-        for method in ("gmres", "bicgstab"):
-            assert_consistent(steady_state(chain, method), reference)
+        assert_consistent(steady_state(chain, "gmres"), reference_pi(chain))
 
     @settings(max_examples=15, deadline=None)
     @given(n=st.integers(min_value=3, max_value=8),
