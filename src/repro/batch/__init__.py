@@ -33,7 +33,6 @@ from __future__ import annotations
 from typing import Any
 
 from repro.batch.cache import (
-    CacheStats,
     DerivationCache,
     get_cache,
     set_cache,
@@ -45,7 +44,6 @@ __all__ = [
     "BatchReport",
     "BatchResult",
     "BatchTask",
-    "CacheStats",
     "DerivationCache",
     "RetryPolicy",
     "RunJournal",

@@ -28,20 +28,23 @@ filesystem trouble (``ENOSPC``, permissions) degrade to not caching —
 the cache can lose time, never correctness, and never a run.
 
 ``max_bytes`` bounds the store: after every publication the least
-recently *used* entries (hits refresh an entry's mtime) are evicted
-until the directory fits the budget, counted in
-:attr:`CacheStats.evictions` and as ``cache.evict`` events, so a
-long-running batch service cannot fill the disk.
+recently *used* entries (reads refresh an entry's mtime) are evicted
+until the directory fits the budget, counted as ``cache.evictions``
+and reported as ``cache.evict`` events, so a long-running batch
+service cannot fill the disk.
 
-Instrumented code reaches the cache the same way it reaches the tracer:
-:func:`get_cache` returns the ambient instance installed by
-:func:`set_cache`/:func:`use_cache`, defaulting to ``None`` (caching
-off).  Hits/misses/corruption/evictions are counted on the instance, on
-the ambient metrics registry (``cache.hits``/``cache.misses``/
-``cache.corrupt``/``cache.evictions``, plus a ``cache.hit_rate`` gauge)
-and as ``cache.hit``/``cache.miss``/``cache.corrupt``/``cache.evict``
-events, so a batch report shows exactly how much exploration was
-skipped and how much history was aged out.
+Every cached layer — PEPA state spaces, PEPA-net marking spaces,
+assembled CTMCs and fluid solutions — goes through one cache-through
+call, :func:`cached`, which reads the ambient instance installed by
+:func:`set_cache`/:func:`use_cache` (``None``, the default, turns
+caching off and costs one read).  A lookup is a hit only when the
+payload's schema matches and the layer's decoder accepts it; anything
+else is a miss that builds, publishes and returns.  The traffic is
+counted once, on the ambient metrics registry (``cache.hits``/
+``cache.misses``/``cache.stale_schema``/``cache.stores``/
+``cache.corrupt``/``cache.evictions``/``cache.store_errors``), and
+reported as ``cache.*`` events carrying the key; a batch task's
+metrics snapshot is therefore its cache tally.
 """
 
 from __future__ import annotations
@@ -51,16 +54,15 @@ import os
 import pickle
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.core.keys import DerivationKey
 from repro.obs import get_events, get_metrics
 
 __all__ = [
-    "CacheStats",
     "DerivationCache",
+    "cached",
     "get_cache",
     "set_cache",
     "use_cache",
@@ -95,40 +97,18 @@ _CORRUPTION_ERRORS = (
 )
 
 
-@dataclass
-class CacheStats:
-    """In-process tally of one cache instance's traffic."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    corrupt: int = 0
-    evictions: int = 0
-    store_errors: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        """Return the counters as a plain dict (stable key order)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "corrupt": self.corrupt,
-            "evictions": self.evictions,
-            "store_errors": self.store_errors,
-        }
-
-
 class DerivationCache:
     """A content-addressed, integrity-checked store under one directory.
 
-    ``fetch``/``store`` are the whole protocol; payloads are plain
-    dicts assembled by the call sites (state-space payloads in the
-    derivation layers, CTMC payloads via
-    :func:`repro.ctmc.serialize.ctmc_to_payload`).  Instances are safe
-    to share between the processes of a batch run: the filesystem is
-    the coordination point, and atomic publication makes concurrent
-    writers idempotent (same key ⇒ same bytes).  ``max_bytes`` bounds
-    the store with least-recently-used eviction (``None`` = unbounded).
+    ``fetch``/``store`` are the whole protocol, driven by
+    :func:`cached`; payloads are plain dicts built by each layer's
+    encoder (state-space payloads in the derivation layers, CTMC
+    payloads via :func:`repro.ctmc.serialize.ctmc_to_payload`).
+    Instances are safe to share between the processes of a batch run:
+    the filesystem is the coordination point, and atomic publication
+    makes concurrent writers idempotent (same key ⇒ same bytes).
+    ``max_bytes`` bounds the store with least-recently-used eviction
+    (``None`` = unbounded).
     """
 
     def __init__(self, root: str | Path, *, max_bytes: int | None = None):
@@ -137,7 +117,6 @@ class DerivationCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self.max_bytes = max_bytes
-        self.stats = CacheStats()
 
     def path_of(self, key: DerivationKey) -> Path:
         """Where ``key``'s entry lives (two-level digest fan-out)."""
@@ -175,35 +154,23 @@ class DerivationCache:
             )
         return payload
 
-    def _record_hit_rate(self, metrics) -> None:
-        seen = self.stats.hits + self.stats.misses
-        if seen:
-            metrics.gauge("cache.hit_rate").set(self.stats.hits / seen)
-
     # ------------------------------------------------------------------
     def fetch(self, key: DerivationKey) -> dict[str, Any] | None:
-        """The stored payload for ``key``, or ``None`` on miss.
+        """The stored payload for ``key``, or ``None`` if there is none.
 
-        A corrupt entry counts and reports as ``cache.corrupt`` (and as
-        a miss), is deleted best-effort, and the caller re-derives.  A
-        hit refreshes the entry's recency for LRU eviction.
+        Whether a payload is a hit is :func:`cached`'s call, so this
+        counts no hits or misses.  A corrupt entry counts and reports as
+        ``cache.corrupt``, is deleted best-effort, and reads as absent.
+        A successful read refreshes the entry's recency for LRU
+        eviction.
         """
         path = self.path_of(key)
-        metrics = get_metrics()
         try:
             payload = self._decode(path.read_bytes())
         except FileNotFoundError:
-            self.stats.misses += 1
-            metrics.counter("cache.misses").inc()
-            self._record_hit_rate(metrics)
-            get_events().emit("cache.miss", key=key.describe())
             return None
         except _CORRUPTION_ERRORS as exc:
-            self.stats.corrupt += 1
-            self.stats.misses += 1
-            metrics.counter("cache.corrupt").inc()
-            metrics.counter("cache.misses").inc()
-            self._record_hit_rate(metrics)
+            get_metrics().counter("cache.corrupt").inc()
             get_events().emit(
                 "cache.corrupt", key=key.describe(), path=str(path),
                 error=type(exc).__name__,
@@ -213,10 +180,6 @@ class DerivationCache:
             except OSError:
                 pass
             return None
-        self.stats.hits += 1
-        metrics.counter("cache.hits").inc()
-        self._record_hit_rate(metrics)
-        get_events().emit("cache.hit", key=key.describe())
         try:
             os.utime(path)  # refresh recency: hits survive LRU eviction
         except OSError:
@@ -230,8 +193,8 @@ class DerivationCache:
         created, so a serialisation failure raises without leaving a
         temp file (or anything else) behind.  Filesystem failures
         (``ENOSPC``, permissions) degrade gracefully: the entry simply
-        isn't cached — counted in :attr:`CacheStats.store_errors` and
-        reported as a ``cache.store_error`` event — and ``None`` is
+        isn't cached — counted as ``cache.store_errors`` and reported
+        as a ``cache.store_error`` event — and ``None`` is
         returned; the derivation result itself is unaffected.
         """
         from repro.resilience.faultinject import (
@@ -256,15 +219,12 @@ class DerivationCache:
                     os.unlink(tmp_name)
                 except OSError:
                     pass
-            self.stats.store_errors += 1
-            metrics = get_metrics()
-            metrics.counter("cache.store_errors").inc()
+            get_metrics().counter("cache.store_errors").inc()
             get_events().emit(
                 "cache.store_error", key=key.describe(),
                 error=type(exc).__name__, detail=str(exc),
             )
             return None
-        self.stats.stores += 1
         get_metrics().counter("cache.stores").inc()
         get_events().emit("cache.store", key=key.describe())
         maybe_fault_cache_bitflip(path)  # chaos drills: corrupt the entry
@@ -304,7 +264,6 @@ class DerivationCache:
                 continue
             total -= st.st_size
             evicted += 1
-            self.stats.evictions += 1
             metrics.counter("cache.evictions").inc()
             get_events().emit(
                 "cache.evict", entry=path.stem[:12], bytes=st.st_size,
@@ -317,9 +276,9 @@ class DerivationCache:
 
         Each entry's checksum header is re-verified against its payload
         bytes (and the payload unpickled), so bit rot, torn writes and
-        foreign files are all caught.  Corrupt entries count into
-        :attr:`CacheStats.corrupt` (plus the ``cache.corrupt`` metric
-        and event, tagged ``sweep=True``) and are deleted.  Returns
+        foreign files are all caught.  Corrupt entries count as
+        ``cache.corrupt`` (metric, and event tagged ``sweep=True``) and
+        are deleted.  Returns
         ``{"checked", "ok", "corrupt", "purged"}``.
         """
         checked = ok = corrupt = purged = 0
@@ -330,7 +289,6 @@ class DerivationCache:
                 self._decode(path.read_bytes())
             except _CORRUPTION_ERRORS as exc:
                 corrupt += 1
-                self.stats.corrupt += 1
                 metrics.counter("cache.corrupt").inc()
                 get_events().emit(
                     "cache.corrupt", path=str(path),
@@ -364,7 +322,7 @@ class DerivationCache:
         return removed
 
     def __repr__(self) -> str:
-        return f"DerivationCache({str(self.root)!r}, {self.stats.as_dict()})"
+        return f"DerivationCache({str(self.root)!r})"
 
 
 _active_cache: DerivationCache | None = None
@@ -391,3 +349,52 @@ def use_cache(cache: DerivationCache | None) -> Iterator[DerivationCache | None]
         yield cache
     finally:
         set_cache(previous)
+
+
+_T = TypeVar("_T")
+
+
+def cached(
+    make_key: Callable[[], DerivationKey],
+    schema: str,
+    build: Callable[[], _T],
+    encode: Callable[[_T], dict[str, Any]],
+    decode: Callable[[dict[str, Any]], _T | None],
+) -> _T:
+    """Cache-through: the one lookup path of every cached layer.
+
+    With no ambient cache this is ``build()`` and no key is made.
+    Otherwise the payload stored under ``make_key()`` is a **hit** only
+    if its ``schema`` field equals ``schema`` and ``decode`` returns a
+    value (``None`` rejects it — the derivation layers reject a space
+    above the caller's ``max_states`` there).  Anything else is a
+    **miss**: ``build()`` runs, ``encode`` of its result (stamped with
+    ``schema``) is published under the key, and the result is returned.  A payload of another
+    schema also counts and reports as ``cache.stale_schema``; its entry
+    is overwritten by the rebuilt one.  The returned value's
+    ``cache_key`` is set to the key on both paths.
+    """
+    cache = get_cache()
+    if cache is None:
+        return build()
+    key = make_key()
+    metrics, events = get_metrics(), get_events()
+    payload = cache.fetch(key)
+    if payload is not None:
+        found = payload.get("schema")
+        if found == schema:
+            value = decode(payload)
+            if value is not None:
+                metrics.counter("cache.hits").inc()
+                events.emit("cache.hit", key=key.describe())
+                value.cache_key = key
+                return value
+        else:
+            metrics.counter("cache.stale_schema").inc()
+            events.emit("cache.stale_schema", key=key.describe(), schema=str(found))
+    metrics.counter("cache.misses").inc()
+    events.emit("cache.miss", key=key.describe())
+    value = build()
+    cache.store(key, {"schema": schema, **encode(value)})
+    value.cache_key = key
+    return value

@@ -70,7 +70,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import multiprocessing
 
-from repro.batch.cache import DerivationCache, get_cache, set_cache, use_cache
+from repro.batch.cache import DerivationCache, set_cache, use_cache
 from repro.batch.journal import RunJournal, tasks_fingerprint
 from repro.obs import (
     EventStream,
@@ -176,7 +176,8 @@ class BatchResult:
     ``measures`` is the deterministic, JSON-able outcome; ``trace`` /
     ``metrics`` / ``events`` are the worker's observability snapshots
     for this task, and ``events_dropped`` counts the events its bounded
-    stream evicted; ``cache`` is the task's hit/miss delta.
+    stream evicted.  The ``cache.*`` counters of ``metrics`` are the
+    task's cache traffic.
     ``attempts`` counts executions (1 in a healthy run);
     ``quarantined`` marks a task that exhausted its attempts crashing
     or hanging; ``error_context`` carries the structured
@@ -196,20 +197,12 @@ class BatchResult:
     metrics: dict[str, Any] = field(default_factory=lambda: {"schema": "repro-metrics/1", "metrics": {}})
     events: list[dict[str, Any]] = field(default_factory=list)
     events_dropped: int = 0
-    cache: dict[str, int] = field(default_factory=dict)
     attempts: int = 1
     quarantined: bool = False
     error_context: dict[str, Any] = field(default_factory=dict)
     #: ``repro-profile/1`` samples for this task; ``{}`` unless the run
     #: was profiled (the engine's :class:`~repro.obs.ProfileConfig`).
     profile: dict[str, Any] = field(default_factory=dict)
-
-
-def _cache_delta(before: dict[str, int] | None, after: dict[str, int] | None) -> dict[str, int]:
-    if not after:
-        return {}
-    before = before or {}
-    return {name: after[name] - before.get(name, 0) for name in after}
 
 
 def _jsonable_context(context: dict[str, Any], *, limit: int = 200) -> dict[str, Any]:
@@ -283,8 +276,6 @@ def execute_task(
     from repro.batch.tasks import run_task
 
     plan = get_batch_faults()
-    ambient_cache = get_cache()
-    stats_before = ambient_cache.stats.as_dict() if ambient_cache else None
     budget = task.budget.materialise() if task.budget is not None else None
     measures: dict[str, Any] = {}
     error: str | None = None
@@ -313,7 +304,6 @@ def execute_task(
             if isinstance(raw_context, dict):
                 error_context = _jsonable_context(raw_context)
     duration = time.perf_counter() - start
-    stats_after = ambient_cache.stats.as_dict() if ambient_cache else None
     return BatchResult(
         task_id=task.id,
         kind=task.kind,
@@ -325,7 +315,6 @@ def execute_task(
         metrics=obs.metrics.as_dict(),
         events=obs.events.to_dicts(),
         events_dropped=obs.events.dropped,
-        cache=_cache_delta(stats_before, stats_after),
         attempts=attempt,
         error_context=error_context,
         profile=profiler.to_dict() if profiler is not None else {},
@@ -360,6 +349,10 @@ def _supervised_entry(
     """
     Path(marker_path).touch()
     return execute_task(task, attempt, profile=profile)
+
+
+#: The ``cache.<name>`` counters :meth:`BatchReport.cache_totals` sums.
+CACHE_TALLIES = ("hits", "misses", "stores", "corrupt", "evictions", "store_errors")
 
 
 @dataclass
@@ -422,11 +415,16 @@ class BatchReport:
         )
 
     def cache_totals(self) -> dict[str, int]:
-        """Hit/miss/store/corrupt/eviction totals over every task."""
-        totals: dict[str, int] = {}
+        """Cache traffic over every task: the sums of the ``cache.*``
+        counters in each task's metrics, keyed by :data:`CACHE_TALLIES`;
+        ``{}`` for a run without a cache."""
+        if not self.cache_dir:
+            return {}
+        totals = dict.fromkeys(CACHE_TALLIES, 0)
         for result in self.results:
-            for name, value in result.cache.items():
-                totals[name] = totals.get(name, 0) + value
+            metrics = result.metrics.get("metrics", {})
+            for name in CACHE_TALLIES:
+                totals[name] += metrics.get(f"cache.{name}", {}).get("value", 0)
         return totals
 
     # ------------------------------------------------------------------
@@ -478,13 +476,12 @@ class BatchReport:
         table = format_table(["task", "kind", "status", "time", "error"], rows)
         totals = self.cache_totals()
         cache_line = (
-            f"cache: {totals.get('hits', 0)} hits, "
-            f"{totals.get('misses', 0)} misses, "
-            f"{totals.get('corrupt', 0)} corrupt"
+            f"cache: {totals['hits']} hits, {totals['misses']} misses, "
+            f"{totals['corrupt']} corrupt"
             if totals
             else "cache: off"
         )
-        if totals and totals.get("evictions"):
+        if totals.get("evictions"):
             cache_line += f", {totals['evictions']} evicted"
         if self.ok:
             status = "ok"

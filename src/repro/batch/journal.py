@@ -104,7 +104,6 @@ def result_to_dict(result) -> dict[str, Any]:
         "metrics": result.metrics,
         "events": result.events,
         "events_dropped": result.events_dropped,
-        "cache": result.cache,
         "profile": result.profile,
     }
 
@@ -127,7 +126,6 @@ def result_from_dict(document: dict[str, Any]):
         metrics=document.get("metrics", {"schema": "repro-metrics/1", "metrics": {}}),
         events=document.get("events", []),
         events_dropped=document.get("events_dropped", 0),
-        cache=document.get("cache", {}),
         profile=document.get("profile", {}),
     )
 

@@ -739,7 +739,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             events=report.merged_events(),
             events_dropped=report.events_dropped,
             profile=report.merged_profile(),
-            cache=report.cache_totals(),
             incidents=report.incidents,
             extra={
                 "jobs": report.jobs,

@@ -73,6 +73,9 @@ class Lts:
         self._by_action: dict[str, list[LabelledArc]] | None = None
         #: How many times the adjacency index has been built (0 or 1).
         self.adjacency_builds = 0
+        #: The :class:`~repro.core.keys.DerivationKey` this LTS was read
+        #: from or published under by the derivation cache, else ``None``.
+        self.cache_key = None
 
     # ------------------------------------------------------------------
     # Plain accessors

@@ -38,6 +38,9 @@ class CTMC:
         self.labels = list(labels or [])
         self.action_rates = dict(action_rates or {})
         self.initial = initial
+        #: The derivation-cache key this chain was read from or
+        #: published under (see :func:`repro.core.ctmcgen.ctmc_from_lts`).
+        self.cache_key = None
 
         n, m = self.Q.shape
         if n != m:

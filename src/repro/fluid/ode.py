@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.batch.cache import cached
+from repro.core.keys import DerivationKey
 from repro.exceptions import SolverError
 from repro.fluid.nvf import NumericalVectorForm, nvf_of_model
 from repro.obs import get_events, get_tracer
@@ -75,8 +77,8 @@ class FluidAnalysis:
         self.solver = method
         self.diagnostics = diagnostics
         self.nvf = nvf
-        #: Set when the solution was fetched from / published to the
-        #: ambient derivation cache.
+        #: The derivation-cache key this solution was read from or
+        #: published under, else ``None``.
         self.cache_key = None
 
     # ------------------------------------------------------------------
@@ -364,50 +366,45 @@ def analyse_fluid(
 
     ``replicas`` overrides the replica count spelled out in the system
     equation — the whole point of the fluid route: the model file stays
-    small while ``N`` scales freely.  With an ambient derivation cache
+    small while ``N`` scales freely.  Through
+    :func:`repro.batch.cache.cached`: with an ambient derivation cache
     installed the solved vector is content-addressed under the model
     source + replica count (variant ``fluid``), so reruns skip both
     compilation and solving.
     """
-    from repro.batch.cache import get_cache
+    from repro.pepa.export import model_source
 
-    cache = get_cache()
-    key = None
-    if cache is not None:
-        from repro.core.keys import DerivationKey
-        from repro.pepa.export import model_source
-
-        n_for_key = replicas  # may be None: resolved by the model text
-        key = DerivationKey.of(
+    def key() -> DerivationKey:
+        return DerivationKey.of(
             "pepa", model_source(model),
-            {"replicas": n_for_key} if n_for_key is not None else None,
+            # None: the replica count is the one the model text spells out
+            {"replicas": replicas} if replicas is not None else None,
         ).child("fluid")
-        payload = cache.fetch(key)
-        if payload is not None and payload.get("schema") == CACHE_SCHEMA:
-            analysis = FluidAnalysis(
-                payload["names"], payload["n_replica_states"],
-                payload["replicas"], np.asarray(payload["x"]),
-                payload["throughputs"], payload["method"],
-            )
-            analysis.cache_key = key
-            return analysis
 
-    nvf, _shape, n = nvf_of_model(model, replicas)
-    x, diag = steady_fluid(nvf, n, methods=methods, residual_tol=residual_tol)
-    throughputs = nvf.action_flows(x)
-    analysis = FluidAnalysis(
-        nvf.names, nvf.n_replica_states, n, x, throughputs,
-        diag.method or "fluid", diagnostics=diag, nvf=nvf,
-    )
-    if cache is not None and key is not None:
-        cache.store(key, {
-            "schema": CACHE_SCHEMA,
+    def build() -> FluidAnalysis:
+        nvf, _shape, n = nvf_of_model(model, replicas)
+        x, diag = steady_fluid(nvf, n, methods=methods, residual_tol=residual_tol)
+        return FluidAnalysis(
+            nvf.names, nvf.n_replica_states, n, x, nvf.action_flows(x),
+            diag.method or "fluid", diagnostics=diag, nvf=nvf,
+        )
+
+    def encode(analysis: FluidAnalysis) -> dict:
+        return {
             "names": analysis.names,
             "n_replica_states": analysis.n_replica_states,
-            "replicas": n,
-            "x": [float(v) for v in x],
-            "throughputs": {k: float(v) for k, v in throughputs.items()},
+            "replicas": analysis.replicas,
+            "x": [float(v) for v in analysis.x],
+            "throughputs": {
+                k: float(v) for k, v in analysis.all_throughputs().items()
+            },
             "method": analysis.solver,
-        })
-        analysis.cache_key = key
-    return analysis
+        }
+
+    def decode(payload: dict) -> FluidAnalysis:
+        return FluidAnalysis(
+            payload["names"], payload["n_replica_states"], payload["replicas"],
+            np.asarray(payload["x"]), payload["throughputs"], payload["method"],
+        )
+
+    return cached(key, CACHE_SCHEMA, build, encode, decode)

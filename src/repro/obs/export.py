@@ -239,7 +239,7 @@ def prometheus_text(metrics) -> str:
     summaries (``_sum``/``_count`` plus ``quantile`` series when the
     registry is live and retains samples — merged snapshots carry no
     samples, so they expose sum/count/min/max only).  Instrument names
-    are sanitised (``cache.hit_rate`` → ``repro_cache_hit_rate``).
+    are sanitised (``cache.bytes`` → ``repro_cache_bytes``).
     """
     live = metrics if isinstance(metrics, MetricsRegistry) else None
     snapshot = metrics if isinstance(metrics, dict) else metrics.as_dict()

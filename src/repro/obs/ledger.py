@@ -7,9 +7,9 @@ on-disk store (format ``repro-runs/1``) of **run documents** — one
 invocation, carrying the run's identity (command, label, wall-clock
 timestamp passed in from the entrypoint, config fingerprint via
 :func:`repro.core.keys.stable_digest`, host info), its per-span
-aggregates and full span forest, metrics snapshot, event records,
-cache/incident statistics and profiler samples — so ``choreographer
-runs list|show|explain|compare|trend|export`` can answer "where did
+aggregates and full span forest, metrics snapshot (cache traffic
+included), event records, incidents and profiler samples — so
+``choreographer runs list|show|explain|compare|trend|export`` can answer "where did
 this run's time go?" and "how has this pipeline been behaving?"
 across days of history instead of one process lifetime.  The document
 is the only thing a run records.
@@ -198,7 +198,6 @@ def build_run_document(
     events: list[dict[str, Any]] | None = None,
     events_dropped: int = 0,
     profile: dict[str, Any] | None = None,
-    cache: dict[str, int] | None = None,
     incidents: list[dict[str, Any]] | None = None,
     extra: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -252,8 +251,6 @@ def build_run_document(
                               "by_name": names, "records": list(events)}
     if profile is not None and profile.get("sample_count"):
         document["profile"] = profile
-    if cache:
-        document["cache"] = dict(cache)
     if incidents:
         document["incidents"] = list(incidents)
     if extra:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.batch.cache import cached
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
+from repro.core.keys import DerivationKey
 from repro.core.lts import LabelledArc, Lts
 from repro.exceptions import WellFormednessError
 from repro.pepa.environment import Environment, PepaModel
@@ -161,42 +163,27 @@ def derive(
 ) -> StateSpace:
     """Derive the state space of a complete model's system equation.
 
-    When an ambient :class:`~repro.batch.cache.DerivationCache` is
-    installed (see :func:`repro.batch.cache.use_cache`), the derivation
-    is content-addressed by the model's canonical source text: a hit
+    Through :func:`repro.batch.cache.cached`: with an ambient
+    :class:`~repro.batch.cache.DerivationCache` installed (see
+    :func:`repro.batch.cache.use_cache`), the derivation is
+    content-addressed by the model's canonical source text.  A hit
     reconstructs the state space from disk and skips exploration
     entirely (no ``pepa.statespace`` span, no explored-state counters —
     only ``cache.hit``); a miss explores as usual and publishes the
-    result.  A cached space larger than ``max_states`` is rejected so
-    the ceiling keeps its meaning, and exploration (which will raise
-    the usual overflow error) runs instead.
+    result.  A cached space larger than ``max_states`` is a miss, so the
+    ceiling keeps its meaning: exploration runs and raises the usual
+    overflow error.
     """
-    from repro.batch.cache import get_cache
-
-    cache = get_cache()
-    if cache is None:
-        return explore(
-            model.system, model.environment, max_states=max_states, budget=budget
-        )
-
-    from repro.core.keys import DerivationKey
     from repro.pepa.export import model_source
 
-    key = DerivationKey.of("pepa", model_source(model))
-    payload = cache.fetch(key)
-    if (
-        payload is not None
-        and payload.get("schema") == CACHE_SCHEMA
-        and len(payload.get("states", ())) <= max_states
-    ):
-        space = StateSpace(states=payload["states"], arcs=payload["arcs"])
-        space.cache_key = key
-        return space
-    space = explore(
-        model.system, model.environment, max_states=max_states, budget=budget
+    return cached(
+        lambda: DerivationKey.of("pepa", model_source(model)), CACHE_SCHEMA,
+        build=lambda: explore(
+            model.system, model.environment, max_states=max_states, budget=budget
+        ),
+        encode=lambda space: {"states": space.states, "arcs": space.arcs},
+        decode=lambda payload: (
+            StateSpace(states=payload["states"], arcs=payload["arcs"])
+            if len(payload["states"]) <= max_states else None
+        ),
     )
-    cache.store(
-        key, {"schema": CACHE_SCHEMA, "states": space.states, "arcs": space.arcs}
-    )
-    space.cache_key = key
-    return space

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.batch.cache import cached
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
+from repro.core.keys import DerivationKey
 from repro.core.lts import LabelledArc, Lts
 from repro.pepa.semantics import derivatives
 from repro.pepanets.compiled import CompiledNet, passive_local_error
@@ -99,47 +101,34 @@ def explore_net(
     cooperatively once per expanded marking; exhaustion raises a
     resumable :class:`~repro.exceptions.BudgetExceededError`.
 
-    With an ambient :class:`~repro.batch.cache.DerivationCache`
-    installed, the marking space is content-addressed by the net's
-    canonical source (:func:`repro.pepanets.export.net_source`): a hit
-    reconstructs markings and arcs from disk and skips the BFS
-    entirely; a miss explores and publishes.  Cached spaces above
-    ``max_states`` are rejected, preserving the ceiling's semantics.
+    Through :func:`repro.batch.cache.cached`: with an ambient
+    :class:`~repro.batch.cache.DerivationCache` installed, the marking
+    space is content-addressed by the net's canonical source
+    (:func:`repro.pepanets.export.net_source`): a hit reconstructs
+    markings and arcs from disk and skips the BFS entirely; a miss
+    explores and publishes.  A cached space above ``max_states`` is a
+    miss, preserving the ceiling's semantics.
     """
-    from repro.batch.cache import get_cache
+    from repro.pepanets.export import net_source
 
-    cache = get_cache()
-    key = None
-    if cache is not None:
-        from repro.core.keys import DerivationKey
-        from repro.pepanets.export import net_source
-
-        key = DerivationKey.of("pepanet", net_source(net))
-        payload = cache.fetch(key)
-        if (
-            payload is not None
-            and payload.get("schema") == CACHE_SCHEMA
-            and len(payload.get("markings", ())) <= max_states
-        ):
-            space = NetStateSpace(
-                net=net, markings=payload["markings"], arcs=payload["arcs"]
-            )
-            space.cache_key = key
-            return space
-    compiled = CompiledNet(net)
-    lts = explore_lts(
-        compiled.initial,
-        compiled.successors,
-        render=lambda states: [compiled.render(s) for s in states],
-        **_explore_options(net, max_states, budget),
-    )
-    space = NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs)
-    if cache is not None and key is not None:
-        cache.store(
-            key, {"schema": CACHE_SCHEMA, "markings": space.markings, "arcs": space.arcs}
+    def build() -> NetStateSpace:
+        compiled = CompiledNet(net)
+        lts = explore_lts(
+            compiled.initial,
+            compiled.successors,
+            render=lambda states: [compiled.render(s) for s in states],
+            **_explore_options(net, max_states, budget),
         )
-        space.cache_key = key
-    return space
+        return NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs)
+
+    return cached(
+        lambda: DerivationKey.of("pepanet", net_source(net)), CACHE_SCHEMA, build,
+        encode=lambda space: {"markings": space.markings, "arcs": space.arcs},
+        decode=lambda payload: (
+            NetStateSpace(net=net, markings=payload["markings"], arcs=payload["arcs"])
+            if len(payload["markings"]) <= max_states else None
+        ),
+    )
 
 
 def explore_net_reference(

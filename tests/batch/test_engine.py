@@ -16,6 +16,9 @@ P
 
 BROKEN_SRC = "this is not PEPA at all ;;;"
 
+#: Parses, misses the cache, then fails: a passive activity at top level.
+PASSIVE_SRC = "P = (a, infty).P; P"
+
 
 def _tasks():
     return [
@@ -138,6 +141,30 @@ def test_measures_json_is_canonical():
 def test_no_cache_dir_means_no_cache_traffic():
     report = run_batch(_tasks())
     assert report.cache_totals() == {}
+    assert report.summary().endswith("cache: off")
+
+
+def test_a_task_failing_after_a_miss_is_tallied(tmp_path):
+    """The tally is the task's own metrics: a first task on an empty
+    cache that misses and then fails still counts its miss."""
+    report = run_batch(
+        [BatchTask(id="passive", kind="pepa", payload={"source": PASSIVE_SRC})],
+        cache_dir=tmp_path / "cache",
+    )
+    assert not report.ok
+    assert report.results[0].metrics["metrics"]["cache.misses"]["value"] == 1
+    assert report.cache_totals() == {
+        "hits": 0, "misses": 1, "stores": 0, "corrupt": 0,
+        "evictions": 0, "store_errors": 0,
+    }
+    assert "cache: 0 hits, 1 misses, 0 corrupt" in report.summary()
+
+
+def test_cache_totals_do_not_depend_on_jobs(tmp_path):
+    serial = run_batch(_tasks(), jobs=1, cache_dir=tmp_path / "serial")
+    pooled = run_batch(_tasks(), jobs=2, cache_dir=tmp_path / "pooled")
+    assert serial.cache_totals()["misses"] > 0
+    assert pooled.cache_totals() == serial.cache_totals()
 
 
 def test_pool_run_with_two_workers(tmp_path):

@@ -33,7 +33,8 @@ def _result(task_id="a", **overrides):
         task_id=task_id, kind="pepa", ok=True,
         measures={"n_states": 2}, duration_s=0.25, attempts=2,
         events=[{"name": "x", "fields": {}}],
-        cache={"hits": 1, "misses": 0},
+        metrics={"schema": "repro-metrics/1",
+                 "metrics": {"cache.hits": {"type": "counter", "value": 1}}},
         error_context={"stage": "solve"},
     )
     fields.update(overrides)

@@ -7,10 +7,12 @@ byte-identical to a run that was never interrupted.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.batch import BatchEngine, BatchTask
-from repro.batch.engine import RetryPolicy
+from repro.batch.engine import CACHE_TALLIES, RetryPolicy
 from repro.batch.journal import RunJournal
 from repro.resilience.faultinject import BatchFaultPlan
 
@@ -53,6 +55,34 @@ def test_resume_completed_run_replays_without_rerunning(tmp_path, monkeypatch):
 
     monkeypatch.setattr("repro.batch.engine.execute_task", boom)
     resumed = BatchEngine(jobs=1, retry=FAST).resume(journal_path)
+    assert resumed.measures_json() == first.measures_json()
+
+
+def test_journal_lines_with_a_cache_key_resume_unchanged(tmp_path):
+    """Journals from before the cache tally lived only in each result's
+    metrics carry a ``cache`` dict per result; they still resume, with
+    the same totals and byte-identical measures."""
+    journal_path = tmp_path / "run.journal"
+    cache_dir = tmp_path / "cache"
+    first = BatchEngine(jobs=1, journal=journal_path, cache_dir=cache_dir,
+                        retry=FAST).run(_tasks())
+    assert first.cache_totals()["misses"] == 8  # a state space and a chain each
+
+    lines = []
+    for line in journal_path.read_text().splitlines():
+        record = json.loads(line)
+        if record.get("record") == "result":
+            counters = record["result"]["metrics"]["metrics"]
+            record["result"]["cache"] = {
+                name: counters.get(f"cache.{name}", {}).get("value", 0)
+                for name in CACHE_TALLIES
+            }
+        lines.append(json.dumps(record, sort_keys=True) + "\n")
+    assert sum('"cache": {' in line for line in lines) == len(_tasks())
+    journal_path.write_text("".join(lines))
+
+    resumed = BatchEngine(jobs=1, cache_dir=cache_dir, retry=FAST).resume(journal_path)
+    assert resumed.cache_totals() == first.cache_totals()
     assert resumed.measures_json() == first.measures_json()
 
 

@@ -166,13 +166,18 @@ class TestBuildRunDocument:
         document = build_run_document(
             command="batch",
             trace=merged,
-            cache={"hits": 3, "misses": 1},
+            metrics={"schema": "repro-metrics/1", "metrics": {
+                "cache.hits": {"type": "counter", "value": 3},
+                "cache.misses": {"type": "counter", "value": 1}}},
             incidents=[{"task": "t1"}],
             tasks_fingerprint="abc123",
             extra={"exit_code": 0},
         )
         assert document["spans"]["batch.task"]["total_s"] == 0.25
-        assert document["cache"] == {"hits": 3, "misses": 1}
+        # cache traffic is the metrics' cache.* counters, nowhere else
+        assert document["metrics"]["cache.hits"]["value"] == 3
+        assert document["metrics"]["cache.misses"]["value"] == 1
+        assert "cache" not in document
         assert document["incidents"] == [{"task": "t1"}]
         assert document["trace"] == merged
         assert document["tasks_fingerprint"] == "abc123"

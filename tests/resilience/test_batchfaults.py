@@ -9,6 +9,7 @@ import pytest
 
 from repro.batch.cache import DerivationCache
 from repro.core.keys import DerivationKey
+from repro.obs import MetricsRegistry, ObsContext, use_obs
 from repro.resilience.faultinject import (
     BATCH_FAULT_KINDS,
     BatchFault,
@@ -119,13 +120,21 @@ def test_current_task_scoping():
 # ---------------------------------------------------------------------------
 # Cache-level faults through the real DerivationCache
 # ---------------------------------------------------------------------------
-def test_enospc_fault_degrades_store(tmp_path):
+@pytest.fixture
+def metrics():
+    """The registry the cache counts into for the test's duration."""
+    registry = MetricsRegistry()
+    with use_obs(ObsContext(metrics=registry)):
+        yield registry
+
+
+def test_enospc_fault_degrades_store(tmp_path, metrics):
     cache = DerivationCache(tmp_path / "cache")
     key = DerivationKey.of("pepa", "src")
     plan = BatchFaultPlan.parse(["cache-enospc:model@1"])
     with use_batch_faults(plan), current_task("model", 1):
         assert cache.store(key, {"schema": "x"}) is None
-    assert cache.stats.store_errors == 1
+    assert metrics.counter("cache.store_errors").value == 1
     assert key not in cache
     # Attempt 2 (fault exhausted): the store goes through.
     with use_batch_faults(plan), current_task("model", 2):
@@ -133,7 +142,7 @@ def test_enospc_fault_degrades_store(tmp_path):
     assert key in cache
 
 
-def test_bitflip_fault_caught_by_checksum(tmp_path):
+def test_bitflip_fault_caught_by_checksum(tmp_path, metrics):
     cache = DerivationCache(tmp_path / "cache")
     key = DerivationKey.of("pepa", "src")
     plan = BatchFaultPlan.parse(["cache-bitflip:model@1"])
@@ -141,16 +150,16 @@ def test_bitflip_fault_caught_by_checksum(tmp_path):
         cache.store(key, {"schema": "x", "value": 9})
     # The entry was published, then sabotaged; the checksum must catch it.
     assert cache.fetch(key) is None
-    assert cache.stats.corrupt == 1
+    assert metrics.counter("cache.corrupt").value == 1
     # verify() on an already-purged store finds nothing further.
     assert cache.verify()["corrupt"] == 0
 
 
-def test_no_plan_means_no_fault_cost(tmp_path):
+def test_no_plan_means_no_fault_cost(tmp_path, metrics):
     cache = DerivationCache(tmp_path / "cache")
     key = DerivationKey.of("pepa", "src")
     set_batch_faults(None)
     with current_task("model", 1):
         assert cache.store(key, {"schema": "x"}) is not None
     assert cache.fetch(key) == {"schema": "x"}
-    assert cache.stats.store_errors == 0
+    assert metrics.counter("cache.store_errors").value == 0
