@@ -28,8 +28,7 @@ from repro.workloads import client_server_model, courier_ring_net, tandem_queue_
 #: 8 clients -> 512 client configurations x 2 server phases.
 N_CLIENTS = 8
 
-# Stationary per-state sweeps in Python are orders slower; keep them on
-# a smaller instance so the bench suite stays laptop-scale.
+#: A paper-scale instance, where derivation rather than solving dominates.
 SMALL_N_CLIENTS = 5
 
 _chain_cache: dict[int, object] = {}
@@ -42,18 +41,9 @@ def chain_for(n: int):
     return _chain_cache[n]
 
 
-@pytest.mark.parametrize("method", ["direct", "gmres", "power"])
+@pytest.mark.parametrize("method", ["direct", "gmres", "jacobi"])
 def test_solver_on_large_instance(benchmark, method):
     chain = chain_for(N_CLIENTS)
-    pi = benchmark(lambda: steady_state(chain, method, tol=1e-10))
-    reference = steady_state(chain, "direct")
-    assert np.allclose(pi, reference, atol=1e-6)
-    record(benchmark, states=chain.n_states)
-
-
-@pytest.mark.parametrize("method", ["jacobi"])
-def test_stationary_iterations_small_instance(benchmark, method):
-    chain = chain_for(SMALL_N_CLIENTS)
     pi = benchmark(lambda: steady_state(chain, method, tol=1e-10))
     reference = steady_state(chain, "direct")
     assert np.allclose(pi, reference, atol=1e-6)

@@ -81,7 +81,7 @@ print("=" * 68)
 _, chain = ctmc_of_model(client_server_model(9))
 print(f"chain: {chain.n_states} states")
 reference = steady_state(chain, "direct")
-for method in ("direct", "gmres", "power"):
+for method in ("direct", "gmres", "jacobi"):
     start = time.perf_counter()
     pi = steady_state(chain, method)
     elapsed = time.perf_counter() - start

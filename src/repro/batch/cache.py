@@ -106,7 +106,9 @@ class DerivationCache:
     payloads via :func:`repro.ctmc.serialize.ctmc_to_payload`).
     Instances are safe to share between the processes of a batch run:
     the filesystem is the coordination point, and atomic publication
-    makes concurrent writers idempotent (same key ⇒ same bytes).
+    makes concurrent writers idempotent: writers of one key agree on the
+    content, not on the bytes (a pickled state space varies with
+    ``PYTHONHASHSEED``), and the last complete write wins.
     ``max_bytes`` bounds the store with least-recently-used eviction
     (``None`` = unbounded).
     """

@@ -30,10 +30,10 @@ byte-for-byte.
 **Supervision** — the engine assumes the real world: workers segfault,
 solves hang, tasks throw.  Every task runs under a
 :class:`RetryPolicy`: a failed attempt is retried with exponential
-backoff (the :class:`~repro.resilience.fallback.FallbackPolicy`
-idiom), a worker that dies abruptly (``BrokenProcessPool``) poisons
-only the tasks it was running — the pool is rebuilt, unstarted tasks
-are re-queued without losing an attempt, and crash suspects are
+backoff (batch failures are transient, so this is the one retry loop
+in the code base), a worker that dies abruptly (``BrokenProcessPool``)
+poisons only the tasks it was running — the pool is rebuilt, unstarted
+tasks are re-queued without losing an attempt, and crash suspects are
 re-tried in *isolation* (a one-worker pool) so a repeat crash blames
 exactly one task — and a task that exceeds ``task_timeout`` has its
 pool torn down and is likewise retried in isolation.  A task that
@@ -123,8 +123,9 @@ class RetryPolicy:
     ``retries`` extra attempts follow a failed first one (so
     ``retries=2`` means at most three executions); before attempt *k*
     the supervisor sleeps ``backoff * 2**(k-2)`` seconds, capped at
-    ``max_backoff`` — the :class:`~repro.resilience.fallback.FallbackPolicy`
-    idiom.  ``task_timeout`` bounds one attempt's wall clock in pooled
+    ``max_backoff``.  Worker crashes and hangs are transient, so unlike
+    a steady-state method, which runs once, a task is worth retrying.
+    ``task_timeout`` bounds one attempt's wall clock in pooled
     runs (``None`` = unbounded); a timed-out attempt counts as failed
     and its worker pool is rebuilt, since a running task cannot be
     cancelled, only outlived.

@@ -12,7 +12,7 @@ Kinds:
     The full Figure 4 Choreographer pipeline over a Poseidon document:
     ``{"text": ..., "rates": {...}, "loop": true, "reset_rate": 1.0,
     "solver": "direct", "strict": false}``; ``solver`` is a method name
-    or a comma-separated fallback chain such as ``"direct,gmres,power"``
+    or a comma-separated fallback chain such as ``"direct,gmres,jacobi"``
     (as in every kind that solves; absent or ``None`` means the default
     chain, ordered by chain size); ``rates_text`` (raw ``.rates`` file
     content) may replace ``rates``.

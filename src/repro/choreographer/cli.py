@@ -4,7 +4,7 @@ Sub-commands mirror the tool-chain stages::
 
     choreographer analyse model.xmi --rates tomcat.rates -o reflected.xmi
     choreographer pepa model.pepa --solver gmres
-    choreographer pepa model.pepa --solver direct,gmres,power -v
+    choreographer pepa model.pepa --solver direct,gmres,jacobi -v
     choreographer fluid model.pepa --replicas 100000
     choreographer net model.pepanet --export-prism out/model
     choreographer validate model.xmi
@@ -72,9 +72,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--solver", type=_solver_spec, default=None, metavar="METHODS",
             help="steady-state method, or a comma-separated fallback chain "
-                 "tried in order with retries (e.g. direct,gmres,power); "
-                 f"default: direct,gmres,power below {GMRES_FIRST_STATES} "
-                 "states, gmres,direct,power from there on")
+                 "tried in order, once each (e.g. direct,gmres,jacobi); "
+                 f"default: direct,gmres,jacobi below {GMRES_FIRST_STATES} "
+                 "states, gmres,direct,jacobi from there on")
 
     def add_resilience_flags(cmd: argparse.ArgumentParser) -> None:
         add_solver_flag(cmd)

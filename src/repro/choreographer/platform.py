@@ -172,7 +172,7 @@ class Choreographer:
 
     Parameters pick the numerical back end: ``solver`` is a method of
     :data:`repro.ctmc.steady.SOLVERS`, a comma-separated fallback chain
-    such as ``"direct,gmres,power"`` or a
+    such as ``"direct,gmres,jacobi"`` or a
     :class:`~repro.resilience.fallback.FallbackPolicy`, parsed once into
     the policy every solve runs; ``max_states`` bounds derivation.
 

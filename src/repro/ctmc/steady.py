@@ -10,36 +10,36 @@ paper builds on, and following the HPC guide's advice to prefer
   states — "exact solution is an advantage");
 * ``gmres``   ILU-preconditioned restarted GMRES (first in the default
   chain at or above that size, where the LU factors' fill dominates);
-* ``power``   power iteration on the uniformized DTMC (lowest memory
-  footprint, the default chain's last resort);
-* ``jacobi``  damped Jacobi, the classical stationary iteration,
-  kept as a baseline for the solver benchmark.
+* ``jacobi``  damped Jacobi, the one stationary iteration (lowest
+  memory footprint, the default chain's last resort).  It is a power
+  iteration on the embedded jump chain, so unlike the power method on
+  the uniformised chain ``I + Q/Λ`` it does not slow down as the exit
+  rates spread over decades (Stewart 1994, ch. 3).
 
 ``gmres`` preconditions with ILU; when the factorisation fails it
 solves unpreconditioned, and the preconditioner path actually taken is
-reported through the ``options["info"]`` dict (it surfaces in the
-attempt records of
-:class:`~repro.resilience.fallback.SolveDiagnostics`).
+reported through the ``info`` dict (it surfaces in the attempt records
+of :class:`~repro.resilience.fallback.SolveDiagnostics`).  A
+preconditioner fallback belongs there, inside the method, not in a
+retry of it.
 
 :func:`steady_state` runs the one solve path,
 :func:`repro.resilience.fallback.solve_with_fallback`: ``None`` is the
 size-ordered default chain, a method name a one-element policy, a
-comma-separated list such as ``"direct,gmres,power"`` an ordered
+comma-separated list such as ``"direct,gmres,jacobi"`` an ordered
 fallback chain, and every answer must pass the residual check
 ``‖πQ‖∞ ≤ 1e-6 × max exit rate``.  All methods require an irreducible
 chain; hand a reducible one to :func:`steady_state` and you get a
 :class:`SolverError` naming the offending structure (use
 :meth:`CTMC.bottom_sccs` to analyse further).
 
-Every solver callable takes ``(chain, tol, max_iterations, options)``;
-``options`` carries per-attempt hints (``x0``, ``ilu_drop_tol``,
-``ilu_fill_factor``) that the retry layer uses to perturb the starting
-vector and relax the preconditioner between attempts.
+Every solver callable takes ``(chain, tol, max_iterations, info)``;
+``info`` is an optional dict the solver may write its diagnostics to.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Mapping
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -131,7 +131,7 @@ def _balance_system(chain: CTMC):
 
 
 def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
-                  options: Mapping | None = None) -> np.ndarray:
+                  info: dict | None = None) -> np.ndarray:
     """Sparse LU on the :func:`_balance_system`."""
     A, b = _balance_system(chain)
     pi = spla.spsolve(A, b)
@@ -139,30 +139,25 @@ def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
 
 
 def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
-                 options: Mapping | None = None) -> np.ndarray:
-    """ILU-preconditioned restarted GMRES on the :func:`_balance_system`."""
-    options = options or {}
-    info_out = options.get("info")
-    if not isinstance(info_out, dict):
-        info_out = {}
+                 info: dict | None = None) -> np.ndarray:
+    """ILU-preconditioned restarted GMRES on the :func:`_balance_system`;
+    writes the preconditioner path taken to ``info["preconditioner"]``."""
+    if info is None:
+        info = {}
     n = chain.n_states
     A, b = _balance_system(chain)
     try:
-        ilu = spla.spilu(
-            A,
-            drop_tol=options.get("ilu_drop_tol", 1e-5),
-            fill_factor=options.get("ilu_fill_factor", 20),
-        )
+        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
         M = spla.LinearOperator((n, n), ilu.solve)
-        info_out["preconditioner"] = "ilu"
+        info["preconditioner"] = "ilu"
     except (RuntimeError, ValueError, MemoryError):
         # spilu raises RuntimeError on exactly-singular factors, but
         # near-singular or very large systems can also surface as
         # ValueError/MemoryError — an unpreconditioned solve beats a
         # crashed one in every case.
         M = None
-        info_out["preconditioner"] = "none-fallback"
-    x0 = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
+        info["preconditioner"] = "none-fallback"
+    x0 = np.full(n, 1.0 / n)
     iterations = [0]
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
@@ -177,7 +172,7 @@ def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
                 elapsed_s=round(time.perf_counter() - start, 9),
             )
 
-    pi, info = spla.gmres(A, b, rtol=max(tol, 1e-12), maxiter=max_iterations,
+    pi, code = spla.gmres(A, b, rtol=max(tol, 1e-12), maxiter=max_iterations,
                           M=M, x0=x0, callback=count_iteration,
                           restart=min(50, n), callback_type="legacy")
     if events.enabled and iterations[0] == 0:
@@ -193,51 +188,13 @@ def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
     metrics = get_metrics()
     metrics.counter("solver_iterations").inc(iterations[0])
     metrics.counter("spmv_count").inc(iterations[0])
-    if info != 0:
-        raise SolverError(f"gmres failed to converge (info={info})")
+    if code != 0:
+        raise SolverError(f"gmres failed to converge (info={code})")
     return np.asarray(pi).ravel()
 
 
-def _solve_power(chain: CTMC, tol: float, max_iterations: int,
-                 options: Mapping | None = None) -> np.ndarray:
-    """Power iteration on the uniformized DTMC ``P = I + Q/Λ``.
-
-    Each step is ``Pᵀπ = π + Qᵀπ/Λ``: one SpMV with ``Qᵀ``, transposed
-    to CSR once per solve (Λ is 1.02× the maximum exit rate, strictly
-    above it for aperiodicity)."""
-    options = options or {}
-    QT = chain.Q.transpose().tocsr()
-    lam = max(chain.max_exit_rate() * 1.02, 1e-12)
-    n = chain.n_states
-    pi = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
-    pi = np.clip(pi, 0.0, None)
-    pi /= pi.sum()
-    events = get_events()
-    start = time.perf_counter() if events.enabled else 0.0
-    it = 0
-    try:
-        for it in range(1, max_iterations + 1):
-            nxt = pi + QT @ pi / lam
-            nxt /= nxt.sum()
-            delta = np.abs(nxt - pi).max()
-            if events.enabled:
-                events.emit(
-                    "solver.convergence", solver="power",
-                    iteration=it, residual=float(delta),
-                    elapsed_s=round(time.perf_counter() - start, 9),
-                )
-            if delta < tol:
-                return nxt
-            pi = nxt
-    finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(it)
-        metrics.counter("spmv_count").inc(it)
-    raise SolverError(f"power iteration did not converge in {max_iterations} steps")
-
-
 def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
-                  options: Mapping | None = None) -> np.ndarray:
+                  info: dict | None = None) -> np.ndarray:
     """Damped Jacobi on ``πQ = 0``.
 
     The whole sweep is one SpMV with ``Qᵀ`` (transposed to CSR once per
@@ -247,18 +204,15 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     iteration-matrix spectral radius 1 on this singular system and
     oscillates on cyclic chains; a relaxation factor < 1 restores
     convergence without moving the fixed point.  The sweeps start from
-    ``options["x0"]`` when given (a retry's perturbed start), else from
     the uniform vector.
     """
-    options = options or {}
     omega = 0.7
     n = chain.n_states
     QT = chain.Q.transpose().tocsr()
     exits = chain.exit_rates()
     if np.any(exits == 0.0):
         raise SolverError("stationary iteration requires every state to have an exit rate")
-    pi = np.asarray(options.get("x0", np.full(n, 1.0 / n)), dtype=float)
-    pi = np.clip(pi, 0.0, None)
+    pi = np.full(n, 1.0 / n)
     pi /= pi.sum()
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
@@ -290,12 +244,11 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
 
 
 #: The solver registry: name → callable ``(chain, tol, max_iterations,
-#: options)``.  :mod:`repro.resilience.faultinject` swaps entries
+#: info)``.  :mod:`repro.resilience.faultinject` swaps entries
 #: in and out to inject failures, so callers should look a method up at
 #: call time rather than caching the callable.
 SOLVERS: dict[str, Callable[..., np.ndarray]] = {
     "direct": _solve_direct,
     "gmres": _solve_gmres,
-    "power": _solve_power,
     "jacobi": _solve_jacobi,
 }

@@ -71,15 +71,6 @@ class StateSpaceError(ReproError):
     an ergodic chain)."""
 
 
-class DeadlockError(StateSpaceError):
-    """Raised when a model reaches a state with no outgoing activities and
-    the requested analysis needs an irreducible chain."""
-
-    def __init__(self, message: str, state=None):
-        self.state = state
-        super().__init__(message)
-
-
 class SolverError(ReproError):
     """Raised when a numerical solver fails to converge or the chain does
     not satisfy the solver's preconditions (e.g. reducible chain handed to

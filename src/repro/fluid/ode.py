@@ -22,7 +22,7 @@ The runner records every attempt in a
 candidate only if ``‖F(x)‖∞`` passes a scale-aware residual bound —
 the same trust-but-verify discipline as the CTMC chain.  Progress is
 observable as ``fluid.step`` events (sampled per RHS evaluation batch)
-and one ``solve.attempt`` span per try under a ``fluid.solve`` span,
+and one ``solve.attempt`` span per method under a ``fluid.solve`` span,
 and :func:`analyse_fluid` caches the solved vector under the model's
 :class:`~repro.core.keys.DerivationKey` with variant ``fluid`` so batch
 reruns skip the solve entirely.
@@ -44,6 +44,9 @@ __all__ = ["FluidAnalysis", "FLUID_METHODS", "steady_fluid", "analyse_fluid"]
 
 #: The default steady-state fallback chain, tried left to right.
 FLUID_METHODS = ("newton", "ode", "damped")
+
+#: The default relative residual bound of an accepted fluid steady state.
+_RESIDUAL_TOL = 1e-10
 
 #: Emit one ``fluid.step`` event per this many RHS evaluations.
 _STEP_EVERY = 200
@@ -298,7 +301,7 @@ def steady_fluid(
     n_replicas: int,
     *,
     methods: tuple[str, ...] | str = FLUID_METHODS,
-    residual_tol: float = 1e-10,
+    residual_tol: float = _RESIDUAL_TOL,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve the fluid steady state through the method chain.
 
@@ -313,7 +316,7 @@ def steady_fluid(
     x0 = nvf.initial_vector(n_replicas)
     counter = {"nfev": 0}
 
-    def attempt(method: str, k: int, info: dict) -> np.ndarray:
+    def attempt(method: str, info: dict) -> np.ndarray:
         return _METHOD_FNS[method](nvf, x0, n_replicas, bound, counter)
 
     def residual(x: np.ndarray) -> float:
@@ -360,7 +363,7 @@ def analyse_fluid(
     *,
     replicas: int | None = None,
     methods: tuple[str, ...] | str = FLUID_METHODS,
-    residual_tol: float = 1e-10,
+    residual_tol: float = _RESIDUAL_TOL,
 ) -> FluidAnalysis:
     """Compile the model's NVF and solve its fluid steady state.
 
@@ -369,17 +372,24 @@ def analyse_fluid(
     small while ``N`` scales freely.  Through
     :func:`repro.batch.cache.cached`: with an ambient derivation cache
     installed the solved vector is content-addressed under the model
-    source + replica count (variant ``fluid``), so reruns skip both
+    source, the replica count and any non-default ``methods`` or
+    ``residual_tol`` (variant ``fluid``), so reruns skip both
     compilation and solving.
     """
     from repro.pepa.export import model_source
 
     def key() -> DerivationKey:
-        return DerivationKey.of(
-            "pepa", model_source(model),
-            # None: the replica count is the one the model text spells out
-            {"replicas": replicas} if replicas is not None else None,
-        ).child("fluid")
+        # Only what differs from the defaults is keyed, so a default
+        # call keeps the key it has always had.
+        params = {}
+        if replicas is not None:  # None: the count the model text spells out
+            params["replicas"] = replicas
+        chain = FallbackPolicy.of(methods).methods
+        if chain != FLUID_METHODS:
+            params["methods"] = list(chain)
+        if residual_tol != _RESIDUAL_TOL:
+            params["residual_tol"] = residual_tol
+        return DerivationKey.of("pepa", model_source(model), params).child("fluid")
 
     def build() -> FluidAnalysis:
         nvf, _shape, n = nvf_of_model(model, replicas)

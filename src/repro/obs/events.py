@@ -19,7 +19,7 @@ value just to record it (an extra residual norm, a clock read) guard on
 
 The buffer is bounded (default :data:`DEFAULT_CAPACITY`): when full,
 the oldest events are evicted and counted in :attr:`EventStream.dropped`
-— a long power-iteration solve cannot grow memory without bound, and
+— a long jacobi solve cannot grow memory without bound, and
 the tail (the interesting part of a convergence history) is what
 survives.
 

@@ -21,7 +21,6 @@ from repro.pepa.syntax import (
     Expression,
     Hiding,
     Prefix,
-    Sequential,
 )
 
 __all__ = ["Environment", "PepaModel"]
@@ -137,10 +136,3 @@ class PepaModel:
             lines.append(f"{name} = {body};")
         lines.append(str(self.system))
         return "\n".join(lines)
-
-
-def sequential_or_raise(expr: Expression, context: str) -> Sequential:
-    """Assert that ``expr`` is sequential (tokens/cell contents must be)."""
-    if not isinstance(expr, Sequential):
-        raise WellFormednessError(f"{context} must be a sequential component, got: {expr}")
-    return expr

@@ -6,9 +6,9 @@ reflect) composes several fallible stages; this package supplies the
 machinery that keeps one failure from taking the whole run down:
 
 * :mod:`repro.resilience.fallback` — an ordered policy of steady-state
-  methods tried in turn, with bounded retry-with-backoff for iterative
-  methods and a structured :class:`~repro.resilience.fallback.SolveDiagnostics`
-  record of every attempt;
+  methods, each tried once in turn, and a structured
+  :class:`~repro.resilience.fallback.SolveDiagnostics` record of every
+  attempt;
 * :mod:`repro.resilience.budget` — cooperative wall-clock/state-count
   budgets threaded through state-space derivation, raising a resumable
   :class:`~repro.exceptions.BudgetExceededError` instead of dying deep
@@ -20,7 +20,7 @@ machinery that keeps one failure from taking the whole run down:
   batch-layer chaos drills (:class:`~repro.resilience.faultinject.BatchFaultPlan`)
   that kill workers, hang tasks, fill the cache's disk or flip bits in
   published cache entries — used by the tests to prove the fallback,
-  retry and recovery logic actually engage.
+  batch retry and recovery logic actually engage.
 """
 
 from repro.exceptions import BudgetExceededError

@@ -1,15 +1,17 @@
-"""The one steady-state solve path: an ordered method chain with bounded
-retries and an always-on residual check.
+"""The one steady-state solve path: an ordered method chain with an
+always-on residual check.
 
 A production service cannot abort a whole request because ``gmres``
 returned ``info != 0`` — numerical back ends are fallible,
 interchangeable components behind a uniform interface (Ding & Hillston,
-arXiv:1012.3040).  :func:`run_chain` is that interface's loop: it tries
-the methods of a :class:`FallbackPolicy` in order, gives iterative
-methods bounded retry-with-backoff, stops at a cooperative wall-clock
-deadline, records every attempt in a :class:`SolveDiagnostics`, and
-accepts a candidate only if its residual passes a scale-aware bound —
-so a method that silently stagnated cannot hand back a wrong answer.
+arXiv:1012.3040).  :func:`run_chain` is that interface's loop: it runs
+each method of a :class:`FallbackPolicy` once, in order, stops at a
+cooperative wall-clock deadline, records every attempt in a
+:class:`SolveDiagnostics`, and accepts a candidate only if its residual
+passes a scale-aware bound — so a method that silently stagnated cannot
+hand back a wrong answer.  A method is deterministic in its inputs, so
+it is never retried; a fallback inside one method (such as ``gmres``
+solving unpreconditioned when ILU fails) lives in that method.
 
 Two solves run on it: :func:`solve_with_fallback` (the CTMC balance
 equations ``πQ = 0``, residual ``‖πQ‖∞``; what
@@ -38,15 +40,9 @@ __all__ = [
     "FallbackPolicy",
     "GMRES_FIRST_STATES",
     "SolveDiagnostics",
-    "ITERATIVE_METHODS",
     "run_chain",
     "solve_with_fallback",
 ]
-
-#: Methods that can profit from a retry with a different starting point
-#: or preconditioner; ``direct`` is deterministic, so retrying it with
-#: the same inputs would only burn the deadline.
-ITERATIVE_METHODS = frozenset({"gmres", "power", "jacobi"})
 
 #: The size, in states of the chain actually solved (after any
 #: bottom-SCC restriction), from which the default chain tries ILU-GMRES
@@ -61,12 +57,8 @@ GMRES_FIRST_STATES = 2_500
 class FallbackPolicy:
     """An ordered solving policy: which methods, how hard, how long.
 
-    ``methods`` are tried left to right; ``None`` (the default) means
-    the size-ordered chain of :meth:`methods_for`.  Each iterative
-    method gets up to ``1 + retries`` attempts with exponential
-    ``backoff`` sleeps and per-retry perturbation of the starting vector
-    (relative magnitude ``perturbation``) plus a 100×-per-retry relaxed
-    ILU ``drop_tol``.
+    ``methods`` are tried left to right, once each; ``None`` (the
+    default) means the size-ordered chain of :meth:`methods_for`.
     ``deadline`` bounds the whole chain in wall-clock seconds
     (cooperatively — a running scipy kernel is never pre-empted).
     A candidate answer is rejected unless its residual ``‖πQ‖∞`` is
@@ -74,13 +66,10 @@ class FallbackPolicy:
     """
 
     methods: tuple[str, ...] | None = None
-    retries: int = 2
-    backoff: float = 0.05
     deadline: float | None = None
     tol: float = 1e-12
     max_iterations: int = 200_000
     residual_tol: float = 1e-6
-    perturbation: float = 1e-3
 
     @classmethod
     def of(cls, spec: "FallbackPolicy | str | Sequence[str] | None" = None,
@@ -104,7 +93,7 @@ class FallbackPolicy:
     def parse(cls, spec: "str | Sequence[str]", **overrides) -> "FallbackPolicy":
         """Build a policy from a comma-separated method list.
 
-        ``FallbackPolicy.parse("direct,gmres,power", deadline=30.0)``
+        ``FallbackPolicy.parse("direct,gmres,jacobi", deadline=30.0)``
         is the CLI's ``--solver`` syntax; remaining fields come from
         ``overrides`` or the defaults.
         """
@@ -134,23 +123,19 @@ class FallbackPolicy:
         """The methods tried, in order, on a chain of ``n_states`` states.
 
         An explicit ``methods`` is honoured at every size.  The default
-        is ``direct → gmres → power`` below :data:`GMRES_FIRST_STATES`
-        and ``gmres → direct → power`` from it on.
+        is ``direct → gmres → jacobi`` below :data:`GMRES_FIRST_STATES`
+        and ``gmres → direct → jacobi`` from it on.
         """
         if self.methods is not None:
             return self.methods
         if n_states < GMRES_FIRST_STATES:
-            return ("direct", "gmres", "power")
-        return ("gmres", "direct", "power")
-
-    def attempts_for(self, method: str) -> int:
-        """Total attempts granted to ``method`` (1 + retries if iterative)."""
-        return 1 + (self.retries if method in ITERATIVE_METHODS else 0)
+            return ("direct", "gmres", "jacobi")
+        return ("gmres", "direct", "jacobi")
 
 
 @dataclass
 class AttemptRecord:
-    """One solver attempt: what ran, how long, and how it ended.
+    """One method's single attempt: what ran, how long, and how it ended.
 
     ``outcome`` is one of ``"converged"``, ``"failed"`` (a
     :class:`SolverError`), ``"error"`` (an unexpected exception),
@@ -159,7 +144,6 @@ class AttemptRecord:
     """
 
     method: str
-    attempt: int
     outcome: str
     elapsed: float
     residual: float | None = None
@@ -179,9 +163,9 @@ class AttemptRecord:
 class SolveDiagnostics:
     """The structured story of one :func:`run_chain` solve.
 
-    ``attempts`` lists every try in order; ``method`` names the solver
-    that produced the accepted answer (``None`` if the whole chain
-    failed); ``elapsed`` is total wall-clock time.  ``exit_rate_spread``
+    ``attempts`` lists every method tried, in order; ``method`` names
+    the solver that produced the accepted answer (``None`` if the whole
+    chain failed); ``elapsed`` is total wall-clock time.  ``exit_rate_spread``
     (max/min exit rate of the chain solved) is a cheap condition proxy:
     the error in π is bounded by the residual times the inverse spectral
     gap, and a wide spread is where a small residual says least.  It is
@@ -204,29 +188,25 @@ class SolveDiagnostics:
         """The accepted answer's residual (``None`` if nothing was accepted)."""
         return self.attempts[-1].residual if self.succeeded else None
 
-    def record(self, method: str, attempt: int, outcome: str, elapsed: float,
+    def record(self, method: str, outcome: str, elapsed: float,
                *, residual: float | None = None, detail: str = "",
                preconditioner: str = "") -> AttemptRecord:
         """Append (and return) one :class:`AttemptRecord`."""
-        rec = AttemptRecord(method, attempt, outcome, elapsed,
+        rec = AttemptRecord(method, outcome, elapsed,
                             residual=residual, detail=detail,
                             preconditioner=preconditioner)
         self.attempts.append(rec)
         return rec
 
-    def attempts_for(self, method: str) -> list[AttemptRecord]:
-        """All recorded attempts of one method, in order."""
-        return [a for a in self.attempts if a.method == method]
-
     def as_table(self) -> str:
         """Render the attempt log as an aligned plain-text table."""
         rows = [
-            [a.method, a.attempt, a.outcome, f"{a.elapsed:.4f}s",
+            [a.method, a.outcome, f"{a.elapsed:.4f}s",
              "-" if a.residual is None else f"{a.residual:.3e}", a.detail]
             for a in self.attempts
         ]
         return format_table(
-            ["method", "attempt", "outcome", "elapsed", "residual", "detail"], rows
+            ["method", "outcome", "elapsed", "residual", "detail"], rows
         )
 
     def summary(self) -> str:
@@ -238,27 +218,9 @@ class SolveDiagnostics:
         )
 
 
-def _retry_options(n: int, attempt: int, policy: FallbackPolicy) -> dict:
-    """Per-attempt solver hints: none on the first try, a perturbed
-    start vector and a relaxed preconditioner on retries."""
-    if attempt == 1:
-        return {}
-    rng = np.random.default_rng(7919 * attempt + n)
-    x0 = np.full(n, 1.0 / n) * (
-        1.0 + policy.perturbation * attempt * rng.standard_normal(n)
-    )
-    x0 = np.abs(x0)
-    x0 /= x0.sum()
-    return {
-        "x0": x0,
-        "ilu_drop_tol": 1e-5 * 100.0 ** (attempt - 1),
-        "ilu_fill_factor": 20,
-    }
-
-
 def run_chain(
     policy: FallbackPolicy,
-    attempt: Callable[[str, int, dict], np.ndarray],
+    attempt: Callable[[str, dict], np.ndarray],
     residual: Callable[[np.ndarray], float],
     bound: float,
     *,
@@ -269,15 +231,14 @@ def run_chain(
     """Try ``policy.methods_for(n_states)`` in order until one yields an
     accepted answer.
 
-    ``attempt(method, k, info)`` runs try ``k`` (1-based) of ``method``
-    and returns a candidate vector; it may write
-    ``info["preconditioner"]``.  A candidate is accepted when
-    ``residual(candidate)`` is finite and at most ``bound``.  A
-    :class:`SolverError` from an attempt is a ``"failed"`` attempt, any
-    other exception an ``"error"``; both move the chain on.  Each try
-    opens a ``solve.attempt`` span; ``span`` (the caller's enclosing
-    span) receives ``methods``, ``solved_by``, ``attempts`` and
-    ``residual``.
+    ``attempt(method, info)`` runs ``method`` once and returns a
+    candidate vector; it may write ``info["preconditioner"]``.  A
+    candidate is accepted when ``residual(candidate)`` is finite and at
+    most ``bound``.  A :class:`SolverError` from an attempt is a
+    ``"failed"`` attempt, any other exception an ``"error"``; both move
+    the chain on.  Each method opens one ``solve.attempt`` span;
+    ``span`` (the caller's enclosing span) receives ``methods``,
+    ``solved_by``, ``attempts`` and ``residual``.
 
     Returns ``(candidate, diagnostics)``.  Raises :class:`SolverError`
     with ``exc.diagnostics`` attached, ``stage`` in its context, when
@@ -291,51 +252,46 @@ def run_chain(
     tracer = get_tracer()
     try:
         for method in methods:
-            for k in range(1, policy.attempts_for(method) + 1):
-                if deadline.expired:
-                    diag.record(
-                        method, k, "deadline", 0.0,
-                        detail=f"skipped: {policy.deadline:g}s budget exhausted",
-                    )
-                    raise _chain_failure(
-                        f"steady-state deadline of {policy.deadline:g}s exhausted "
-                        f"after {len(diag.attempts)} attempt(s)", diag, stage)
-                if k > 1 and policy.backoff > 0:
-                    time.sleep(min(policy.backoff * 2.0 ** (k - 2),
-                                   max(deadline.remaining(), 0.0)))
-                info: dict = {}
-                res = None
-                t0 = time.monotonic()
-                with tracer.span("solve.attempt", method=method, attempt=k) as asp:
-                    try:
-                        value = attempt(method, k, info)
-                        res = float(residual(value))
-                    except Exception as exc:  # noqa: BLE001 — any back-end blow-up
-                        if isinstance(exc, SolverError):
-                            outcome, detail = "failed", str(exc)
-                        else:
-                            outcome, detail = "error", f"{type(exc).__name__}: {exc}"
-                        asp.set(outcome=outcome, error=type(exc).__name__)
+            if deadline.expired:
+                diag.record(
+                    method, "deadline", 0.0,
+                    detail=f"skipped: {policy.deadline:g}s budget exhausted",
+                )
+                raise _chain_failure(
+                    f"steady-state deadline of {policy.deadline:g}s exhausted "
+                    f"after {len(diag.attempts)} attempt(s)", diag, stage)
+            info: dict = {}
+            res = None
+            t0 = time.monotonic()
+            with tracer.span("solve.attempt", method=method) as asp:
+                try:
+                    value = attempt(method, info)
+                    res = float(residual(value))
+                except Exception as exc:  # noqa: BLE001 — any back-end blow-up
+                    if isinstance(exc, SolverError):
+                        outcome, detail = "failed", str(exc)
                     else:
-                        if np.isfinite(res) and res <= bound:
-                            outcome, detail = "converged", ""
-                        else:
-                            outcome = "bad-residual"
-                            detail = f"residual {res:.3e} above bound {bound:.3e}"
-                        asp.set(outcome=outcome, residual=res)
-                diag.record(method, k, outcome, time.monotonic() - t0,
-                            residual=res, detail=detail,
-                            preconditioner=info.get("preconditioner", ""))
-                if outcome == "converged":
-                    diag.method = method
-                    return value, diag
+                        outcome, detail = "error", f"{type(exc).__name__}: {exc}"
+                    asp.set(outcome=outcome, error=type(exc).__name__)
+                else:
+                    if np.isfinite(res) and res <= bound:
+                        outcome, detail = "converged", ""
+                    else:
+                        outcome = "bad-residual"
+                        detail = f"residual {res:.3e} above bound {bound:.3e}"
+                    asp.set(outcome=outcome, residual=res)
+            diag.record(method, outcome, time.monotonic() - t0,
+                        residual=res, detail=detail,
+                        preconditioner=info.get("preconditioner", ""))
+            if outcome == "converged":
+                diag.method = method
+                return value, diag
         failures = "; ".join(
-            f"{a.method}#{a.attempt}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
+            f"{a.method}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
             for a in diag.attempts
         )
         raise _chain_failure(
-            f"all {len(methods)} fallback method(s) failed "
-            f"({len(diag.attempts)} attempts): {failures}", diag, stage)
+            f"all {len(methods)} fallback method(s) failed: {failures}", diag, stage)
     finally:
         diag.elapsed = time.monotonic() - start
         span.set(solved_by=diag.method or "none", attempts=len(diag.attempts))
@@ -427,14 +383,12 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
         methods = policy.methods_for(1)
         span.set(methods=",".join(methods))
         diag = SolveDiagnostics(n_states=1, method=methods[0])
-        diag.record(methods[0], 1, "converged", 0.0, residual=0.0,
+        diag.record(methods[0], "converged", 0.0, residual=0.0,
                     detail="one state")
         return np.ones(1), diag
 
-    def attempt(method: str, k: int, info: dict) -> np.ndarray:
-        options = _retry_options(n, k, policy)
-        options["info"] = info
-        raw = registry[method](chain, policy.tol, policy.max_iterations, options)
+    def attempt(method: str, info: dict) -> np.ndarray:
+        raw = registry[method](chain, policy.tol, policy.max_iterations, info)
         return _normalise(raw, method, policy.tol)
 
     def residual(pi: np.ndarray) -> float:

@@ -5,8 +5,8 @@ wraps entries of :data:`repro.ctmc.steady.SOLVERS` so tests (and chaos
 drills) can make a chosen method fail in a controlled, reproducible way
 — a convergence failure on exactly the Nth call, a NaN vector, a zero
 vector, an artificial slowdown, or an arbitrary transient exception —
-and then prove that the fallback chain, the retry logic and the
-pipeline degradation actually engage.
+and then prove that the fallback chain and the pipeline degradation
+actually engage.
 
 Faults are keyed on the wrapper's own 1-based call counter, so the
 injection is deterministic regardless of timing::
@@ -119,7 +119,7 @@ class FaultInjector:
         self.log: list[tuple[int, str]] = []
         self._original = None
 
-    def _wrapped(self, chain, tol, max_iterations, options=None):
+    def _wrapped(self, chain, tol, max_iterations, info=None):
         self.calls += 1
         idx = self.calls
         spec = self.spec
@@ -140,7 +140,7 @@ class FaultInjector:
             time.sleep(spec.delay)
         else:
             self.log.append((idx, "pass"))
-        return self._original(chain, tol, max_iterations, options)
+        return self._original(chain, tol, max_iterations, info)
 
     def __enter__(self) -> "FaultInjector":
         """Install the faulting wrapper in the registry."""

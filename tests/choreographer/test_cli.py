@@ -87,9 +87,9 @@ class TestPepa:
         assert (tmp_path / "out" / "model.tra").exists()
 
     def test_solver_flag(self, pepa_file, capsys):
-        code = main(["pepa", str(pepa_file), "--solver", "power"])
+        code = main(["pepa", str(pepa_file), "--solver", "jacobi"])
         assert code == 0
-        assert "power" in capsys.readouterr().out
+        assert "jacobi" in capsys.readouterr().out
 
     def test_syntax_error_reported(self, tmp_path, capsys):
         bad = tmp_path / "bad.pepa"
@@ -196,14 +196,14 @@ class TestValidate:
 class TestResilienceFlags:
     def test_pepa_solver_policy_verbose_prints_attempts(self, pepa_file, capsys):
         code = main(["pepa", str(pepa_file),
-                     "--solver", "direct,power", "--verbose"])
+                     "--solver", "direct,jacobi", "--verbose"])
         out = capsys.readouterr().out
         assert code == 0
         assert "solved by direct" in out
         assert "converged" in out  # the SolveDiagnostics attempt table
 
     def test_pepa_without_verbose_hides_attempts(self, pepa_file, capsys):
-        code = main(["pepa", str(pepa_file), "--solver", "direct,power"])
+        code = main(["pepa", str(pepa_file), "--solver", "direct,jacobi"])
         out = capsys.readouterr().out
         assert code == 0
         assert "converged" not in out
@@ -351,7 +351,7 @@ class TestEventsFlag:
         self, pepa_file, tmp_path, capsys
     ):
         ledger = tmp_path / "runs"
-        code = main(["pepa", str(pepa_file), "--solver", "power",
+        code = main(["pepa", str(pepa_file), "--solver", "jacobi",
                      "--ledger", str(ledger)])
         assert code == 0
         assert "recorded in ledger" in capsys.readouterr().err
@@ -362,11 +362,9 @@ class TestEventsFlag:
                        if e["event"] == "solver.convergence"]
         assert convergence
         assert events["by_name"]["solver.convergence"] == len(convergence)
-        assert all(e["solver"] == "power" for e in convergence)
+        assert all(e["solver"] == "jacobi" for e in convergence)
 
-    @pytest.mark.parametrize(
-        "solver", ["gmres", "power", "jacobi"]
-    )
+    @pytest.mark.parametrize("solver", ["gmres", "jacobi"])
     def test_every_iterative_solver_visible_on_pda_workload(
         self, pda_xmi_file, tmp_path, solver, capsys
     ):
@@ -390,7 +388,7 @@ class TestEventsFlag:
     ):
         from repro.obs import NULL_EVENTS, get_events
 
-        main(["pepa", str(pepa_file), "--solver", "power",
+        main(["pepa", str(pepa_file), "--solver", "jacobi",
               "--ledger", str(tmp_path / "runs")])
         assert get_events() is NULL_EVENTS
 

@@ -27,7 +27,7 @@ class TestPepaCorpus:
         assert "openread" in out
 
     def test_file_protocol_all_solvers(self, capsys):
-        for solver in ("direct", "power", "gmres"):
+        for solver in ("direct", "jacobi", "gmres"):
             assert main(["pepa", str(MODELS / "file_protocol.pepa"),
                          "--solver", solver]) == 0
         capsys.readouterr()

@@ -39,8 +39,7 @@ def all_spans(tracer):
 class TestFallbackAbsorbsInjectedFault:
     def test_primary_solver_fault_degrades_to_secondary(self):
         platform = Choreographer(
-            solver=FallbackPolicy(methods=("direct", "gmres"), retries=0,
-                                         backoff=0.0),
+            solver=FallbackPolicy(methods=("direct", "gmres")),
             strict=False,
         )
         with observe() as (tracer, metrics):
@@ -79,7 +78,7 @@ class TestExhaustedChainIsReportedNotFatal:
     @pytest.fixture
     def broken_platform(self):
         return Choreographer(
-            solver=FallbackPolicy(methods=("direct",), retries=0, backoff=0.0),
+            solver=FallbackPolicy(methods=("direct",)),
             strict=False,
         )
 

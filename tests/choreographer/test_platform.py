@@ -126,7 +126,7 @@ class TestXmiPipeline:
         assert reflected_layout.keys() == original_layout.keys()
 
     def test_solver_choice_propagates(self):
-        platform = Choreographer(solver="power")
+        platform = Choreographer(solver="jacobi")
         outcome = platform.analyse_activity_diagram(build_file_activity_diagram(), FILE_RATES)
         reference = Choreographer().analyse_activity_diagram(
             build_file_activity_diagram(), FILE_RATES

@@ -83,7 +83,7 @@ class TestGracefulDegradation:
         platform = Choreographer()
         with inject_fault("direct", FaultSpec.first_n("converge", 50)), \
                 inject_fault("gmres", FaultSpec.first_n("converge", 50)), \
-                inject_fault("power", FaultSpec.first_n("converge", 50)):
+                inject_fault("jacobi", FaultSpec.first_n("converge", 50)):
             result = platform.process_xmi(document, IM_RATES, strict=False)
         assert result.activity_outcomes == []
         [failure] = result.report.failures
@@ -110,7 +110,7 @@ class TestFallbackThroughPlatform:
         baseline = Choreographer().process_xmi(document, IM_RATES)
         expected = baseline.activity_outcomes[0].throughput_of("transmit")
 
-        platform = Choreographer(solver="direct,gmres,power")
+        platform = Choreographer(solver="direct,gmres,jacobi")
         with inject_fault("direct", FaultSpec.first_n("converge", 50)):
             result = platform.process_xmi(document, IM_RATES)
         outcome = result.activity_outcomes[0]
@@ -123,9 +123,9 @@ class TestFallbackThroughPlatform:
         assert any(a.outcome == "failed" for a in diag.attempts)
 
     def test_policy_string_parsed_by_constructor(self):
-        platform = Choreographer(solver="power,direct")
+        platform = Choreographer(solver="jacobi,direct")
         assert isinstance(platform.solver, FallbackPolicy)
-        assert platform.solver.methods == ("power", "direct")
+        assert platform.solver.methods == ("jacobi", "direct")
 
     def test_deadline_zero_turns_into_budget_error(self):
         platform = Choreographer(deadline=0.0)

@@ -78,7 +78,7 @@ class TestRecording:
         [solve] = [span for root in document["trace"]["traces"]
                    for span in spans(root) if span["name"] == "ctmc.solve"]
         attributes = solve["attributes"]
-        assert attributes["methods"] == "direct,gmres,power"
+        assert attributes["methods"] == "direct,gmres,jacobi"
         assert attributes["solved_by"] == "direct"
         assert attributes["exit_rate_spread"] == 2.0  # exit rates 2 and 1
         assert attributes["residual"] >= 0.0

@@ -8,8 +8,11 @@ finite), then extra random transitions vary the structure.  The direct
 sparse-LU solution is the reference; each other method must match it
 componentwise within ``1e-8`` and sum to one.
 
-The slow iterative methods (power iteration and the stationary
-splittings) only see small chains; the Krylov methods get larger ones.
+The stationary iteration (``jacobi``) only sees small random chains;
+the Krylov method gets larger ones.  Every seeded test also runs on a
+300-state chain whose rates span six decades (the ``spread`` seed): the
+regime where a power iteration on the uniformised chain stalls, while
+``jacobi`` — a power iteration on the embedded jump chain — does not.
 """
 
 from __future__ import annotations
@@ -50,6 +53,37 @@ def random_ergodic_ctmc(n: int, seed: int, extra_density: float = 0.4) -> CTMC:
     return build_ctmc(n, transitions, labels=[f"s{i}" for i in range(n)])
 
 
+def rate_spread_ctmc(n: int, seed: int, decades: float = 6.0) -> CTMC:
+    """A seeded irreducible CTMC whose rates span ``decades`` decades.
+
+    A ring ``0 -> 1 -> ... -> n-1 -> 0`` plus three random arcs out of
+    every state, each rate drawn log-uniformly from
+    ``[1, 10**decades]``.
+    """
+    rng = np.random.default_rng(seed)
+
+    def rate() -> float:
+        return float(10.0 ** rng.uniform(0.0, decades))
+
+    transitions = [(i, "ring", rate(), (i + 1) % n) for i in range(n)]
+    for i in range(n):
+        for j in rng.choice(n - 1, size=3, replace=False):
+            transitions.append((i, "hop", rate(), int(j) + int(j >= i)))
+    return build_ctmc(n, transitions, labels=[f"s{i}" for i in range(n)])
+
+
+#: The seeds of the deterministic tests; ``"spread"`` stands for the
+#: 300-state six-decade :func:`rate_spread_ctmc`.
+SEEDS = [0, 1, 7, "spread"]
+
+
+def seeded_chain(seed: int | str, n: int) -> CTMC:
+    """``random_ergodic_ctmc(n, seed)``, or the rate-spread chain."""
+    if seed == "spread":
+        return rate_spread_ctmc(300, seed=0)
+    return random_ergodic_ctmc(n, seed)
+
+
 def reference_pi(chain: CTMC) -> np.ndarray:
     return steady_state(chain, "direct")
 
@@ -64,21 +98,21 @@ def assert_consistent(pi: np.ndarray, reference: np.ndarray) -> None:
 class TestSeededAgreement:
     """Fixed seeds: fully deterministic, run on every pytest invocation."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("method", FAST_METHODS)
     def test_fast_methods_medium_chains(self, method, seed):
-        chain = random_ergodic_ctmc(25, seed)
+        chain = seeded_chain(seed, 25)
         assert_consistent(steady_state(chain, method), reference_pi(chain))
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("method", SLOW_METHODS)
     def test_slow_methods_small_chains(self, method, seed):
-        chain = random_ergodic_ctmc(8, seed)
+        chain = seeded_chain(seed, 8)
         assert_consistent(steady_state(chain, method), reference_pi(chain))
 
-    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_fallback_chain_agrees(self, seed):
-        chain = random_ergodic_ctmc(25, seed)
+        chain = seeded_chain(seed, 25)
         pi, diag = solve_with_fallback(chain, FallbackPolicy())
         assert diag.succeeded
         assert_consistent(pi, reference_pi(chain))

@@ -150,6 +150,24 @@ class TestCachingAndEvents:
         assert a.cache_key != b.cache_key
         assert not math.isclose(a.occupancy("Reader"), b.occupancy("Reader"))
 
+    def test_cache_key_distinguishes_solver_settings(self, tmp_path):
+        """A non-default method chain or residual bound is its own
+        entry; a default call keeps the key a default call always had."""
+        model = file_sink_model(2)
+        with use_cache(DerivationCache(tmp_path)):
+            default = analyse_fluid(model, replicas=50)
+            damped = analyse_fluid(model, replicas=50, methods=("damped",),
+                                   residual_tol=1e-3)
+            spelled_out = analyse_fluid(model, replicas=50,
+                                        methods="newton,ode,damped",
+                                        residual_tol=1e-10)
+        assert default.solver == "newton"
+        assert damped.solver == "damped"
+        assert damped.nvf is not None  # solved, not served from the cache
+        assert damped.cache_key != default.cache_key
+        assert spelled_out.cache_key == default.cache_key
+        assert default.cache_key.params == (("replicas", 50),)
+
     def test_fluid_step_events_emitted(self):
         nvf, _, _ = nvf_of_model(client_server_family(2))
         events = EventStream()

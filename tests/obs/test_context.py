@@ -145,7 +145,7 @@ class TestLibraryRouting:
 
         context = live_context()
         with use_obs(context):
-            analyse(parse_model(TWO_STATE), solver="power")
+            analyse(parse_model(TWO_STATE), solver="jacobi")
         assert context.metrics.counter("solver_iterations").value > 0
         assert context.metrics.counter("spmv_count").value > 0
         assert context.events.by_name("solver.convergence")

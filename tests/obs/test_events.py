@@ -24,7 +24,7 @@ from repro.pepa.statespace import derive
 from repro.pepanets.measures import ctmc_of_net
 from repro.pepanets.parser import parse_net
 
-ITERATIVE_SOLVERS = ["gmres", "power", "jacobi"]
+ITERATIVE_SOLVERS = ["gmres", "jacobi"]
 
 
 class TestEventStream:
@@ -175,7 +175,7 @@ class TestSolverConvergenceEvents:
     def test_stationary_iteration_residuals_decrease_overall(self, ergodic_chain):
         stream = EventStream()
         with use_obs(ObsContext(events=stream)):
-            steady_state(ergodic_chain, method="power", tol=1e-10)
+            steady_state(ergodic_chain, method="jacobi", tol=1e-10)
         residuals = [e.fields["residual"]
                      for e in stream.by_name("solver.convergence")]
         assert len(residuals) >= 2
@@ -189,7 +189,7 @@ class TestSolverConvergenceEvents:
         assert stream.by_name("solver.convergence") == []
 
     def test_disabled_by_default_costs_nothing(self, ergodic_chain):
-        steady_state(ergodic_chain, method="power", tol=1e-10)
+        steady_state(ergodic_chain, method="jacobi", tol=1e-10)
         assert len(get_events()) == 0
 
 

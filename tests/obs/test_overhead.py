@@ -59,7 +59,7 @@ def run_workload():
     model = parse_model(QUICKSTART_SRC)
     space = derive(model)
     chain = ctmc_from_statespace(space)
-    steady_state(chain, method="power", tol=1e-10)
+    steady_state(chain, method="jacobi", tol=1e-10)
 
 
 def test_disabled_singletons_are_shared_and_allocation_free():
@@ -130,7 +130,7 @@ def test_disabled_overhead_within_documented_envelope():
 def test_enabled_collectors_do_not_leak_after_use(two_state_model):
     with use_obs(ObsContext(Tracer(), MetricsRegistry(), EventStream())):
         chain = ctmc_from_statespace(derive(two_state_model))
-        steady_state(chain, method="power", tol=1e-8)
+        steady_state(chain, method="jacobi", tol=1e-8)
     assert get_tracer() is NULL_TRACER
     assert get_metrics() is NULL_METRICS
     assert get_events() is NULL_EVENTS

@@ -32,11 +32,11 @@ def birth_death_states(n_states: int):
 class TestMethodsFor:
     def test_small_chains_start_with_direct(self):
         policy = FallbackPolicy()
-        assert policy.methods_for(GMRES_FIRST_STATES - 1) == ("direct", "gmres", "power")
+        assert policy.methods_for(GMRES_FIRST_STATES - 1) == ("direct", "gmres", "jacobi")
 
     def test_large_chains_start_with_gmres(self):
         policy = FallbackPolicy()
-        assert policy.methods_for(GMRES_FIRST_STATES) == ("gmres", "direct", "power")
+        assert policy.methods_for(GMRES_FIRST_STATES) == ("gmres", "direct", "jacobi")
 
     def test_explicit_methods_ignore_size(self):
         policy = FallbackPolicy.of("direct")
@@ -77,7 +77,7 @@ class TestSwitch:
         assert diag.method == "direct"
         assert np.allclose(pi[-2:], [0.75, 0.25])
         [span] = tracer.roots
-        assert span.attributes["methods"] == "direct,gmres,power"
+        assert span.attributes["methods"] == "direct,gmres,jacobi"
         assert span.attributes["states"] == n
 
     def test_span_names_the_size_ordered_chain(self):
@@ -85,7 +85,7 @@ class TestSwitch:
         with use_obs(ObsContext(tracer=tracer)):
             solve_with_fallback(birth_death_states(GMRES_FIRST_STATES))
         [span] = tracer.roots
-        assert span.attributes["methods"] == "gmres,direct,power"
+        assert span.attributes["methods"] == "gmres,direct,jacobi"
         assert span.attributes["solved_by"] == "gmres"
 
     def test_one_state_chain_credits_direct(self):

@@ -1,5 +1,7 @@
 """Tests for the fallback-chain steady-state solver."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.resilience import (
     inject_fault,
     solve_with_fallback,
 )
+from tests.ctmc.test_solver_consistency import rate_spread_ctmc
 
 
 def birth_death(n: int, birth: float, death: float):
@@ -30,8 +33,8 @@ def chain():
 
 class TestPolicy:
     def test_parse_comma_list(self):
-        policy = FallbackPolicy.parse("direct, gmres ,power")
-        assert policy.methods == ("direct", "gmres", "power")
+        policy = FallbackPolicy.parse("direct, gmres ,jacobi")
+        assert policy.methods == ("direct", "gmres", "jacobi")
 
     def test_parse_rejects_empty_spec(self):
         with pytest.raises(SolverError, match="empty"):
@@ -40,11 +43,6 @@ class TestPolicy:
     def test_unknown_method_fails_fast(self, chain):
         with pytest.raises(SolverError, match="unknown steady-state method"):
             solve_with_fallback(chain, FallbackPolicy(methods=("quantum",)))
-
-    def test_direct_gets_no_retries(self):
-        policy = FallbackPolicy(retries=3)
-        assert policy.attempts_for("direct") == 1
-        assert policy.attempts_for("gmres") == 4
 
 
 class TestFallbackChain:
@@ -71,11 +69,11 @@ class TestFallbackChain:
     def test_steady_state_fallback_method(self, chain):
         expected = steady_state(chain, "direct")
         with inject_fault("direct", FaultSpec(kind="converge")):
-            pi = steady_state(chain, "direct,gmres,power")
+            pi = steady_state(chain, "direct,gmres,jacobi")
         assert np.allclose(pi, expected, atol=1e-8)
 
     def test_steady_state_policy_string(self, chain):
-        pi = steady_state(chain, "power,direct")
+        pi = steady_state(chain, "jacobi,direct")
         assert np.allclose(pi, steady_state(chain, "direct"), atol=1e-6)
 
     def test_nan_fault_is_caught_by_normalisation(self, chain):
@@ -93,30 +91,44 @@ class TestFallbackChain:
         assert "disk on fire" in diag.attempts[0].detail
         assert diag.succeeded
 
-    def test_retry_engages_on_transient_faults(self, chain):
-        """Two injected failures on gmres, then the real solver: the
-        retry loop must reach attempt 3 without falling back."""
-        policy = FallbackPolicy(methods=("gmres", "direct"), retries=2, backoff=0.0)
-        with inject_fault("gmres", FaultSpec.first_n("converge", 2)) as injector:
+    def test_each_method_runs_once_without_sleeping(self, chain, monkeypatch):
+        """A failed method is not retried: the chain moves straight on,
+        and nothing sleeps between methods."""
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        policy = FallbackPolicy(methods=("gmres", "direct"))
+        with inject_fault("gmres", FaultSpec.first_n("converge", 50)) as injector:
             pi, diag = solve_with_fallback(chain, policy)
-        assert injector.calls == 3
-        assert diag.method == "gmres"
-        assert [a.attempt for a in diag.attempts_for("gmres")] == [1, 2, 3]
+        assert [(a.method, a.outcome) for a in diag.attempts] == [
+            ("gmres", "failed"), ("direct", "converged")]
+        assert injector.calls == 1
+        assert sleeps == []
         assert np.allclose(pi, steady_state(chain, "direct"), atol=1e-8)
 
-    def test_jacobi_retries_start_from_the_perturbed_vector(self, chain):
-        """Each jacobi attempt must start from its own vector; a retry
-        that repeated attempt 1's sweeps would learn nothing."""
+    def test_failure_message_names_each_method_once(self, chain):
+        """A method that fails runs once and is named once, without an
+        attempt index."""
         stream = EventStream()
-        policy = FallbackPolicy(methods=("jacobi",), retries=1, backoff=0.0,
-                                max_iterations=2)
+        policy = FallbackPolicy(methods=("jacobi",), max_iterations=2)
         with use_obs(ObsContext(events=stream)):
-            with pytest.raises(SolverError, match="jacobi#2: failed"):
+            with pytest.raises(SolverError, match=r"failed: jacobi: failed \(jacobi did not"):
                 solve_with_fallback(chain, policy)
-        first_sweeps = [e.fields["residual"] for e in stream.by_name("solver.convergence")
+        first_sweeps = [e for e in stream.by_name("solver.convergence")
                         if e.fields["iteration"] == 1]
-        assert len(first_sweeps) == 2
-        assert first_sweeps[0] != first_sweeps[1]
+        assert len(first_sweeps) == 1
+
+    def test_jacobi_is_the_last_resort_on_a_wide_rate_spread(self):
+        """Rates over six decades, direct and gmres both down: the
+        default chain's last resort still returns the direct answer."""
+        spread = rate_spread_ctmc(300, seed=0)
+        expected = steady_state(spread, "direct")
+        policy = FallbackPolicy(max_iterations=5_000)
+        with inject_fault("direct", FaultSpec.first_n("converge", 50)), \
+                inject_fault("gmres", FaultSpec.first_n("converge", 50)):
+            pi, diag = solve_with_fallback(spread, policy)
+        assert diag.method == "jacobi"
+        assert [a.outcome for a in diag.attempts] == ["failed", "failed", "converged"]
+        assert np.allclose(pi, expected, atol=1e-8, rtol=0.0)
 
     def test_all_methods_failing_raises_with_diagnostics(self, chain):
         policy = FallbackPolicy(methods=("direct",))
@@ -139,7 +151,7 @@ class TestFallbackChain:
         """A solver that converges to the wrong vector must be caught
         by the ‖πQ‖∞ sanity check, not returned."""
 
-        def liar(chain, tol, max_iterations, options=None):
+        def liar(chain, tol, max_iterations, info=None):
             return np.full(chain.n_states, 1.0 / chain.n_states)
 
         registry = {"liar": liar, "direct": __import__(
