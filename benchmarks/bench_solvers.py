@@ -23,6 +23,7 @@ from conftest import record
 from repro.ctmc.steady import steady_state
 from repro.pepa.ctmcgen import ctmc_of_model
 from repro.pepanets.measures import ctmc_of_net
+from repro.resilience.fallback import solve_with_fallback
 from repro.workloads import client_server_model, courier_ring_net, tandem_queue_model
 
 #: 8 clients -> 512 client configurations x 2 server phases.
@@ -76,22 +77,25 @@ SWEEP = {
 }
 
 
-def _median_ms(chain, repeats: int) -> tuple[float, float]:
+def _median_ms(chain, repeats: int) -> tuple[float, float, str]:
     """Median ``direct`` and ``gmres`` solve times in ms, the two
-    methods alternating so that drift on a shared host hits both."""
+    methods alternating so that drift on a shared host hits both, and
+    the ``gmres`` preconditioner path and certificate status."""
     times: dict[str, list[float]] = {"direct": [], "gmres": []}
     for _ in range(repeats):
         for method, samples in times.items():
             start = time.perf_counter()
-            steady_state(chain, method)
+            _, diag = solve_with_fallback(chain, method)
             samples.append(time.perf_counter() - start)
+    path = f"{diag.attempts[0].preconditioner}, {diag.certificate}"
     return (1000.0 * statistics.median(times["direct"]),
-            1000.0 * statistics.median(times["gmres"]))
+            1000.0 * statistics.median(times["gmres"]), path)
 
 
-def crossover_sweep(repeats: int = 3) -> list[tuple[str, int, float, float]]:
-    """``(family, states, direct ms, gmres ms)`` per swept chain, each
-    time the median of ``repeats`` solves in this process."""
+def crossover_sweep(repeats: int = 3) -> list[tuple[str, int, float, float, str]]:
+    """``(family, states, direct ms, gmres ms, gmres path)`` per swept
+    chain, each time the median of ``repeats`` solves in this process;
+    the ``gmres`` time includes its spectral-gap certificate."""
     rows = []
     for family, (build, params) in SWEEP.items():
         for param in params:
@@ -103,8 +107,8 @@ def crossover_sweep(repeats: int = 3) -> list[tuple[str, int, float, float]]:
 if __name__ == "__main__":
     from repro.resilience.fallback import GMRES_FIRST_STATES
 
-    print(f"{'family':<14} {'states':>7} {'direct ms':>10} {'gmres ms':>9}  faster")
-    for family, states, direct_ms, gmres_ms in crossover_sweep():
+    print(f"{'family':<14} {'states':>7} {'direct ms':>10} {'gmres ms':>9}  faster  gmres path")
+    for family, states, direct_ms, gmres_ms, path in crossover_sweep():
         winner = "direct" if direct_ms <= gmres_ms else "gmres"
-        print(f"{family:<14} {states:>7} {direct_ms:>10.1f} {gmres_ms:>9.1f}  {winner}")
+        print(f"{family:<14} {states:>7} {direct_ms:>10.1f} {gmres_ms:>9.1f}  {winner:<6}  {path}")
     print(f"default chain: gmres first from {GMRES_FIRST_STATES} states")

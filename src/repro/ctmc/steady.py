@@ -8,20 +8,29 @@ paper builds on, and following the HPC guide's advice to prefer
 * ``direct``  sparse LU on the normal system (exact; first in the
   default chain below :data:`~repro.resilience.fallback.GMRES_FIRST_STATES`
   states — "exact solution is an advantage");
-* ``gmres``   ILU-preconditioned restarted GMRES (first in the default
-  chain at or above that size, where the LU factors' fill dominates);
+* ``gmres``   Gauss–Seidel-preconditioned restarted GMRES (first in the
+  default chain at or above that size, where the LU factors' fill
+  dominates);
 * ``jacobi``  damped Jacobi, the one stationary iteration (lowest
   memory footprint, the default chain's last resort).  It is a power
   iteration on the embedded jump chain, so unlike the power method on
   the uniformised chain ``I + Q/Λ`` it does not slow down as the exit
   rates spread over decades (Stewart 1994, ch. 3).
 
-``gmres`` preconditions with ILU; when the factorisation fails it
-solves unpreconditioned, and the preconditioner path actually taken is
-reported through the ``info`` dict (it surfaces in the attempt records
-of :class:`~repro.resilience.fallback.SolveDiagnostics`).  A
+``gmres`` tries its preconditioners in a fixed order: the no-fill
+Gauss–Seidel lower triangle (O(nnz) to build), then ILU, then none.  A
+preconditioner whose factorisation fails, or under which one restart
+cycle does not at least halve the preconditioned residual, hands over
+to the next.  The path taken (``"gs"``, ``"gs→ilu"``, ``"gs→ilu→none"``) is
+reported through the ``info`` dict and surfaces in the attempt records
+of :class:`~repro.resilience.fallback.SolveDiagnostics`.  A
 preconditioner fallback belongs there, inside the method, not in a
 retry of it.
+
+An iterative answer can pass the residual check and still be far off
+when the chain mixes slowly.  :func:`error_bound` bounds its L1 error by
+the residual over the spectral gap; the solve chain certifies every
+``gmres`` and ``jacobi`` answer with it.
 
 :func:`steady_state` runs the one solve path,
 :func:`repro.resilience.fallback.solve_with_fallback`: ``None`` is the
@@ -43,6 +52,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 import time
@@ -54,7 +64,7 @@ from repro.obs import get_events, get_metrics
 if TYPE_CHECKING:  # pragma: no cover — typing only; the import is circular
     from repro.resilience.fallback import FallbackPolicy
 
-__all__ = ["steady_state", "SOLVERS"]
+__all__ = ["steady_state", "error_bound", "SOLVERS"]
 
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAXITER = 200_000
@@ -138,26 +148,77 @@ def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
     return np.asarray(pi).ravel()
 
 
+#: GMRES restart length: the Krylov basis kept between restarts.
+_RESTART = 50
+
+#: A restart cycle must cut the preconditioned residual ``‖M(b − Ax)‖``
+#: (what left-preconditioned GMRES minimises) at least by this factor; a
+#: cycle that does not means the preconditioner has stalled, and the
+#: next one takes over.
+_STALL_FACTOR = 0.5
+
+
+def _gauss_seidel(A):
+    """The no-fill Gauss–Seidel preconditioner: ``tril(A)`` factorised
+    as it stands (natural order, no pivoting), which costs O(nnz)."""
+    lower = spla.splu(sp.tril(A, format="csc"), permc_spec="NATURAL",
+                      diag_pivot_thresh=0)
+    return spla.LinearOperator(A.shape, lower.solve)
+
+
+def _ilu(A):
+    """Incomplete LU with drop tolerance 1e-5 and fill factor 20."""
+    ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
+    return spla.LinearOperator(A.shape, ilu.solve)
+
+
+#: ``gmres``'s preconditioners, in the order tried; ``None`` solves
+#: unpreconditioned.
+_PRECONDITIONERS = (("gs", _gauss_seidel), ("ilu", _ilu), ("none", None))
+
+
+def _gmres_cycles(A, b, M, rtol: float, restart: int, iterations: list[int],
+                  max_iterations: int, callback) -> np.ndarray | None:
+    """Restarted GMRES under one preconditioner ``M``, from the uniform
+    vector: the solution, or ``None`` once a restart cycle stalls or
+    ``iterations[0]`` (advanced by ``callback``) reaches
+    ``max_iterations``."""
+
+    def preconditioned_residual(x):
+        r = b - A @ x
+        return float(np.linalg.norm(r if M is None else M.matvec(r)))
+
+    x = np.full(len(b), 1.0 / len(b))
+    previous = preconditioned_residual(x)
+    while iterations[0] < max_iterations:
+        # In "legacy" mode maxiter counts inner iterations, so each
+        # call runs at most one restart cycle.
+        x, code = spla.gmres(A, b, rtol=rtol, x0=x, M=M, restart=restart,
+                             maxiter=min(restart, max_iterations - iterations[0]),
+                             callback=callback, callback_type="legacy")
+        if code == 0:
+            return np.asarray(x).ravel()
+        residual = preconditioned_residual(x)
+        if not residual <= _STALL_FACTOR * previous:
+            return None
+        previous = residual
+    return None
+
+
 def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
                  info: dict | None = None) -> np.ndarray:
-    """ILU-preconditioned restarted GMRES on the :func:`_balance_system`;
-    writes the preconditioner path taken to ``info["preconditioner"]``."""
+    """Preconditioned restarted GMRES on the :func:`_balance_system`.
+
+    Each preconditioner of :data:`_PRECONDITIONERS` starts afresh and
+    runs restart cycles until it converges, stalls (a cycle that does
+    not cut the preconditioned residual by :data:`_STALL_FACTOR`) or
+    exhausts the ``max_iterations`` inner iterations the whole solve may
+    spend.  Writes the preconditioner path taken to
+    ``info["preconditioner"]``.
+    """
     if info is None:
         info = {}
-    n = chain.n_states
     A, b = _balance_system(chain)
-    try:
-        ilu = spla.spilu(A, drop_tol=1e-5, fill_factor=20)
-        M = spla.LinearOperator((n, n), ilu.solve)
-        info["preconditioner"] = "ilu"
-    except (RuntimeError, ValueError, MemoryError):
-        # spilu raises RuntimeError on exactly-singular factors, but
-        # near-singular or very large systems can also surface as
-        # ValueError/MemoryError — an unpreconditioned solve beats a
-        # crashed one in every case.
-        M = None
-        info["preconditioner"] = "none-fallback"
-    x0 = np.full(n, 1.0 / n)
     iterations = [0]
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
@@ -172,25 +233,42 @@ def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
                 elapsed_s=round(time.perf_counter() - start, 9),
             )
 
-    pi, code = spla.gmres(A, b, rtol=max(tol, 1e-12), maxiter=max_iterations,
-                          M=M, x0=x0, callback=count_iteration,
-                          restart=min(50, n), callback_type="legacy")
-    if events.enabled and iterations[0] == 0:
-        # scipy skips the callback when x0 already satisfies the
-        # tolerance; record the solve anyway so every GMRES call
-        # leaves at least one convergence event behind.
-        residual = float(np.abs(b - A @ np.asarray(pi).ravel()).max())
-        events.emit(
-            "solver.convergence", solver="gmres", iteration=0,
-            residual=residual,
-            elapsed_s=round(time.perf_counter() - start, 9),
-        )
-    metrics = get_metrics()
-    metrics.counter("solver_iterations").inc(iterations[0])
-    metrics.counter("spmv_count").inc(iterations[0])
-    if code != 0:
-        raise SolverError(f"gmres failed to converge (info={code})")
-    return np.asarray(pi).ravel()
+    path = []
+    try:
+        for name, build in _PRECONDITIONERS:
+            if iterations[0] >= max_iterations:
+                break
+            path.append(name)
+            info["preconditioner"] = "→".join(path)
+            try:
+                M = None if build is None else build(A)
+            except (RuntimeError, ValueError, MemoryError):
+                # A factorisation raises RuntimeError on exactly-singular
+                # factors, but near-singular or very large systems can
+                # also surface as ValueError/MemoryError: the next
+                # preconditioner beats a crashed solve in every case.
+                continue
+            pi = _gmres_cycles(A, b, M, max(tol, 1e-12), min(_RESTART, chain.n_states),
+                               iterations, max_iterations, count_iteration)
+            if pi is not None:
+                if events.enabled and iterations[0] == 0:
+                    # scipy skips the callback when x0 already satisfies
+                    # the tolerance; record the solve anyway so every
+                    # GMRES call leaves at least one convergence event.
+                    events.emit(
+                        "solver.convergence", solver="gmres", iteration=0,
+                        residual=float(np.abs(b - A @ pi).max()),
+                        elapsed_s=round(time.perf_counter() - start, 9),
+                    )
+                return pi
+    finally:
+        metrics = get_metrics()
+        metrics.counter("solver_iterations").inc(iterations[0])
+        metrics.counter("spmv_count").inc(iterations[0])
+    raise SolverError(
+        f"gmres failed to converge ({iterations[0]} iterations, "
+        f"preconditioners {info.get('preconditioner', 'none tried')})"
+    )
 
 
 def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
@@ -241,6 +319,58 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
     raise SolverError(
         f"jacobi did not converge in {max_iterations} sweeps"
     )
+
+
+# ----------------------------------------------------------------------
+# The spectral-gap certificate
+# ----------------------------------------------------------------------
+#: Chains up to this size get their spectrum from dense ``eigvals``
+#: (about 35 ms at 256 states); larger ones from ARPACK.
+_DENSE_GAP_STATES = 256
+
+#: ARPACK's Arnoldi basis size, cap on implicit restarts and relative
+#: tolerance.  All are fixed, so an estimate that does not converge
+#: within them is "unknown" on every run, never a matter of timing.  A
+#: gap off by the tolerance, 1e-12, cannot certify a wrong answer under
+#: the default ``residual_tol`` of 1e-6: with a true gap that small,
+#: certifying would need ``‖πQ‖₁/Λ`` near 1e-18, below the rounding
+#: error of computing it.
+_GAP_NCV = 20
+_GAP_MAXITER = 100
+_GAP_TOL = 1e-12
+
+
+def error_bound(chain: CTMC, pi: np.ndarray) -> tuple[float | None, float | None]:
+    """``(gap, bound)``: a certificate for a candidate steady state ``pi``.
+
+    ``gap`` is ``1 − |λ₂|`` of the lazy uniformised chain
+    ``P = I + Q/Λ`` with ``Λ = 2 × max exit rate`` (the factor 2 puts
+    the whole spectrum in ``Re λ ≥ 0``, so a periodic chain has no
+    eigenvalue near −1 to mask its gap).  ``bound`` is
+    ``(‖πQ‖₁/Λ)/gap``, the L1 distance from ``pi`` to the true π to
+    first order: a small residual means little when the chain mixes
+    slowly.  Both are ``None`` when ARPACK does not converge within its
+    fixed restart cap; a gap at or below zero gives an infinite bound.
+    """
+    n = chain.n_states
+    lam = 2.0 * float(chain.exit_rates().max())
+    PT = sp.identity(n, format="csr") + chain.Q.transpose().tocsr() / lam
+    if n <= _DENSE_GAP_STATES:
+        eigenvalues = np.linalg.eigvals(PT.toarray())
+    else:
+        # A fixed pseudo-random start: the uniform vector would leave
+        # the Arnoldi basis inside the symmetric modes of a symmetric
+        # model (identical clients, a ring of places) and can miss a
+        # slower mode outside them.
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, n)
+        try:
+            eigenvalues = spla.eigs(PT, k=2, ncv=_GAP_NCV, maxiter=_GAP_MAXITER,
+                                    tol=_GAP_TOL, v0=v0, return_eigenvectors=False)
+        except spla.ArpackError:
+            return None, None
+    gap = max(0.0, 1.0 - float(np.sort(np.abs(eigenvalues))[-2]))
+    residual = float(np.abs(chain.Q.T @ pi).sum()) / lam
+    return gap, (residual / gap if gap > 0.0 else float("inf"))
 
 
 #: The solver registry: name → callable ``(chain, tol, max_iterations,

@@ -9,9 +9,16 @@ each method of a :class:`FallbackPolicy` once, in order, stops at a
 cooperative wall-clock deadline, records every attempt in a
 :class:`SolveDiagnostics`, and accepts a candidate only if its residual
 passes a scale-aware bound — so a method that silently stagnated cannot
-hand back a wrong answer.  A method is deterministic in its inputs, so
-it is never retried; a fallback inside one method (such as ``gmres``
-solving unpreconditioned when ILU fails) lives in that method.
+hand back a wrong answer.  A residual can still be small on a wrong
+answer when the chain mixes slowly, so an optional certificate judges
+what passes it: the CTMC solve bounds the error of every ``gmres`` and
+``jacobi`` answer by residual over spectral gap
+(:func:`repro.ctmc.steady.error_bound`), and an answer whose bound
+exceeds the policy's ``residual_tol`` is ``"uncertified"`` and moves
+the chain on, in the default large order to ``direct``.  A method is
+deterministic in its inputs, so it is never retried; a fallback inside
+one method (such as ``gmres`` moving from the Gauss–Seidel to the ILU
+preconditioner) lives in that method.
 
 Two solves run on it: :func:`solve_with_fallback` (the CTMC balance
 equations ``πQ = 0``, residual ``‖πQ‖∞``; what
@@ -29,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import SOLVERS, _irreducibility_failure, _normalise
+from repro.ctmc.steady import SOLVERS, _irreducibility_failure, _normalise, error_bound
 from repro.exceptions import SolverError
 from repro.obs import get_metrics, get_tracer
 from repro.resilience.budget import Deadline
@@ -37,6 +44,8 @@ from repro.utils.formatting import format_table
 
 __all__ = [
     "AttemptRecord",
+    "CERTIFIED_METHODS",
+    "Certificate",
     "FallbackPolicy",
     "GMRES_FIRST_STATES",
     "SolveDiagnostics",
@@ -45,12 +54,17 @@ __all__ = [
 ]
 
 #: The size, in states of the chain actually solved (after any
-#: bottom-SCC restriction), from which the default chain tries ILU-GMRES
-#: before sparse LU.  Below it LU wins outright; above it the LU factors'
-#: fill grows faster than the GMRES iterations' cost.  The crossover
-#: sweep in ``benchmarks/bench_solvers.py`` put it between 2,200 and
-#: 2,900 states on client/server, tandem-queue and courier-ring chains.
+#: bottom-SCC restriction), from which the default chain tries GMRES
+#: before sparse LU.  The crossover sweep in
+#: ``benchmarks/bench_solvers.py`` first put it between 2,200 and 2,900
+#: states.  Under the Gauss–Seidel preconditioner no one size separates
+#: the methods: GMRES wins on client/server chains from 576 states,
+#: sparse LU on a two-courier ring up to at least 4,186.
 GMRES_FIRST_STATES = 2_500
+
+#: The methods whose answers :func:`solve_with_fallback` certifies with
+#: the spectral-gap error bound; ``direct`` is exact and pays nothing.
+CERTIFIED_METHODS = frozenset({"gmres", "jacobi"})
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,9 @@ class FallbackPolicy:
     ``deadline`` bounds the whole chain in wall-clock seconds
     (cooperatively — a running scipy kernel is never pre-empted).
     A candidate answer is rejected unless its residual ``‖πQ‖∞`` is
-    below ``residual_tol`` scaled by the chain's largest exit rate.
+    below ``residual_tol`` scaled by the chain's largest exit rate, and
+    an iterative one also unless its certified L1 error bound is at
+    most ``residual_tol``.
     """
 
     methods: tuple[str, ...] | None = None
@@ -133,6 +149,21 @@ class FallbackPolicy:
         return ("gmres", "direct", "jacobi")
 
 
+@dataclass(frozen=True)
+class Certificate:
+    """A verdict on a candidate that passed the residual check.
+
+    ``status`` is ``"certified"`` (``error_bound`` at most the
+    tolerance), ``"uncertified"`` (above it: the candidate is rejected)
+    or ``"unknown"`` (the gap estimate did not converge: the candidate
+    is accepted as the residual check alone would).
+    """
+
+    status: str
+    gap: float | None = None
+    error_bound: float | None = None
+
+
 @dataclass
 class AttemptRecord:
     """One method's single attempt: what ran, how long, and how it ended.
@@ -140,7 +171,9 @@ class AttemptRecord:
     ``outcome`` is one of ``"converged"``, ``"failed"`` (a
     :class:`SolverError`), ``"error"`` (an unexpected exception),
     ``"bad-residual"`` (converged but failed the ``‖πQ‖∞`` sanity
-    check) or ``"deadline"`` (skipped, budget exhausted).
+    check), ``"uncertified"`` (passed the residual check, but its
+    certified error bound did not) or ``"deadline"`` (skipped, budget
+    exhausted).
     """
 
     method: str
@@ -148,10 +181,16 @@ class AttemptRecord:
     elapsed: float
     residual: float | None = None
     detail: str = ""
-    #: Which preconditioner path a Krylov attempt took: ``"ilu"`` or
-    #: ``"none-fallback"`` (ILU factorisation failed).  Empty for
-    #: non-Krylov methods.
+    #: Which preconditioner path a Krylov attempt took: ``"gs"``,
+    #: ``"gs→ilu"`` or ``"gs→ilu→none"``.  Empty for non-Krylov methods.
     preconditioner: str = ""
+    #: The certificate status (``"certified"``, ``"uncertified"``,
+    #: ``"unknown"``), the spectral gap and the L1 error bound of a
+    #: certified method's answer.  Empty/``None`` where no certificate
+    #: ran (``direct``, a failed attempt, the fluid solve).
+    certificate: str = ""
+    gap: float | None = None
+    error_bound: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -170,6 +209,8 @@ class SolveDiagnostics:
     the error in π is bounded by the residual times the inverse spectral
     gap, and a wide spread is where a small residual says least.  It is
     ``None`` where it does not apply (the fluid solve, a one-state chain).
+    ``uncertified_l1`` is the L1 distance from the accepted answer to
+    the last uncertified one, when the chain rejected one on its way.
     """
 
     n_states: int = 0
@@ -177,6 +218,7 @@ class SolveDiagnostics:
     method: str | None = None
     elapsed: float = 0.0
     exit_rate_spread: float | None = None
+    uncertified_l1: float | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -184,17 +226,41 @@ class SolveDiagnostics:
         return self.method is not None
 
     @property
+    def accepted(self) -> AttemptRecord | None:
+        """The attempt whose answer was accepted (``None`` if none was)."""
+        return self.attempts[-1] if self.succeeded else None
+
+    @property
     def residual(self) -> float | None:
         """The accepted answer's residual (``None`` if nothing was accepted)."""
-        return self.attempts[-1].residual if self.succeeded else None
+        return self.accepted.residual if self.succeeded else None
+
+    @property
+    def certificate(self) -> str:
+        """The accepted answer's certificate status (empty if none ran)."""
+        return self.accepted.certificate if self.succeeded else ""
+
+    @property
+    def gap(self) -> float | None:
+        """The spectral gap behind the accepted answer's certificate."""
+        return self.accepted.gap if self.succeeded else None
+
+    @property
+    def error_bound(self) -> float | None:
+        """The accepted answer's certified L1 error bound."""
+        return self.accepted.error_bound if self.succeeded else None
 
     def record(self, method: str, outcome: str, elapsed: float,
                *, residual: float | None = None, detail: str = "",
-               preconditioner: str = "") -> AttemptRecord:
+               preconditioner: str = "",
+               certificate: Certificate | None = None) -> AttemptRecord:
         """Append (and return) one :class:`AttemptRecord`."""
+        cert = certificate or Certificate("")
         rec = AttemptRecord(method, outcome, elapsed,
                             residual=residual, detail=detail,
-                            preconditioner=preconditioner)
+                            preconditioner=preconditioner,
+                            certificate=cert.status, gap=cert.gap,
+                            error_bound=cert.error_bound)
         self.attempts.append(rec)
         return rec
 
@@ -202,20 +268,43 @@ class SolveDiagnostics:
         """Render the attempt log as an aligned plain-text table."""
         rows = [
             [a.method, a.outcome, f"{a.elapsed:.4f}s",
-             "-" if a.residual is None else f"{a.residual:.3e}", a.detail]
+             "-" if a.residual is None else f"{a.residual:.3e}",
+             a.preconditioner or "-", _describe_certificate(a) or "-",
+             a.detail]
             for a in self.attempts
         ]
         return format_table(
-            ["method", "outcome", "elapsed", "residual", "detail"], rows
+            ["method", "outcome", "elapsed", "residual", "preconditioner",
+             "certificate", "detail"], rows
         )
 
     def summary(self) -> str:
-        """One line: winner (or failure), attempt count, total time."""
+        """One line: winner (or failure), attempt count, total time, and
+        the winner's preconditioner path and certificate, if any."""
         outcome = f"solved by {self.method}" if self.succeeded else "all methods failed"
-        return (
+        line = (
             f"{outcome} after {len(self.attempts)} attempt(s) "
             f"in {self.elapsed:.4f}s over {self.n_states} states"
         )
+        accepted = self.accepted
+        notes = [] if accepted is None else [
+            note for note in (
+                accepted.preconditioner and f"preconditioner {accepted.preconditioner}",
+                _describe_certificate(accepted),
+                self.uncertified_l1 is not None
+                and f"uncertified answer rejected at L1 distance {self.uncertified_l1:.3e}",
+            ) if note
+        ]
+        return f"{line} ({', '.join(notes)})" if notes else line
+
+
+def _describe_certificate(attempt: AttemptRecord) -> str:
+    """``"certified: error bound 1.2e-13"``, ``"certificate unknown"`` or ``""``."""
+    if attempt.error_bound is not None:
+        return f"{attempt.certificate}: error bound {attempt.error_bound:.3e}"
+    if attempt.certificate:
+        return f"certificate {attempt.certificate}"
+    return ""
 
 
 def run_chain(
@@ -227,6 +316,7 @@ def run_chain(
     n_states: int,
     span,
     stage: str = "solve",
+    certify: Callable[[str, np.ndarray], Certificate | None] | None = None,
 ) -> tuple[np.ndarray, SolveDiagnostics]:
     """Try ``policy.methods_for(n_states)`` in order until one yields an
     accepted answer.
@@ -234,11 +324,16 @@ def run_chain(
     ``attempt(method, info)`` runs ``method`` once and returns a
     candidate vector; it may write ``info["preconditioner"]``.  A
     candidate is accepted when ``residual(candidate)`` is finite and at
-    most ``bound``.  A :class:`SolverError` from an attempt is a
-    ``"failed"`` attempt, any other exception an ``"error"``; both move
-    the chain on.  Each method opens one ``solve.attempt`` span;
-    ``span`` (the caller's enclosing span) receives ``methods``,
-    ``solved_by``, ``attempts`` and ``residual``.
+    most ``bound`` and ``certify(method, candidate)``, if given, does
+    not return an ``"uncertified"`` :class:`Certificate` (``None`` means
+    the method needs none).  A :class:`SolverError` from an attempt is a
+    ``"failed"`` attempt, any other exception an ``"error"``; these, a
+    bad residual and an uncertified answer all move the chain on.  Each
+    method opens one ``solve.attempt`` span; ``span`` (the caller's
+    enclosing span) receives ``methods``, ``solved_by``, ``attempts``
+    and ``residual``, the accepted answer's ``certificate``, ``gap`` and
+    ``error_bound`` when it has one, and ``uncertified_l1`` when an
+    uncertified answer was rejected before it.
 
     Returns ``(candidate, diagnostics)``.  Raises :class:`SolverError`
     with ``exc.diagnostics`` attached, ``stage`` in its context, when
@@ -250,6 +345,7 @@ def run_chain(
     deadline = Deadline.after(policy.deadline)
     start = time.monotonic()
     tracer = get_tracer()
+    uncertified = None
     try:
         for method in methods:
             if deadline.expired:
@@ -261,12 +357,14 @@ def run_chain(
                     f"steady-state deadline of {policy.deadline:g}s exhausted "
                     f"after {len(diag.attempts)} attempt(s)", diag, stage)
             info: dict = {}
-            res = None
+            res = cert = None
             t0 = time.monotonic()
             with tracer.span("solve.attempt", method=method) as asp:
                 try:
                     value = attempt(method, info)
                     res = float(residual(value))
+                    if np.isfinite(res) and res <= bound and certify is not None:
+                        cert = certify(method, value)
                 except Exception as exc:  # noqa: BLE001 — any back-end blow-up
                     if isinstance(exc, SolverError):
                         outcome, detail = "failed", str(exc)
@@ -274,17 +372,28 @@ def run_chain(
                         outcome, detail = "error", f"{type(exc).__name__}: {exc}"
                     asp.set(outcome=outcome, error=type(exc).__name__)
                 else:
-                    if np.isfinite(res) and res <= bound:
-                        outcome, detail = "converged", ""
-                    else:
+                    if not (np.isfinite(res) and res <= bound):
                         outcome = "bad-residual"
                         detail = f"residual {res:.3e} above bound {bound:.3e}"
+                    elif cert is not None and cert.status == "uncertified":
+                        outcome = "uncertified"
+                        detail = (f"error bound {cert.error_bound:.3e} above "
+                                  f"{policy.residual_tol:.3e}, spectral gap {cert.gap:.3e}")
+                        uncertified = value
+                    else:
+                        outcome, detail = "converged", ""
                     asp.set(outcome=outcome, residual=res)
+                    if cert is not None:
+                        asp.set(**_certificate_attributes(cert.status, cert.gap,
+                                                          cert.error_bound))
             diag.record(method, outcome, time.monotonic() - t0,
                         residual=res, detail=detail,
-                        preconditioner=info.get("preconditioner", ""))
+                        preconditioner=info.get("preconditioner", ""),
+                        certificate=cert)
             if outcome == "converged":
                 diag.method = method
+                if uncertified is not None:
+                    diag.uncertified_l1 = float(np.abs(value - uncertified).sum())
                 return value, diag
         failures = "; ".join(
             f"{a.method}: {a.outcome}" + (f" ({a.detail})" if a.detail else "")
@@ -297,6 +406,21 @@ def run_chain(
         span.set(solved_by=diag.method or "none", attempts=len(diag.attempts))
         if diag.succeeded:
             span.set(residual=diag.residual)
+            if diag.certificate:
+                span.set(**_certificate_attributes(diag.certificate, diag.gap,
+                                                   diag.error_bound))
+        if diag.uncertified_l1 is not None:
+            span.set(uncertified_l1=diag.uncertified_l1)
+
+
+def _certificate_attributes(status: str, gap: float | None,
+                            error_bound: float | None) -> dict:
+    """A certificate's span attributes: its status, and its gap and
+    error bound when the gap estimate converged."""
+    attributes = {"certificate": status}
+    if gap is not None:
+        attributes.update(gap=gap, error_bound=error_bound)
+    return attributes
 
 
 def _chain_failure(message: str, diag: SolveDiagnostics, stage: str) -> SolverError:
@@ -338,6 +462,9 @@ def solve_with_fallback(
     ``diagnostics.method`` names the requested method on every chain.
     The ``ctmc.solve`` span records the chain's ``states``, the
     ``methods`` tried and the ``exit_rate_spread`` of the chain solved.
+    Every answer of a :data:`CERTIFIED_METHODS` method that passes the
+    residual check is certified by :func:`repro.ctmc.steady.error_bound`
+    against ``policy.residual_tol`` (see :func:`run_chain`).
 
     Raises :class:`SolverError` — with the full :class:`SolveDiagnostics`
     attached as ``exc.diagnostics`` — when every method of the policy
@@ -381,7 +508,8 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
     n = chain.n_states
     if n == 1:
         methods = policy.methods_for(1)
-        span.set(methods=",".join(methods))
+        span.set(methods=",".join(methods), solved_by=methods[0], attempts=1,
+                 residual=0.0)
         diag = SolveDiagnostics(n_states=1, method=methods[0])
         diag.record(methods[0], "converged", 0.0, residual=0.0,
                     detail="one state")
@@ -394,6 +522,15 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
     def residual(pi: np.ndarray) -> float:
         return float(np.abs(chain.Q.T @ pi).max())
 
+    def certify(method: str, pi: np.ndarray) -> Certificate | None:
+        if method not in CERTIFIED_METHODS:
+            return None
+        gap, error = error_bound(chain, pi)
+        if error is None:
+            return Certificate("unknown")
+        status = "certified" if error <= policy.residual_tol else "uncertified"
+        return Certificate(status, gap, error)
+
     # Relative to the chain's own time scale: an absolute floor would
     # accept any vector on a slow chain.  Irreducible with n >= 2, so
     # every state has a positive exit rate.
@@ -401,7 +538,8 @@ def _solve_irreducible(chain: CTMC, policy: FallbackPolicy, registry: dict,
     bound = policy.residual_tol * float(exits.max())
     spread = float(exits.max() / exits.min()) if exits.min() > 0 else float("inf")
     span.set(exit_rate_spread=spread)
-    pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span)
+    pi, diag = run_chain(policy, attempt, residual, bound, n_states=n, span=span,
+                         certify=certify)
     diag.exit_rate_spread = spread
     get_metrics().gauge("residual").set(diag.residual)
     return pi, diag

@@ -271,6 +271,17 @@ class TestDefaultDiagnostics:
         assert attempt.residual < 1e-6 * 2e-7
 
 
+def break_gauss_seidel(monkeypatch):
+    """Make the Gauss–Seidel factorisation fail, so ``gmres`` moves on
+    to its ILU preconditioner."""
+    import repro.ctmc.steady as steady_mod
+
+    def singular_splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(steady_mod.spla, "splu", singular_splu)
+
+
 class TestPreconditionerFallback:
     def test_spilu_valueerror_falls_back_to_unpreconditioned(self, monkeypatch):
         """spilu can raise ValueError/MemoryError on near-singular or
@@ -280,6 +291,7 @@ class TestPreconditionerFallback:
         def broken_spilu(*args, **kwargs):
             raise ValueError("near-singular factorisation")
 
+        break_gauss_seidel(monkeypatch)
         monkeypatch.setattr(steady_mod.spla, "spilu", broken_spilu)
         chain = birth_death(6, 1.0, 2.0)
         pi = steady_state(chain, "gmres")
@@ -291,6 +303,7 @@ class TestPreconditionerFallback:
         def huge_spilu(*args, **kwargs):
             raise MemoryError("fill-in blew up")
 
+        break_gauss_seidel(monkeypatch)
         monkeypatch.setattr(steady_mod.spla, "spilu", huge_spilu)
         chain = birth_death(6, 1.0, 2.0)
         pi = steady_state(chain, "gmres")
@@ -299,13 +312,20 @@ class TestPreconditionerFallback:
 
 class TestPreconditionerReporting:
     """Krylov attempts must report which preconditioner path ran —
-    ILU by default, the unpreconditioned fallback when the
-    factorisation fails — in the attempt record of the diagnostics."""
+    Gauss–Seidel by default, then ILU, then none when a factorisation
+    fails — in the attempt record of the diagnostics."""
 
-    def test_materialised_chain_reports_ilu(self):
+    def test_materialised_chain_reports_gs(self):
         chain = birth_death(6, 1.0, 2.0)
         _, diag = solve_with_fallback(chain, "gmres")
-        assert diag.attempts[0].preconditioner == "ilu"
+        assert diag.attempts[0].preconditioner == "gs"
+
+    def test_broken_gauss_seidel_reports_ilu(self, monkeypatch):
+        break_gauss_seidel(monkeypatch)
+        chain = birth_death(6, 1.0, 2.0)
+        pi, diag = solve_with_fallback(chain, "gmres")
+        assert diag.attempts[0].preconditioner == "gs→ilu"
+        assert np.allclose(pi, geometric_pi(6, 0.5), atol=1e-6)
 
     def test_broken_spilu_reports_none_fallback(self, monkeypatch):
         import repro.ctmc.steady as steady_mod
@@ -313,7 +333,8 @@ class TestPreconditionerReporting:
         def broken_spilu(*args, **kwargs):
             raise ValueError("near-singular factorisation")
 
+        break_gauss_seidel(monkeypatch)
         monkeypatch.setattr(steady_mod.spla, "spilu", broken_spilu)
         chain = birth_death(6, 1.0, 2.0)
         _, diag = solve_with_fallback(chain, "gmres")
-        assert diag.attempts[0].preconditioner == "none-fallback"
+        assert diag.attempts[0].preconditioner == "gs→ilu→none"

@@ -225,10 +225,10 @@ class TestDiagnostics:
 
 
 class TestPreconditionerDiagnostics:
-    def test_krylov_attempt_records_ilu_path(self, chain):
+    def test_krylov_attempt_records_gs_path(self, chain):
         pi, diag = solve_with_fallback(chain, FallbackPolicy(methods=("gmres",)))
         assert diag.succeeded
-        assert diag.attempts[0].preconditioner == "ilu"
+        assert diag.attempts[0].preconditioner == "gs"
 
     def test_non_krylov_attempts_leave_field_empty(self, chain):
         pi, diag = solve_with_fallback(chain, FallbackPolicy(methods=("direct",)))
