@@ -16,9 +16,10 @@ from repro.core.explore import (
     explore_lts,
 )
 from repro.core.keys import DerivationKey, stable_digest
-from repro.core.lts import LabelledArc, Lts
+from repro.core.lts import ArcArrays, LabelledArc, Lts
 
 __all__ = [
+    "ArcArrays",
     "DEFAULT_MAX_STATES",
     "PROGRESS_INTERVAL",
     "DerivationKey",

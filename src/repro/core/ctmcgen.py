@@ -5,13 +5,15 @@ of parallel arcs between the same pair summing under the race condition
 — is identical across formalisms, so both the PEPA route
 (:func:`repro.pepa.ctmcgen.ctmc_from_statespace`, which now delegates
 here) and the GSPN route (:func:`repro.petri.gspn.spn_to_ctmc`) feed
-:func:`repro.ctmc.chain.build_ctmc` through this single function.
+the LTS's arc arrays to :func:`repro.ctmc.chain.assemble_ctmc` through
+this single function.  The chain's state labels are rendered from the
+LTS only when something reads them.
 """
 
 from __future__ import annotations
 
 from repro.core.lts import Lts
-from repro.ctmc.chain import CTMC, build_ctmc
+from repro.ctmc.chain import CTMC, assemble_ctmc
 from repro.ctmc.serialize import (
     CTMC_PAYLOAD_SCHEMA, ctmc_from_payload, ctmc_to_payload,
 )
@@ -21,8 +23,8 @@ __all__ = ["ctmc_from_lts"]
 
 
 def ctmc_from_lts(lts: Lts) -> CTMC:
-    """Build the CTMC (generator + labels + action-rate vectors) of an
-    explored LTS, under a ``ctmc.assemble`` tracer span.
+    """Build the CTMC (generator + action-rate vectors, labels on
+    demand) of an explored LTS, under a ``ctmc.assemble`` tracer span.
 
     An LTS that came through the derivation cache carries its
     :class:`~repro.core.keys.DerivationKey` as ``cache_key``; the
@@ -45,11 +47,11 @@ def ctmc_from_lts(lts: Lts) -> CTMC:
 
 def _assemble(lts: Lts) -> CTMC:
     with get_tracer().span("ctmc.assemble", states=lts.size,
-                           arcs=len(lts.arcs)) as sp:
-        labels = [lts.state_label(i) for i in range(lts.size)]
-        chain = build_ctmc(
-            lts.size, list(lts.iter_transitions()), labels=labels,
-            initial=lts.initial,
+                           arcs=lts.n_arcs) as sp:
+        arcs = lts.arc_arrays
+        chain = assemble_ctmc(
+            lts.size, arcs.source, arcs.target, arcs.rate, arcs.action, arcs.actions,
+            labels=lts.state_labels, initial=lts.initial,
         )
         sp.set(nnz=int(chain.Q.nnz))
     return chain

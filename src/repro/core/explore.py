@@ -20,6 +20,14 @@ share, so every cross-cutting concern lands in exactly one place:
   Petri layer expresses Karp–Miller ω-acceleration and the
   unboundedness (strict-covering) abort without owning a loop.
 
+The search writes no object per arc: each arc appends its source,
+target, rate and an action code to four flat arrays, which become the
+result's :class:`~repro.core.lts.ArcArrays` and go to the CTMC
+assembly as they are.  A compiled formalism searches over compact
+numeric states and wraps the result with a ``render`` function
+(:class:`~repro.core.lts.Lts`), so its terms are built only if
+something reads the states.
+
 Future optimisations — parallel frontiers, smarter state interning,
 disk-backed spaces — belong here and nowhere else.
 """
@@ -27,10 +35,13 @@ disk-backed spaces — belong here and nowhere else.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Mapping
 
-from repro.core.lts import LabelledArc, Lts
+import numpy as np
+
+from repro.core.lts import ArcArrays, Lts
 from repro.exceptions import StateSpaceError
 from repro.obs import get_events, get_metrics, get_tracer
 
@@ -58,10 +69,6 @@ PROGRESS_INTERVAL = 1_000
 
 #: A successor function: state -> iterable of (action, rate, target).
 SuccessorFn = Callable[[Any], Iterable[tuple[str, float, Any]]]
-
-#: Maps the interned states, in discovery order, to the states the
-#: returned LTS carries (a compiled search renders its numeric states).
-RenderFn = Callable[[list[Any]], list[Any]]
 
 
 def emit_progress(events, stage: str, explored: int, frontier: int,
@@ -111,7 +118,6 @@ def explore_lts(
     adjust_successor: Callable[[Any, int, Exploration], Any] | None = None,
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
     progress_interval: int | None = None,
-    render: RenderFn | None = None,
 ) -> Lts:
     """Breadth-first exploration of the reachable state space.
 
@@ -131,19 +137,16 @@ def explore_lts(
     Petri unboundedness check).  Providing either enables parent-chain
     tracking on the :class:`Exploration` they receive.
 
-    ``render`` maps the interned states to the ones the result carries,
-    once, inside the span, after the search: a compiled formalism
-    searches over compact numeric states and renders its terms there.
-    The result's ``index`` is then built lazily from the rendered states.
-
     States are interned in discovery order — the returned
-    :class:`~repro.core.lts.Lts` numbers the initial state 0 and lists
+    :class:`~repro.core.lts.Lts` numbers the initial state 0 and keeps
     arcs in generation order, which downstream golden tests pin.
     """
     interval = PROGRESS_INTERVAL if progress_interval is None else progress_interval
     index: dict[Hashable, int] = {initial: 0}
     states: list[Any] = [initial]
-    arcs: list[LabelledArc] = []
+    sources, targets, codes = array("q"), array("q"), array("q")
+    rates = array("d")
+    action_codes: dict[str, int] = {}
     queue: deque[Any] = deque([initial])
     events = get_events()
     start = time.perf_counter() if events.enabled else 0.0
@@ -170,7 +173,7 @@ def explore_lts(
                     if on_new_state is not None:
                         on_new_state(target, src, exploration)
                     if len(states) >= max_states:
-                        sp.set(**{span_count_key: len(states), "arcs": len(arcs)})
+                        sp.set(**{span_count_key: len(states), "arcs": len(sources)})
                         raise StateSpaceError(
                             overflow(max_states) if overflow is not None else
                             f"{stage}: state space exceeds {max_states} states"
@@ -183,13 +186,22 @@ def explore_lts(
                         exploration.parent[tgt] = src
                     if events.enabled and tgt % interval == 0:
                         emit_progress(events, stage, len(states), len(queue), start)
-                arcs.append(LabelledArc(src, action, rate, tgt))
-        if render is not None:
-            states = render(states)
-        sp.set(**{span_count_key: len(states), "arcs": len(arcs)})
+                code = action_codes.get(action)
+                if code is None:
+                    code = action_codes[action] = len(action_codes)
+                sources.append(src)
+                targets.append(tgt)
+                rates.append(rate)
+                codes.append(code)
+        sp.set(**{span_count_key: len(states), "arcs": len(sources)})
     if events.enabled:
         emit_progress(events, stage, len(states), 0, start)
     metrics = get_metrics()
     metrics.counter("states_explored").inc(len(states))
-    metrics.counter("transitions").inc(len(arcs))
-    return Lts(states=states, arcs=arcs, index=None if render is not None else index)
+    metrics.counter("transitions").inc(len(sources))
+    arcs = ArcArrays(
+        np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64),
+        np.array(rates, dtype=np.float64), np.array(codes, dtype=np.int64),
+        tuple(action_codes),
+    )
+    return Lts(states, arcs, index=index)

@@ -5,7 +5,7 @@ of steady-state solvers, uniformization-based transient analysis,
 passage times, exact lumping and explicit-state export formats.
 """
 
-from repro.ctmc.chain import CTMC, build_ctmc
+from repro.ctmc.chain import CTMC, assemble_ctmc, build_ctmc
 from repro.ctmc.cumulative import accumulated_reward, reward_to_absorption, time_average_reward
 from repro.ctmc.sensitivity import measure_sensitivity, stationary_derivative
 from repro.ctmc.dtmc import ctmc_pi_from_embedded, dtmc_stationary, embedded_dtmc
@@ -31,6 +31,7 @@ from repro.ctmc.transient import expected_rewards_at, transient_curve, transient
 
 __all__ = [
     "CTMC",
+    "assemble_ctmc",
     "build_ctmc",
     "steady_state",
     "SOLVERS",

@@ -6,7 +6,8 @@ entries are transition rates and the diagonal makes rows sum to zero
 
 Besides the generator the chain optionally carries:
 
-* ``labels`` — a human-readable name per state (the PEPA derivative);
+* ``labels`` — a human-readable name per state (the PEPA derivative),
+  given as a list or as a function that renders it on first access;
 * ``action_rates`` — for each action type, the vector of total outgoing
   rates of that type per state.  This is exactly what is needed to turn
   a steady-state distribution into *activity throughput*, the measure
@@ -15,27 +16,44 @@ Besides the generator the chain optionally carries:
 
 from __future__ import annotations
 
+from typing import Callable, Iterable, Sequence
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import SolverError
 
-__all__ = ["CTMC", "build_ctmc"]
+__all__ = ["CTMC", "assemble_ctmc", "build_ctmc", "record_arrays"]
+
+#: State labels, or a function rendering them when first read.
+Labels = Sequence[str] | Callable[[], Sequence[str]] | None
 
 
 class CTMC:
-    """A finite CTMC with optional state labels and action-rate vectors."""
+    """A finite CTMC with optional state labels and action-rate vectors.
+
+    ``labels`` given as a function is called on the first read of
+    :attr:`labels` (:attr:`label_builds` counts the calls, 0 or 1), so a
+    chain whose measures never name a state renders none.
+    """
 
     def __init__(
         self,
         Q: sp.spmatrix,
-        labels: list[str] | None = None,
+        labels: Labels = None,
         action_rates: dict[str, np.ndarray] | None = None,
         initial: int = 0,
     ):
         self.Q: sp.csr_matrix = sp.csr_matrix(Q)
-        self.labels = list(labels or [])
+        self._labels: list[str] | None = None
+        self._render_labels: Callable[[], Sequence[str]] | None = None
+        if callable(labels):
+            self._render_labels = labels
+        else:
+            self._set_labels(labels)
+        #: How many times the labels have been rendered (0 or 1).
+        self.label_builds = 0
         self.action_rates = dict(action_rates or {})
         self.initial = initial
         #: The derivation-cache key this chain was read from or
@@ -45,8 +63,21 @@ class CTMC:
         n, m = self.Q.shape
         if n != m:
             raise SolverError(f"generator must be square, got {(n, m)}")
-        if self.labels and len(self.labels) != n:
+
+    def _set_labels(self, labels: Sequence[str] | None) -> None:
+        labels = list(labels or [])
+        if labels and len(labels) != self.Q.shape[0]:
             raise SolverError("label count does not match state count")
+        self._labels = labels
+
+    @property
+    def labels(self) -> list[str]:
+        """A human-readable name per state, or ``[]``."""
+        if self._labels is None:
+            self._set_labels(self._render_labels())
+            self._render_labels = None
+            self.label_builds += 1
+        return self._labels
 
     @property
     def n_states(self) -> int:
@@ -105,7 +136,11 @@ class CTMC:
         sub.eliminate_zeros()
         diag = -np.asarray(sub.sum(axis=1)).ravel()
         gen = (sub + sp.diags(diag)).tocsr()
-        labels = [self.labels[i] for i in states] if self.labels else []
+
+        def labels() -> list[str]:
+            full = self.labels
+            return [full[i] for i in states] if full else []
+
         actions = {a: v[states] for a, v in self.action_rates.items()}
         return CTMC(gen, labels=labels, action_rates=actions)
 
@@ -137,56 +172,80 @@ class CTMC:
 
 def build_ctmc(
     n_states: int,
-    transitions: list[tuple[int, str, float, int]],
-    labels: list[str] | None = None,
+    transitions: Iterable[tuple[int, str, float, int]],
+    labels: Labels = None,
     initial: int = 0,
 ) -> CTMC:
-    """Assemble a CTMC from (source, action, rate, target) records.
+    """Assemble a CTMC from (source, action, rate, target) records:
+    :func:`assemble_ctmc` on their :func:`record_arrays`."""
+    return assemble_ctmc(n_states, *record_arrays(transitions), labels=labels,
+                         initial=initial)
+
+
+def record_arrays(
+    records: Iterable[tuple[int, str, float, int]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[str, ...]]:
+    """``(source, action, rate, target)`` records as the parallel arrays
+    :func:`assemble_ctmc` takes: source, target, rate, action code, and
+    the action names in order of first appearance."""
+    source, target, rates, codes = [], [], [], []
+    order: dict[str, int] = {}
+    for src, action, rate, tgt in records:
+        code = order.get(action)
+        if code is None:
+            code = order[action] = len(order)
+        source.append(src)
+        target.append(tgt)
+        rates.append(rate)
+        codes.append(code)
+    return (np.array(source, dtype=np.int64), np.array(target, dtype=np.int64),
+            np.array(rates, dtype=np.float64), np.array(codes, dtype=np.int64),
+            tuple(order))
+
+
+def assemble_ctmc(
+    n_states: int,
+    source: np.ndarray,
+    target: np.ndarray,
+    rates: np.ndarray,
+    codes: np.ndarray,
+    actions: Sequence[str],
+    *,
+    labels: Labels = None,
+    initial: int = 0,
+) -> CTMC:
+    """Assemble a CTMC from parallel arc arrays: arc ``k`` goes from
+    ``source[k]`` to ``target[k]`` at ``rates[k]``, labelled
+    ``actions[codes[k]]``.
 
     Parallel transitions (same endpoints, possibly different actions)
     sum, per the race condition of the multi-transition-system
     semantics.  Self-loops contribute to action throughput but cancel in
     the generator (a CTMC cannot observe them), so they are recorded in
-    ``action_rates`` and omitted from ``Q``.
+    ``action_rates`` and omitted from ``Q``.  ``action_rates`` lists the
+    action types in the order of ``actions``.
 
-    The assembly is numpy-batched: one pass converts the record list to
-    flat arrays, per-action totals accumulate with ``np.add.at`` and the
-    off-diagonal COO matrix is built from the masked arrays directly —
-    no per-transition Python arithmetic.
+    The assembly is numpy-batched: per-action totals accumulate with
+    ``np.add.at`` and the off-diagonal COO matrix is built from the
+    masked arrays directly — no per-transition Python arithmetic.
     """
-    n_trans = len(transitions)
-    src = np.empty(n_trans, dtype=np.int64)
-    tgt = np.empty(n_trans, dtype=np.int64)
-    rates = np.empty(n_trans, dtype=float)
-    actions: list[str] = [""] * n_trans
-    for k, (source, action, rate, target) in enumerate(transitions):
-        src[k] = source
-        actions[k] = action
-        rates[k] = rate
-        tgt[k] = target
-    if n_trans and rates.min() <= 0:
-        bad = transitions[int(np.flatnonzero(rates <= 0)[0])][2]
+    if len(rates) and rates.min() <= 0:
+        bad = rates[int(np.flatnonzero(rates <= 0)[0])]
         raise SolverError(f"transition rate must be positive, got {bad}")
 
     action_rates: dict[str, np.ndarray] = {}
-    order = {}
-    codes = np.empty(n_trans, dtype=np.int64)
-    for k, action in enumerate(actions):
-        code = order.get(action)
-        if code is None:
-            code = order[action] = len(order)
-        codes[k] = code
-    for action, code in order.items():
+    for code, action in enumerate(actions):
         vec = np.zeros(n_states)
         mask = codes == code
-        np.add.at(vec, src[mask], rates[mask])
+        np.add.at(vec, source[mask], rates[mask])
         action_rates[action] = vec
 
-    off_mask = src != tgt
+    off_mask = source != target
     off = sp.coo_matrix(
-        (rates[off_mask], (src[off_mask], tgt[off_mask])), shape=(n_states, n_states)
+        (rates[off_mask], (source[off_mask], target[off_mask])),
+        shape=(n_states, n_states),
     ).tocsr()
     off.sum_duplicates()
     diag = -np.asarray(off.sum(axis=1)).ravel()
     Q = (off + sp.diags(diag)).tocsr()
-    return CTMC(Q, labels=list(labels or []), action_rates=action_rates, initial=initial)
+    return CTMC(Q, labels=labels, action_rates=action_rates, initial=initial)

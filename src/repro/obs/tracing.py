@@ -10,7 +10,7 @@ managers and keeps the nesting stack::
     with use_obs(ObsContext(tracer=tracer)):
         with tracer.span("pepa.statespace") as sp:
             ...
-            sp.set(states=space.size, arcs=len(space.arcs))
+            sp.set(states=space.size, arcs=space.n_arcs)
     print(render_trace(tracer))
 
 Instrumented library code never imports a concrete tracer; it calls

@@ -18,16 +18,21 @@ derive by table lookup instead; this module is that compilation.
   sequential leaf holds its term's id and a cell holds its content's id
   or ``-1`` when vacant.
 * The skeleton walk derives a state's transitions with the cooperation
-  and hiding rules applied to leaf rows.  Each inner node memoises its
-  transitions and apparent rates on its own leaf sub-tuple, so a global
-  state pays only for the subtrees that changed; the root is not
-  memoised (it would be one entry per state).
+  and hiding rules applied to leaf rows.  A row is ``(action, rate,
+  writes)``: ``writes`` holds the absolute ``(leaf position, new id)``
+  pairs the transition makes, which depend only on the node's own leaf
+  sub-tuple.  An interleaved row passes up unchanged, a synchronised
+  row joins its two sides' writes, and whoever owns the global state
+  applies a row's writes to it once (:func:`apply_writes`).  Each inner
+  node memoises its rows and apparent rates on its own leaf sub-tuple,
+  so a global state pays only for the subtrees that changed; the root
+  is not memoised (it would be one entry per state).
 
 The compiled walk is the reference semantics evaluated on the same
 operands in the same order, so transitions, float rates and the first
 error raised are identical to :func:`~repro.pepa.semantics.derivatives`
-on the rendered term.  Terms are rendered back only once per state,
-after the search.
+on the rendered term.  Terms are rendered back from a leaf tuple only
+when something reads them.
 """
 
 from __future__ import annotations
@@ -40,15 +45,43 @@ from repro.pepa.rates import Rate, cooperation_rate, rate_min, rate_sum
 from repro.pepa.semantics import apparent_rate, derivatives
 from repro.pepa.syntax import TAU, Cell, Const, Cooperation, Expression, Hiding
 
-__all__ = ["LeafTable", "Skeleton", "expansion"]
+__all__ = ["LeafTable", "Skeleton", "apply_writes", "expansion"]
 
-#: A compiled transition: action, rate, and the node's target sub-tuple.
-Row = tuple[str, Rate, tuple[int, ...]]
+#: Absolute ``(leaf position, new leaf state)`` pairs.
+Writes = tuple[tuple[int, int], ...]
+
+#: A compiled transition: action, rate, and the leaf writes it makes.
+Row = tuple[str, Rate, Writes]
+
+#: A leaf term's transition: action, rate, target term id.
+LeafRow = tuple[str, Rate, int]
 
 #: Sentinel distinguishing "memoised as None" from "not memoised".
 _MISSING = object()
 
 _NO_ROWS: list[Row] = []
+
+
+def apply_writes(state: tuple[int, ...], writes: Writes) -> tuple[int, ...]:
+    """The global state after a row's (or a firing's) leaf writes."""
+    successor = list(state)
+    for pos, leaf in writes:
+        successor[pos] = leaf
+    return tuple(successor)
+
+
+def _placed(pos: int, rows: Callable[[int], list[LeafRow]]) -> Callable[[int], list[Row]]:
+    """``rows`` of a term, as the rows of the leaf at ``pos``: memoised
+    per term id."""
+    memo: dict[int, list[Row]] = {}
+
+    def at(tid: int) -> list[Row]:
+        out = memo.get(tid)
+        if out is None:
+            out = memo[tid] = [(a, r, ((pos, t),)) for a, r, t in rows(tid)]
+        return out
+
+    return at
 
 
 class LeafTable:
@@ -68,9 +101,9 @@ class LeafTable:
         self.exclude = exclude
         self.terms: list[Expression] = []
         self.ids: dict[Expression, int] = {}
-        self._rows: list[list[Row] | None] = []
-        self._cell_rows: list[list[Row] | None] = []
-        self._firing_rows: list[list[tuple[str, Rate, int]] | None] = []
+        self._rows: list[list[LeafRow] | None] = []
+        self._cell_rows: list[list[LeafRow] | None] = []
+        self._firing_rows: list[list[LeafRow] | None] = []
         self._apparent: dict[tuple[int, str], Rate | None] = {}
 
     def intern(self, term: Expression) -> int:
@@ -85,25 +118,25 @@ class LeafTable:
             self._firing_rows.append(None)
         return tid
 
-    def rows(self, tid: int) -> list[Row]:
-        """The transitions of term ``tid`` with excluded types held back;
-        each target is a one-leaf sub-tuple."""
+    def rows(self, tid: int) -> list[LeafRow]:
+        """The transitions of term ``tid`` with excluded types held back,
+        as ``(action, rate, target id)``."""
         rows = self._rows[tid]
         if rows is None:
             rows = [
-                (tr.action, tr.rate, (self.intern(tr.target),))
+                (tr.action, tr.rate, self.intern(tr.target))
                 for tr in derivatives(self.terms[tid], self.env, exclude=self.exclude)
             ]
             self._rows[tid] = rows
         return rows
 
-    def cell_rows(self, tid: int) -> list[Row]:
+    def cell_rows(self, tid: int) -> list[LeafRow]:
         """:meth:`rows` of a cell's content, whose derivatives must stay
         sequential to remain in the cell."""
         rows = self._cell_rows[tid]
         if rows is None:
             rows = self.rows(tid)
-            for _, _, (target,) in rows:
+            for _, _, target in rows:
                 if not self.terms[target].is_sequential():
                     raise WellFormednessError(
                         "cell content evolved to a non-sequential term"
@@ -111,7 +144,7 @@ class LeafTable:
             self._cell_rows[tid] = rows
         return rows
 
-    def firing_rows(self, tid: int) -> list[tuple[str, Rate, int]]:
+    def firing_rows(self, tid: int) -> list[LeafRow]:
         """Every transition of term ``tid``, nothing excluded, as
         ``(action, rate, target id)``: what a token may fire."""
         rows = self._firing_rows[tid]
@@ -186,11 +219,11 @@ class Skeleton:
 
     def _leaf(self, pos: int) -> _Node:
         table = self.table
-        rows = table.rows
         terms = table.terms
+        placed = _placed(pos, table.rows)
 
         def derive(state):
-            return rows(state[pos])
+            return placed(state[pos])
 
         def apparent(state, action):
             return table.apparent(state[pos], action)
@@ -205,13 +238,13 @@ class Skeleton:
 
     def _cell(self, pos: int, family: str) -> _Node:
         table = self.table
-        cell_rows = table.cell_rows
         terms = table.terms
+        placed = _placed(pos, table.cell_rows)
         rendered: dict[int, Cell] = {}
 
         def derive(state):
             content = state[pos]
-            return _NO_ROWS if content < 0 else cell_rows(content)
+            return _NO_ROWS if content < 0 else placed(content)
 
         def apparent(state, action):
             content = state[pos]
@@ -249,12 +282,14 @@ class Skeleton:
                 if hit is not None:
                     return hit
             out = []
-            for action, rate, target in child_derive(state):
+            for row in child_derive(state):
+                action = row[0]
                 if action in hidden:
+                    row = (TAU, row[1], row[2])
                     action = TAU
                 if action in exclude:
                     continue
-                out.append((action, rate, target))
+                out.append(row)
             if derived is not None:
                 derived[key] = out
             return out
@@ -283,7 +318,6 @@ class Skeleton:
     def _cooperation(self, expr: Cooperation, memo: bool) -> _Node:
         lo = self._next
         left = self._compile(expr.left, True)
-        mid = self._next
         right = self._compile(expr.right, True)
         hi = self._next
         actions = expr.actions
@@ -302,12 +336,12 @@ class Skeleton:
                     return hit
             left_ts = left_derive(state)
             right_ts = right_derive(state)
-            # Independent (interleaved) activities.
-            right_sub = state[mid:hi]
-            out = [(a, r, t + right_sub) for a, r, t in left_ts if a not in actions]
-            left_sub = state[lo:mid]
-            out += [(a, r, left_sub + t) for a, r, t in right_ts if a not in actions]
-            if actions:
+            # Independent (interleaved) activities pass up unchanged.
+            if not actions:
+                out = left_ts + right_ts
+            else:
+                out = [row for row in left_ts if row[0] not in actions]
+                out += [row for row in right_ts if row[0] not in actions]
                 # Shared activities: every pair synchronises, rate by the
                 # apparent-rate law.
                 shared = {a for a, _, _ in left_ts if a in actions} & {
@@ -317,16 +351,16 @@ class Skeleton:
                     ra_left = left_apparent(state, action)
                     ra_right = right_apparent(state, action)
                     assert ra_left is not None and ra_right is not None
-                    for al, rl, tl in left_ts:
+                    for al, rl, wl in left_ts:
                         if al != action:
                             continue
-                        for ar, rr, tr in right_ts:
+                        for ar, rr, wr in right_ts:
                             if ar != action:
                                 continue
                             out.append((
                                 action,
                                 cooperation_rate(rl, rr, ra_left, ra_right),
-                                tl + tr,
+                                wl + wr,
                             ))
             if derived is not None:
                 derived[key] = out

@@ -21,10 +21,10 @@ from typing import TYPE_CHECKING
 from repro.batch.cache import cached
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.keys import DerivationKey
-from repro.core.lts import LabelledArc, Lts
+from repro.core.lts import ArcArrays, LabelledArc, Lts
 from repro.exceptions import WellFormednessError
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.compiled import LeafTable, Skeleton, expansion
+from repro.pepa.compiled import LeafTable, Skeleton, apply_writes, expansion
 from repro.pepa.rates import Rate
 from repro.pepa.semantics import derivatives
 from repro.pepa.syntax import Expression
@@ -73,15 +73,19 @@ def explore(
     search silently grinding on.
 
     The search runs compiled (:mod:`repro.pepa.compiled`): a state is a
-    tuple of leaf ids of the system equation's skeleton, successors come
-    from the memoised skeleton walk, and states are rendered back to
-    expressions once, after the search.  States, arcs and errors equal
-    :func:`explore_reference`'s.
+    tuple of leaf ids of the system equation's skeleton, and its
+    successors are the memoised skeleton walk's rows, each applied to
+    the tuple once.  The arcs land in flat arrays; the states are
+    rendered back to expressions only when something reads them.
+    States, arcs and errors equal :func:`explore_reference`'s.
     """
     table = LeafTable(env, exclude)
     body = expansion(initial, env)
     skeleton = Skeleton(body, table)
     derive = skeleton.derive
+    # The rendering closure alone outlives the search, so the space
+    # holds no derivation memo.
+    render_state = skeleton.render
 
     def successors(state) -> list[tuple[str, float, tuple[int, ...]]]:
         out = []
@@ -92,22 +96,21 @@ def explore(
                 _require_active(tr.action, tr.rate, state)
                 out.append((tr.action, tr.rate.value, skeleton.encode(tr.target)))
             return out
-        for action, rate, target in derive(state):
+        for action, rate, writes in derive(state):
             if rate.is_passive():
-                _require_active(action, rate, skeleton.render(state))
-            out.append((action, rate.value, target))
+                _require_active(action, rate, render_state(state))
+            out.append((action, rate.value, apply_writes(state, writes)))
         return out
 
     def render(states: list) -> list[Expression]:
-        return [s if s.__class__ is not tuple else skeleton.render(s) for s in states]
+        return [s if s.__class__ is not tuple else render_state(s) for s in states]
 
     lts = explore_lts(
         skeleton.encode(initial) if body is initial else initial,
         successors,
-        render=render,
         **_explore_options(max_states, budget),
     )
-    return StateSpace(states=lts.states, arcs=lts.arcs)
+    return StateSpace(lts.states, lts.arc_arrays, render=render)
 
 
 def explore_reference(
@@ -130,7 +133,7 @@ def explore_reference(
         return out
 
     lts = explore_lts(initial, successors, **_explore_options(max_states, budget))
-    return StateSpace(states=lts.states, arcs=lts.arcs, index=lts.index)
+    return StateSpace(lts.states, lts.arc_arrays, index=lts.index)
 
 
 def _explore_options(max_states: int, budget: "ExecutionBudget | None") -> dict:
@@ -152,7 +155,8 @@ def _require_active(action: str, rate: Rate, state: Expression) -> None:
 
 
 #: Payload schema of cached PEPA state spaces; bump on layout changes.
-CACHE_SCHEMA = "repro-statespace/1"
+#: ``/2``: the arcs are the space's :class:`~repro.core.lts.ArcArrays`.
+CACHE_SCHEMA = "repro-statespace/2"
 
 
 def derive(
@@ -181,9 +185,9 @@ def derive(
         build=lambda: explore(
             model.system, model.environment, max_states=max_states, budget=budget
         ),
-        encode=lambda space: {"states": space.states, "arcs": space.arcs},
+        encode=lambda space: {"states": space.states, "arcs": space.arc_arrays._asdict()},
         decode=lambda payload: (
-            StateSpace(states=payload["states"], arcs=payload["arcs"])
+            StateSpace(payload["states"], ArcArrays(**payload["arcs"]))
             if len(payload["states"]) <= max_states else None
         ),
     )

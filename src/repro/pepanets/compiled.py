@@ -14,7 +14,9 @@ or ``-1`` when vacant; a static component's state is its term's id.
   only on the contents of its input places' cells and on which of its
   output places' cells are vacant, so both are memoised per
   ``(transition, input-cell states, output-cell vacancy)``; a firing is
-  then a list of cell writes applied to the marking tuple.
+  then a list of cell writes applied to the marking tuple, the same
+  ``(leaf position, new id)`` form as a local row's writes
+  (:func:`~repro.pepa.compiled.apply_writes`).
 * **Type admission** (Definition 4) is a table over
   ``(family, content id)`` filled from
   :class:`~repro.pepanets.firing.DerivativeSets`.
@@ -29,7 +31,7 @@ from __future__ import annotations
 from operator import itemgetter
 
 from repro.exceptions import WellFormednessError
-from repro.pepa.compiled import LeafTable, Skeleton
+from repro.pepa.compiled import LeafTable, Skeleton, Writes, apply_writes
 from repro.pepa.rates import Rate
 from repro.pepanets.firing import DerivativeSets, concession, resolved_firings, top_priority
 from repro.pepanets.syntax import NetMarking, NetTransitionSpec, PepaNet
@@ -55,8 +57,9 @@ class CompiledNet:
     """A PEPA net compiled for the marking-space search.
 
     :attr:`initial` is the initial marking's tuple, :meth:`successors`
-    the search's successor function and :meth:`render` maps a tuple back
-    to its :class:`~repro.pepanets.syntax.NetMarking`.
+    the search's successor function and :meth:`renderer` the function
+    mapping tuples back to :class:`~repro.pepanets.syntax.NetMarking`
+    objects.
     """
 
     def __init__(self, net: PepaNet):
@@ -82,25 +85,25 @@ class CompiledNet:
 
     # ------------------------------------------------------------------
     def _place_local(self, name: str, skeleton: Skeleton):
-        """The place's local transitions as ``(lo, hi, fn)``: ``fn(state)``
-        lists ``(action, rate value, place sub-tuple)``."""
+        """The place's local transitions: a function of the marking
+        listing ``(action, rate value, leaf writes)``."""
         lo, hi = skeleton.offset, skeleton.offset + skeleton.size
         derive = skeleton.derive
-        checked: dict[State, list[tuple[str, float, State]]] = {}
+        checked: dict[State, list[tuple[str, float, Writes]]] = {}
 
-        def local(state: State) -> list[tuple[str, float, State]]:
+        def local(state: State) -> list[tuple[str, float, Writes]]:
             key = state[lo:hi]
             arcs = checked.get(key)
             if arcs is None:
                 arcs = []
-                for action, rate, target in derive(state):
+                for action, rate, writes in derive(state):
                     if rate.is_passive():
                         raise passive_local_error(name, action, rate)
-                    arcs.append((action, rate.value, target))
+                    arcs.append((action, rate.value, writes))
                 checked[key] = arcs
             return arcs
 
-        return lo, hi, local
+        return local
 
     def _admits(self, family: str, content: int) -> bool:
         key = (family, content)
@@ -135,11 +138,9 @@ class CompiledNet:
     def successors(self, state: State) -> list[tuple[str, float, State]]:
         """Local transitions of every place, then the enabled firings."""
         out = []
-        for lo, hi, local in self._local:
-            arcs = local(state)
-            if arcs:
-                head, tail = state[:lo], state[hi:]
-                out += [(action, rate, head + sub + tail) for action, rate, sub in arcs]
+        for local in self._local:
+            out += [(action, rate, apply_writes(state, writes))
+                    for action, rate, writes in local(state)]
         view = None
         ready = []
         vacancy = tuple(map(_VACANT, state))
@@ -157,22 +158,28 @@ class CompiledNet:
             if firings is None:
                 view = view or self._view(state)
                 firings = t.firings[key] = [
-                    (rate, [(cell, -1) for _, cell, _ in combo] + [
+                    (rate, tuple([(cell, -1) for _, cell, _ in combo] + [
                         (cell, target)
                         for (_, _, target), (_, cell, _) in zip(combo, mapping)
-                    ])
+                    ]))
                     for rate, combo, mapping in resolved_firings(t.spec, *view)
                 ]
             for rate, writes in firings:
-                successor = list(state)
-                for pos, content in writes:
-                    successor[pos] = content
-                out.append((t.action, rate, tuple(successor)))
+                out.append((t.action, rate, apply_writes(state, writes)))
         return out
 
-    def render(self, state: State) -> NetMarking:
-        """The marking a tuple stands for."""
-        return NetMarking(self.names, tuple(sk.render(state) for sk in self._skeletons))
+    def renderer(self):
+        """A function mapping marking tuples to
+        :class:`~repro.pepanets.syntax.NetMarking` objects.  It holds
+        the place skeletons' rendering closures only, not the search's
+        memos."""
+        names = self.names
+        renders = [sk.render for sk in self._skeletons]
+
+        def render(states: list[State]) -> list[NetMarking]:
+            return [NetMarking(names, tuple(r(state) for r in renders)) for state in states]
+
+        return render
 
 
 class _Transition:
@@ -196,4 +203,4 @@ class _Transition:
             *[pos for place in dict.fromkeys(spec.outputs) for pos, _ in cells[place]]
         )
         self.concession: dict[tuple, bool] = {}
-        self.firings: dict[tuple, list[tuple[float, list[tuple[int, int]]]]] = {}
+        self.firings: dict[tuple, list[tuple[float, Writes]]] = {}

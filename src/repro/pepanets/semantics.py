@@ -20,12 +20,12 @@ result.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.batch.cache import cached
 from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
 from repro.core.keys import DerivationKey
-from repro.core.lts import LabelledArc, Lts
+from repro.core.lts import ArcArrays, LabelledArc, Lts
 from repro.pepa.semantics import derivatives
 from repro.pepanets.compiled import CompiledNet, passive_local_error
 from repro.pepanets.firing import DerivativeSets, firing_instances
@@ -49,11 +49,13 @@ class NetStateSpace(Lts):
     def __init__(
         self,
         net: PepaNet,
-        markings: list[NetMarking],
-        arcs: list[LabelledArc],
+        markings: list,
+        arcs: ArcArrays | Iterable[LabelledArc],
         index: dict[NetMarking, int] | None = None,
+        *,
+        render: Callable[[list], list[NetMarking]] | None = None,
     ):
-        super().__init__(states=markings, arcs=arcs, index=index)
+        super().__init__(markings, arcs, index, render=render)
         self.net = net
 
     @property
@@ -85,7 +87,8 @@ def net_arcs(
 
 
 #: Payload schema of cached marking spaces; bump on layout changes.
-CACHE_SCHEMA = "repro-markingspace/1"
+#: ``/2``: the arcs are the space's :class:`~repro.core.lts.ArcArrays`.
+CACHE_SCHEMA = "repro-markingspace/2"
 
 
 def explore_net(
@@ -116,16 +119,16 @@ def explore_net(
         lts = explore_lts(
             compiled.initial,
             compiled.successors,
-            render=lambda states: [compiled.render(s) for s in states],
             **_explore_options(net, max_states, budget),
         )
-        return NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs)
+        return NetStateSpace(net, lts.states, lts.arc_arrays, render=compiled.renderer())
 
     return cached(
         lambda: DerivationKey.of("pepanet", net_source(net)), CACHE_SCHEMA, build,
-        encode=lambda space: {"markings": space.markings, "arcs": space.arcs},
+        encode=lambda space: {"markings": space.markings,
+                              "arcs": space.arc_arrays._asdict()},
         decode=lambda payload: (
-            NetStateSpace(net=net, markings=payload["markings"], arcs=payload["arcs"])
+            NetStateSpace(net, payload["markings"], ArcArrays(**payload["arcs"]))
             if len(payload["markings"]) <= max_states else None
         ),
     )
@@ -146,7 +149,7 @@ def explore_net_reference(
         lambda marking: net_arcs(net, marking, ds),
         **_explore_options(net, max_states, budget),
     )
-    return NetStateSpace(net=net, markings=lts.states, arcs=lts.arcs, index=lts.index)
+    return NetStateSpace(net, lts.states, lts.arc_arrays, index=lts.index)
 
 
 def _explore_options(net: PepaNet, max_states: int,

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core.ctmcgen import ctmc_from_lts
-from repro.core.lts import LabelledArc, Lts
+from repro.core.lts import Lts
 from repro.ctmc.chain import CTMC
 from repro.exceptions import WellFormednessError
 from repro.petri.marking import Marking
@@ -66,14 +68,10 @@ def spn_to_ctmc(
     :func:`repro.core.ctmcgen.ctmc_from_lts` assembly path.
     """
     graph = build_reachability_graph(spn.net, max_markings=max_markings)
-    rated = Lts(
-        states=graph.states,
-        arcs=[
-            LabelledArc(a.source, a.action,
-                        spn.firing_rate(a.action, graph.markings[a.source]),
-                        a.target)
-            for a in graph.arcs
-        ],
-        index=graph.index,
-    )
+    arcs = graph.arc_arrays
+    markings, names = graph.markings, arcs.actions
+    rates = [spn.firing_rate(names[a], markings[s])
+             for s, a in zip(arcs.source.tolist(), arcs.action.tolist())]
+    rated = Lts(markings, arcs._replace(rate=np.array(rates, dtype=np.float64)),
+                index=graph.index)
     return graph, ctmc_from_lts(rated)

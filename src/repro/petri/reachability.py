@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterator
 import networkx as nx
 
 from repro.core.explore import Exploration, explore_lts
-from repro.core.lts import LabelledArc, Lts
+from repro.core.lts import ArcArrays, LabelledArc, Lts
 from repro.exceptions import StateSpaceError
 from repro.petri.marking import Marking
 from repro.petri.net import PetriNet
@@ -47,11 +47,11 @@ class ReachabilityGraph(Lts):
         markings: list[Marking],
         index: dict[Marking, int] | None = None,
         edges: list[tuple[int, str, int]] | None = None,
-        arcs: list[LabelledArc] | None = None,
+        arcs: ArcArrays | list[LabelledArc] | None = None,
     ):
         if arcs is None:
             arcs = [LabelledArc(s, t, 1.0, d) for s, t, d in (edges or [])]
-        super().__init__(states=markings, arcs=arcs, index=index)
+        super().__init__(markings, arcs, index)
         self.net = net
 
     @property
@@ -163,5 +163,5 @@ def build_reachability_graph(
         on_new_state=check_bounded,
     )
     return ReachabilityGraph(
-        net=net, markings=lts.states, index=lts.index, arcs=lts.arcs
+        net=net, markings=lts.states, index=lts.index, arcs=lts.arc_arrays
     )

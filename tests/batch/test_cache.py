@@ -452,6 +452,41 @@ class TestStaleSchemaEviction:
         refreshed = cache.fetch(child)
         assert refreshed is not None and refreshed["schema"] != "repro-ctmc/0"
 
+    @pytest.mark.parametrize("layer, schema, states", [
+        ("statespace", "repro-statespace/1", "states"),
+        ("markingspace", "repro-markingspace/1", "markings"),
+    ])
+    def test_arc_object_payload_is_stale_and_rebuilt_as_arrays(
+        self, cache, layer, schema, states
+    ):
+        """An entry from before the arc arrays (rendered states and a
+        list of LabelledArc) counts as stale; the rebuilt entry stores
+        arrays, and a warm hit then builds no arc objects."""
+        make, _ = LAYERS[layer]
+        run = make(cache)
+        fresh = run()                           # no cache installed
+        with use_cache(cache):
+            key = run().cache_key
+        cache.store(key, {"schema": schema, states: fresh.states, "arcs": fresh.arcs})
+
+        events, metrics = EventStream(), MetricsRegistry()
+        with use_cache(cache), use_obs(ObsContext(metrics=metrics, events=events)):
+            rebuilt = run()
+        assert _count(metrics, "stale_schema") == 1
+        assert _count(metrics, "misses") == 1
+        assert _count(metrics, "hits") == 0
+        (stale,) = events.by_name("cache.stale_schema")
+        assert stale.fields == {"key": key.describe(), "schema": schema}
+        assert rebuilt.states == fresh.states and rebuilt.arcs == fresh.arcs
+
+        payload = cache.fetch(key)
+        assert payload["schema"] != schema
+        assert sorted(payload["arcs"]) == ["action", "actions", "rate", "source", "target"]
+        with use_cache(cache):
+            warm = run()
+        assert warm.arc_builds == 0 and warm.n_arcs == fresh.n_arcs
+        assert warm.arcs == fresh.arcs
+
     def test_stale_entry_is_unlinked_even_without_collectors(self, cache):
         model = parse_model(SRC)
         with use_cache(cache):

@@ -329,3 +329,93 @@ def test_net_error_parity(name):
     reference = outcome(lambda: explore_net_reference(net))
     assert reference is not None and reference[0] is kind
     assert compiled == reference
+
+
+# ----------------------------------------------------------------------
+# The write-row kernel: rows carry leaf writes, arcs land in arrays
+# ----------------------------------------------------------------------
+def assert_same_arrays(compiled, reference) -> None:
+    """The stored arc arrays agree exactly, before anything is rendered."""
+    assert compiled.arc_builds == compiled.state_builds == 0
+    ours, theirs = compiled.arc_arrays, reference.arc_arrays
+    assert ours.actions == theirs.actions
+    for field in ("source", "target", "action"):
+        assert getattr(ours, field).tolist() == getattr(theirs, field).tolist()
+    assert ours.rate.tobytes() == theirs.rate.tobytes()   # bit for bit
+    assert compiled.size == reference.size
+
+
+def same_kernel_pepa(model: PepaModel) -> None:
+    compiled = explore(model.system, model.environment)
+    reference = explore_reference(model.system, model.environment)
+    assert_same_arrays(compiled, reference)
+    assert_same_space(compiled, reference)
+    assert compiled.state_builds == compiled.arc_builds == 1
+
+
+def same_kernel_net(net: PepaNet) -> None:
+    compiled, reference = explore_net(net), explore_net_reference(net)
+    assert_same_arrays(compiled, reference)
+    assert_same_space(compiled, reference)
+
+
+class TestWriteRowKernel:
+    def test_hiding_over_cooperation(self):
+        """Synchronised rows renamed to tau by an enclosing hiding keep
+        their joined writes; the hidden node sits under another
+        cooperation."""
+        same_kernel_pepa(parse_model("""
+            P = (a, 1.0).P2 + (c, 2.0).P; P2 = (b, 3.0).P;
+            Q = (a, 2.0).Q2; Q2 = (e, 1.0).Q;
+            R = (b, T).R + (d, 0.5).R;
+            ((P <a> Q)/{a}) <b> R
+        """))
+
+    def test_shared_action_with_several_partners_on_each_side(self):
+        """Two partners on each side, each with two ``a`` rows: every
+        left row meets every right row, and each join writes leaves on
+        both sides of the tree."""
+        same_kernel_pepa(parse_model("""
+            P = (a, 1.0).P2 + (a, 2.0).P3; P2 = (b, 1.0).P; P3 = (c, 4.0).P;
+            Q = (a, T).Q2 + (a, 2*T).Q; Q2 = (e, 1.5).Q;
+            (P || P) <a> (Q || Q)
+        """))
+
+    def test_constant_naming_the_system_equation(self):
+        model = parse_model("""
+            P = (a, 1.0).P2; P2 = (b, 2.0).P;
+            R = (a, T).R2; R2 = (c, 3.0).R;
+            Sys = (P <a> R)/{c};
+            Sys
+        """)
+        same_kernel_pepa(model)
+        assert str(explore(model.system, model.environment).states[0]) == "Sys"
+
+    def test_passive_at_top_level_reached_later(self):
+        """The error names a state reached by the search (a rendered leaf
+        tuple), not the initial one, in the same words."""
+        model = parse_model("""
+            P = (a, 1.0).P2; P2 = (b, T).P;
+            R = (a, T).R;
+            Sys = P <a> R;
+            Sys
+        """)
+        compiled = outcome(lambda: explore(model.system, model.environment))
+        reference = outcome(lambda: explore_reference(model.system, model.environment))
+        assert compiled == reference
+        assert compiled[0] is WellFormednessError
+        assert "passive at the top level" in compiled[1]
+        assert "P2 <a> R" in compiled[1]
+
+    def test_cells_vacant_and_filled_with_place_locals_and_firings(self):
+        """Local rows of a place whose cells cooperate with a static
+        component, vacant cells, and firings that write several cells of
+        several places: one marking tuple, one write form."""
+        same_kernel_net(parse_net("""
+            Tok = (work, 1.0).Tok2 + (go, 2.0).Tok; Tok2 = (rest, 3.0).Tok;
+            S = (work, T).S2; S2 = (reset, 1.0).S;
+            A[Tok, _, Tok] = (Tok[_] <work> S) || Tok[_] || Tok[_];
+            B[_, _] = Tok[_] || Tok[_];
+            go = (go, 2.0) : A -> B;
+            back = (go, 1.0) : B -> A;
+        """))

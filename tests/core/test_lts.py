@@ -48,10 +48,15 @@ class TestAccessors:
     def test_deadlocks(self, diamond):
         assert diamond.deadlocks() == [3]
 
-    def test_iter_transitions_matches_arcs(self, diamond):
-        assert list(diamond.iter_transitions()) == [
-            (a.source, a.action, a.rate, a.target) for a in diamond.arcs
+    def test_arc_arrays_match_arcs(self, diamond):
+        arrays = diamond.arc_arrays
+        assert arrays.source.tolist() == [a.source for a in diamond.arcs]
+        assert arrays.target.tolist() == [a.target for a in diamond.arcs]
+        assert arrays.rate.tolist() == [a.rate for a in diamond.arcs]
+        assert [arrays.actions[c] for c in arrays.action.tolist()] == [
+            a.action for a in diamond.arcs
         ]
+        assert arrays.actions == ("a", "b", "c")  # first-appearance order
 
     def test_repr_mentions_sizes(self, diamond):
         assert "states=4" in repr(diamond)
