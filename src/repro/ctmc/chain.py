@@ -1,8 +1,8 @@
 """Continuous-Time Markov Chains over a sparse generator matrix.
 
 The generator ``Q`` is a ``scipy.sparse`` CSR matrix: off-diagonal
-entries are transition rates and the diagonal makes rows sum to zero
-(the classic assemble-in-COO, convert-once layout).
+entries are transition rates and the diagonal makes rows sum to zero.
+:func:`generator` builds every generator in the package from arc arrays.
 
 Besides the generator the chain optionally carries:
 
@@ -24,7 +24,7 @@ from scipy.sparse.csgraph import connected_components
 
 from repro.exceptions import SolverError
 
-__all__ = ["CTMC", "assemble_ctmc", "build_ctmc", "record_arrays"]
+__all__ = ["CTMC", "assemble_ctmc", "build_ctmc", "generator", "record_arrays"]
 
 #: State labels, or a function rendering them when first read.
 Labels = Sequence[str] | Callable[[], Sequence[str]] | None
@@ -120,22 +120,23 @@ class CTMC:
         n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
         if n_comp == 1:
             return [np.arange(self.n_states)]
-        coo = self.Q.tocoo()
-        leaving = (coo.data > 0) & (labels[coo.row] != labels[coo.col])
+        src, tgt, _ = self.to_coo_triplets()
         has_exit = np.zeros(n_comp, dtype=bool)
-        has_exit[labels[coo.row[leaving]]] = True
+        has_exit[labels[src[labels[src] != labels[tgt]]]] = True
         return [np.flatnonzero(labels == c) for c in np.flatnonzero(~has_exit)]
 
     def restricted_to(self, states: np.ndarray) -> "CTMC":
         """The sub-chain on ``states`` (rates leaving the set are dropped
-        and the diagonal is rebuilt so rows sum to zero)."""
+        and the diagonal is rebuilt so rows sum to zero): the
+        :func:`generator` of the arcs with both ends in the set, state
+        ``states[k]`` renumbered ``k``."""
         states = np.asarray(states, dtype=np.int64)
-        sub = self.Q[states][:, states].tolil()
-        sub.setdiag(0.0)
-        sub = sub.tocsr()
-        sub.eliminate_zeros()
-        diag = -np.asarray(sub.sum(axis=1)).ravel()
-        gen = (sub + sp.diags(diag)).tocsr()
+        position = np.full(self.n_states, -1, dtype=np.int64)
+        position[states] = np.arange(len(states))
+        src, tgt, rates = self.to_coo_triplets()
+        src, tgt = position[src], position[tgt]
+        inside = (src >= 0) & (tgt >= 0)
+        gen = generator(len(states), src[inside], tgt[inside], rates[inside])
 
         def labels() -> list[str]:
             full = self.labels
@@ -164,10 +165,39 @@ class CTMC:
         return P, lam
 
     def to_coo_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Off-diagonal (row, col, rate) triplets of the generator."""
-        coo = self.Q.tocoo()
-        mask = coo.row != coo.col
-        return coo.row[mask], coo.col[mask], coo.data[mask]
+        """The transitions as (row, col, rate) arrays: the off-diagonal
+        entries of ``Q`` with a positive rate, in CSR order."""
+        rows = _rows(self.Q)
+        mask = (rows != self.Q.indices) & (self.Q.data > 0)
+        return rows[mask], self.Q.indices[mask], self.Q.data[mask]
+
+
+def _rows(Q: sp.csr_matrix) -> np.ndarray:
+    """The row of each stored entry of ``Q``, in CSR order."""
+    return np.repeat(np.arange(Q.shape[0]), np.diff(Q.indptr))
+
+
+def generator(n: int, source: np.ndarray, target: np.ndarray,
+              rates: np.ndarray) -> sp.csr_matrix:
+    """The ``n``-state generator of the arcs ``source[k] → target[k]`` at
+    ``rates[k]``: self-loops dropped, parallel arcs summed (scipy's COO →
+    CSR), and minus each row sum (the ``np.add.reduceat`` of
+    ``csr_matrix.sum(axis=1)``) inserted in the index arrays as the
+    diagonal, omitted where zero.  Bit for bit the CSR of adding
+    ``diags`` of that sum, but built once."""
+    off = source != target
+    Q = sp.csr_matrix((rates[off], (source[off], target[off])), shape=(n, n))
+    filled = np.flatnonzero(np.diff(Q.indptr))
+    diag = np.zeros(n)
+    diag[filled] = -np.add.reduceat(Q.data, Q.indptr[filled])
+    at = np.flatnonzero(diag)
+    # Rows are sorted, so the row-major key is too.
+    place = np.searchsorted(_rows(Q) * n + Q.indices, at * (n + 1))
+    return sp.csr_matrix(
+        (np.insert(Q.data, place, diag[at]), np.insert(Q.indices, place, at),
+         Q.indptr + np.concatenate(([0], np.cumsum(diag != 0)))),
+        shape=(n, n),
+    )
 
 
 def build_ctmc(
@@ -226,8 +256,8 @@ def assemble_ctmc(
     action types in the order of ``actions``.
 
     The assembly is numpy-batched: per-action totals accumulate with
-    ``np.add.at`` and the off-diagonal COO matrix is built from the
-    masked arrays directly — no per-transition Python arithmetic.
+    ``np.add.at`` and ``Q`` is the :func:`generator` of the arrays — no
+    per-transition Python arithmetic.
     """
     if len(rates) and rates.min() <= 0:
         bad = rates[int(np.flatnonzero(rates <= 0)[0])]
@@ -240,12 +270,5 @@ def assemble_ctmc(
         np.add.at(vec, source[mask], rates[mask])
         action_rates[action] = vec
 
-    off_mask = source != target
-    off = sp.coo_matrix(
-        (rates[off_mask], (source[off_mask], target[off_mask])),
-        shape=(n_states, n_states),
-    ).tocsr()
-    off.sum_duplicates()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    Q = (off + sp.diags(diag)).tocsr()
-    return CTMC(Q, labels=labels, action_rates=action_rates, initial=initial)
+    return CTMC(generator(n_states, source, target, rates), labels=labels,
+                action_rates=action_rates, initial=initial)

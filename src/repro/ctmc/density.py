@@ -22,7 +22,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.passage import _target_mask, passage_time_cdf
+from repro.ctmc.passage import _absorbing_chain, _entry_arcs, _target_mask, passage_time_cdf
 from repro.exceptions import SolverError
 
 __all__ = ["passage_time_density", "passage_time_quantile", "passage_time_moments"]
@@ -45,18 +45,10 @@ def passage_time_density(
         raise SolverError("times must be non-negative")
     if mask[source]:
         return np.zeros_like(times)
-    # absorb targets
-    Q = chain.Q.tolil(copy=True)
-    for t in np.flatnonzero(mask):
-        Q.rows[t] = []
-        Q.data[t] = []
-    absorbed = CTMC(Q.tocsr(), initial=source)
+    absorbed = _absorbing_chain(chain, mask, source)
     # flux vector: for each non-target state, its total rate into T
-    coo = chain.Q.tocoo()
-    flux = np.zeros(chain.n_states)
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i != j and v > 0 and not mask[i] and mask[j]:
-            flux[i] += v
+    src, rates = _entry_arcs(chain, mask)
+    flux = np.bincount(src, weights=rates, minlength=chain.n_states)
     out = np.empty(len(times))
     for k, t in enumerate(times):
         dist = transient_distribution(absorbed, float(t), source)

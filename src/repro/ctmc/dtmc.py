@@ -21,23 +21,14 @@ __all__ = ["embedded_dtmc", "dtmc_stationary", "ctmc_pi_from_embedded"]
 def embedded_dtmc(chain: CTMC) -> sp.csr_matrix:
     """The jump-chain transition matrix.  Absorbing CTMC states get a
     self-loop (probability 1), the usual convention."""
-    Q = chain.Q.tocsr()
     exit_rates = chain.exit_rates()
-    n = chain.n_states
-    rows, cols, vals = [], [], []
-    coo = Q.tocoo()
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i != j and v > 0:
-            rows.append(i)
-            cols.append(j)
-            vals.append(v / exit_rates[i])
-    for i in np.flatnonzero(exit_rates == 0.0):
-        rows.append(int(i))
-        cols.append(int(i))
-        vals.append(1.0)
-    P = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    P.sum_duplicates()
-    return P
+    src, tgt, rates = chain.to_coo_triplets()
+    absorbing = np.flatnonzero(exit_rates == 0.0)
+    return sp.csr_matrix(
+        (np.concatenate([rates / exit_rates[src], np.ones(absorbing.size)]),
+         (np.concatenate([src, absorbing]), np.concatenate([tgt, absorbing]))),
+        shape=(chain.n_states, chain.n_states),
+    )
 
 
 def dtmc_stationary(P: sp.csr_matrix, *, tol: float = 1e-13, max_iterations: int = 500_000) -> np.ndarray:

@@ -18,10 +18,8 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
-import scipy.sparse as sp
 
-from repro.ctmc.chain import CTMC
-from repro.exceptions import SolverError
+from repro.ctmc.chain import CTMC, generator
 
 __all__ = ["lump", "LumpedChain", "coarsest_lumping"]
 
@@ -125,26 +123,11 @@ def lump(
     block_of = np.empty(n, dtype=np.int64)
     for b, members in enumerate(blocks):
         block_of[members] = b
-    k = len(blocks)
-
-    coo = chain.Q.tocoo()
-    rows, cols, vals = [], [], []
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i == j or v <= 0:
-            continue
-        bi, bj = int(block_of[i]), int(block_of[j])
-        if bi != bj:
-            rows.append(bi)
-            cols.append(bj)
-            # representative state: by lumpability every member has the
-            # same rate into bj, so take member 0's contribution exactly
-            # once.  Accumulating all members and dividing by block size
-            # is equivalent and avoids a representative pass.
-            vals.append(v / len(blocks[bi]))
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(k, k)).tocsr()
-    off.sum_duplicates()
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    Q_lumped = (off + sp.diags(diag)).tocsr()
+    # Every member of a block has the same rate into another block, so
+    # the block's rate is the members' total over the block size.
+    src, tgt, rates = chain.to_coo_triplets()
+    src = block_of[src]
+    Q_lumped = generator(len(blocks), src, block_of[tgt], rates / np.bincount(block_of)[src])
 
     labels = []
     for members in blocks:

@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.ctmc.chain import CTMC
+from repro.ctmc.chain import CTMC, generator
 from repro.ctmc.steady import steady_state
 from repro.exceptions import SolverError
 
@@ -80,13 +79,7 @@ def passage_time_cdf(
     times = np.asarray(times, dtype=float)
     if mask[source]:
         return np.ones_like(times)
-    # Absorb the targets: zero their rows, rebuild the diagonal.
-    Q = chain.Q.tolil(copy=True)
-    for t in np.flatnonzero(mask):
-        Q.rows[t] = []
-        Q.data[t] = []
-    Q = Q.tocsr()
-    absorbed = CTMC(Q.copy(), labels=list(chain.labels), initial=source)
+    absorbed = _absorbing_chain(chain, mask, source)
     out = np.empty(len(times))
     for i, t in enumerate(np.sort(times)):
         dist = transient_distribution(absorbed, float(t), source)
@@ -95,18 +88,33 @@ def passage_time_cdf(
     return out[order]
 
 
+def _absorbing_chain(chain: CTMC, mask: np.ndarray, initial: int) -> CTMC:
+    """``chain`` with the states in ``mask`` made absorbing."""
+    src, tgt, rates = chain.to_coo_triplets()
+    live = ~mask[src]
+    return CTMC(generator(chain.n_states, src[live], tgt[live], rates[live]),
+                initial=initial)
+
+
+def _entry_arcs(chain: CTMC, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(source, rate)`` of the arcs entering the set, in CSR order."""
+    src, tgt, rates = chain.to_coo_triplets()
+    entering = ~mask[src] & mask[tgt]
+    return src[entering], rates[entering]
+
+
 def visit_frequency(chain: CTMC, states: Iterable[int], pi: np.ndarray | None = None) -> float:
     """Steady-state entry flux into the set: the rate of transitions
     from outside the set to inside it (entries per time unit)."""
     mask = _target_mask(chain, states)
     if pi is None:
         pi = steady_state(chain)
-    coo = chain.Q.tocoo()
+    src, rates = _entry_arcs(chain, mask)
+    # Left to right: not numpy's pairwise nor Python 3.12's compensated sum.
     flux = 0.0
-    for i, j, v in zip(coo.row, coo.col, coo.data):
-        if i != j and v > 0 and not mask[i] and mask[j]:
-            flux += pi[i] * v
-    return float(flux)
+    for term in (pi[src] * rates).tolist():
+        flux += term
+    return flux
 
 
 def mean_time_per_visit(chain: CTMC, states: Iterable[int], pi: np.ndarray | None = None) -> float:

@@ -25,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import steady_state
+from repro.ctmc.steady import _balance_system, steady_state
 from repro.exceptions import SolverError
 
 __all__ = ["stationary_derivative", "measure_sensitivity"]
@@ -44,15 +44,12 @@ def stationary_derivative(chain: CTMC, dQ: sp.spmatrix, pi: np.ndarray | None = 
     row_sums = np.asarray(dQ.sum(axis=1)).ravel()
     if not np.allclose(row_sums, 0.0, atol=1e-9):
         raise SolverError("dQ must have zero row sums (generator derivative)")
-    n = chain.n_states
-    # Solve x Q = -pi dQ with the normalisation Σx = 0, via the same
-    # replaced-column trick as the steady-state solver (transposed).
-    A = chain.Q.transpose().tocsr(copy=True).tolil()
-    A[n - 1, :] = np.ones(n)
-    b = -(pi @ dQ)
-    b = np.asarray(b).ravel()
-    b[n - 1] = 0.0  # Σ dπ = 0
-    x = spla.spsolve(A.tocsc(), b)
+    # Solve x Q = -pi dQ with the normalisation Σx = 0: the steady-state
+    # solver's balance system with another right-hand side.
+    A, _ = _balance_system(chain)
+    b = np.asarray(-(pi @ dQ)).ravel()
+    b[-1] = 0.0  # Σ dπ = 0
+    x = spla.spsolve(A, b)
     return np.asarray(x).ravel()
 
 

@@ -131,13 +131,20 @@ def _normalise(pi: np.ndarray, method: str, tol: float) -> np.ndarray:
 # ----------------------------------------------------------------------
 def _balance_system(chain: CTMC):
     """``(A, b)``: ``Qᵀ π = 0`` with its last row replaced by ``Σπ = 1``,
-    ``A`` in CSC form."""
-    n = chain.n_states
-    A = chain.Q.transpose().tocsr(copy=True).tolil()
-    A[n - 1, :] = np.ones(n)
+    ``A`` in CSC form: ``Q``'s CSR arrays (``Qᵀ``'s CSC arrays) without
+    column ``n−1``, every row ended by a 1 in that column."""
+    Q, n = chain.Q, chain.n_states
+    keep = Q.indices != n - 1
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    ends = kept[Q.indptr[1:]]
+    A = sp.csc_matrix(
+        (np.insert(Q.data[keep], ends, 1.0), np.insert(Q.indices[keep], ends, n - 1),
+         kept[Q.indptr] + np.arange(n + 1)),
+        shape=(n, n),
+    )
     b = np.zeros(n)
     b[n - 1] = 1.0
-    return A.tocsc(), b
+    return A, b
 
 
 def _solve_direct(chain: CTMC, tol: float, max_iterations: int,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.ctmc.chain import CTMC
+from repro.ctmc.chain import CTMC, generator
 from repro.ctmc.sensitivity import measure_sensitivity
 from repro.exceptions import SolverError
 from repro.pepa.statespace import StateSpace
@@ -23,18 +23,12 @@ __all__ = ["action_generator_derivative", "throughput_sensitivity", "sensitivity
 
 
 def action_generator_derivative(space: StateSpace, action: str) -> sp.csr_matrix:
-    """``∂Q/∂θ`` for scaling every ``action``-labelled rate by (1+θ)."""
-    n = space.size
-    rows, cols, vals = [], [], []
-    for arc in space.arcs:
-        if arc.action != action or arc.source == arc.target:
-            continue
-        rows.extend((arc.source, arc.source))
-        cols.extend((arc.target, arc.source))
-        vals.extend((arc.rate, -arc.rate))
-    dQ = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    dQ.sum_duplicates()
-    return dQ
+    """``∂Q/∂θ`` for scaling every ``action``-labelled rate by (1+θ): the
+    generator of the ``action`` arcs alone."""
+    arcs = space.arc_arrays
+    code = arcs.actions.index(action) if action in arcs.actions else -1
+    mine = arcs.action == code
+    return generator(space.size, arcs.source[mine], arcs.target[mine], arcs.rate[mine])
 
 
 def throughput_sensitivity(
