@@ -5,6 +5,14 @@ XMI) → preprocess → metadata repository → extract → PEPA Workbench
 (numerical solution) → result table → reflect → postprocess → annotated
 UML model out.  Every intermediate artefact of Figure 4 is available on
 the outcome objects, so tests and benchmarks can assert on each stage.
+
+The XMI boxes hand each other element trees, not text: a document is
+parsed once (:func:`~repro.uml.xmi.reader.parse_xmi`), its layout kept
+and stripped in place (:func:`~repro.uml.xmi.poseidon.split_layout`)
+and the tree read into the repository; the reflected model is built
+as a tree, the kept layout merged into it
+(:func:`~repro.uml.xmi.poseidon.merge_layout`) and the result
+serialised once (:func:`~repro.uml.xmi.writer.serialise_xmi`).
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from repro.choreographer.reporting import activity_report, statechart_report
 from repro.uml.activity import ActivityGraph
 from repro.uml.model import UmlModel
 from repro.uml.statechart import StateMachine
-from repro.uml.xmi.poseidon import postprocess, preprocess
-from repro.uml.xmi.reader import read_model
-from repro.uml.xmi.writer import write_model
+from repro.uml.xmi.poseidon import merge_layout, split_layout
+from repro.uml.xmi.reader import mdr_to_model, parse_xmi, xmi_to_mdr
+from repro.uml.xmi.writer import mdr_to_xmi, model_to_mdr, serialise_xmi
 
 __all__ = [
     "ActivityOutcome",
@@ -314,8 +322,7 @@ class Choreographer:
         strict = self.strict if strict is None else strict
         tracer = get_tracer()
         with tracer.span("pipeline.read", chars=len(poseidon_text)) as rsp:
-            clean = preprocess(poseidon_text)
-            model = read_model(clean)
+            model, layout = _read_project(poseidon_text)
             rsp.set(activity_diagrams=len(model.activity_graphs),
                     state_machines=len(model.state_machines))
         report = PipelineReport()
@@ -350,8 +357,9 @@ class Choreographer:
                            names, exc)
 
         with tracer.span("pipeline.write"):
-            reflected = write_model(model)
-            merged = postprocess(reflected, poseidon_text)
+            reflected = mdr_to_xmi(model_to_mdr(model))
+            merge_layout(reflected, layout)
+            merged = serialise_xmi(reflected)
         return PipelineResult(
             document=merged,
             activity_outcomes=activity_outcomes,
@@ -361,5 +369,15 @@ class Choreographer:
 
     @staticmethod
     def read(poseidon_text: str) -> UmlModel:
-        """Convenience: preprocess + MDR import of a Poseidon document."""
-        return read_model(preprocess(poseidon_text))
+        """Convenience: preprocess + MDR import of a Poseidon document,
+        over one parse."""
+        return _read_project(poseidon_text)[0]
+
+
+def _read_project(poseidon_text: str) -> tuple[UmlModel, dict]:
+    """The read boxes of Figure 4 over one parse: the typed model of a
+    Poseidon document and its layout blocks (which fail here, before any
+    analysis, when one lacks its ``xmi.idref``)."""
+    tree = parse_xmi(poseidon_text)
+    layout = split_layout(tree)
+    return mdr_to_model(xmi_to_mdr(tree)), layout

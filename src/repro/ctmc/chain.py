@@ -110,11 +110,6 @@ class CTMC:
         n_comp, _ = connected_components(self.Q, directed=True, connection="strong")
         return bool(n_comp == 1)
 
-    def strongly_connected_components(self) -> list[np.ndarray]:
-        """SCCs as arrays of state indices, in component-label order."""
-        n_comp, labels = connected_components(self.Q, directed=True, connection="strong")
-        return [np.flatnonzero(labels == c) for c in range(n_comp)]
-
     def bottom_sccs(self) -> list[np.ndarray]:
         """Bottom strongly connected components (closed recurrent classes)."""
         n_comp, labels = connected_components(self.Q, directed=True, connection="strong")

@@ -51,6 +51,25 @@ class LumpedChain:
         return pi
 
 
+def _csr_lists(chain: CTMC) -> tuple[list[int], list[int], list[float]]:
+    """``Q``'s CSR arrays as Python lists, for per-row loops."""
+    Q = chain.Q.tocsr()
+    return Q.indptr.tolist(), Q.indices.tolist(), Q.data.tolist()
+
+
+def _rates_into_blocks(i: int, indptr: list[int], indices: list[int],
+                       data: list[float], block_of: list[int]) -> dict[int, float]:
+    """State ``i``'s total rate into each block, summed left to right
+    over its stored row (the diagonal skipped)."""
+    into: dict[int, float] = {}
+    for k in range(indptr[i], indptr[i + 1]):
+        j = indices[k]
+        if j != i:
+            b = block_of[j]
+            into[b] = into.get(b, 0.0) + data[k]
+    return into
+
+
 def coarsest_lumping(
     chain: CTMC,
     initial_partition: Callable[[int, str], object] | None = None,
@@ -77,23 +96,20 @@ def coarsest_lumping(
     for i, k in enumerate(keys):
         block_of[i] = uniq.setdefault(k, len(uniq))
 
-    Q = chain.Q.tocsr()
+    indptr, indices, data = _csr_lists(chain)
     changed = True
     while changed:
         changed = False
         n_blocks = int(block_of.max()) + 1
+        block_ids = block_of.tolist()
         # signature of a state: tuple of (block, rounded rate into block)
         signatures: dict[int, dict[tuple, list[int]]] = {}
         for i in range(n):
-            row = Q.getrow(i)
-            into: dict[int, float] = {}
-            for j, v in zip(row.indices, row.data):
-                if j != i:
-                    into[int(block_of[j])] = into.get(int(block_of[j]), 0.0) + v
+            into = _rates_into_blocks(i, indptr, indices, data, block_ids)
             sig = tuple(
                 sorted((b, round(r / rate_tolerance)) for b, r in into.items() if r != 0.0)
             )
-            signatures.setdefault(int(block_of[i]), {}).setdefault(sig, []).append(i)
+            signatures.setdefault(block_ids[i], {}).setdefault(sig, []).append(i)
         new_block_of = np.empty(n, dtype=np.int64)
         next_id = 0
         for b in range(n_blocks):
@@ -151,15 +167,12 @@ def verify_lumpable(chain: CTMC, blocks: list[np.ndarray], tol: float = 1e-9) ->
     block_of = np.empty(n, dtype=np.int64)
     for b, members in enumerate(blocks):
         block_of[members] = b
-    Q = chain.Q.tocsr()
+    indptr, indices, data = _csr_lists(chain)
+    block_ids = block_of.tolist()
     for members in blocks:
         reference: dict[int, float] | None = None
-        for i in members:
-            row = Q.getrow(i)
-            into: dict[int, float] = {}
-            for j, v in zip(row.indices, row.data):
-                if j != i:
-                    into[int(block_of[j])] = into.get(int(block_of[j]), 0.0) + v
+        for i in members.tolist():
+            into = _rates_into_blocks(i, indptr, indices, data, block_ids)
             into = {b: r for b, r in into.items() if abs(r) > tol}
             if reference is None:
                 reference = into

@@ -13,6 +13,14 @@ sibling of ``XMI.content``: one ``Poseidon:NodeLayout`` per element,
 keyed by ``xmi.idref``.  The merge is id-based, so layout survives for
 every element still present after reflection and is dropped for
 elements that disappeared — the behaviour the paper describes.
+
+Both boxes work on parsed trees, so the pipeline parses a document once
+and serialises its result once: :func:`split_layout` is the
+preprocessor (it keeps the layout blocks and strips the tree in place)
+and :func:`merge_layout` the postprocessor.  The text-level
+:func:`preprocess`, :func:`extract_layout` and :func:`postprocess` wrap
+them with :func:`~repro.uml.xmi.reader.parse_xmi` and
+:func:`~repro.uml.xmi.writer.serialise_xmi`.
 """
 
 from __future__ import annotations
@@ -20,9 +28,13 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from repro.exceptions import XmiError
+from repro.uml.xmi.reader import parse_xmi
+from repro.uml.xmi.writer import serialise_xmi
 
 __all__ = [
     "NS_POSEIDON",
+    "split_layout",
+    "merge_layout",
     "preprocess",
     "postprocess",
     "add_synthetic_layout",
@@ -33,24 +45,24 @@ NS_POSEIDON = "com.gentleware.poseidon"
 ET.register_namespace("Poseidon", NS_POSEIDON)
 
 
-def _parse(text: str) -> ET.Element:
-    try:
-        return ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XmiError(f"not well-formed XML: {exc}") from exc
-
-
 def _is_poseidon(element: ET.Element) -> bool:
     return element.tag.startswith(f"{{{NS_POSEIDON}}}")
 
 
-def preprocess(text: str) -> str:
-    """Strip every Poseidon-specific element so the document conforms to
-    the pure UML metamodel (the 'Poseidon preprocessor' box)."""
-    root = _parse(text)
+def split_layout(root: ET.Element) -> dict[str, ET.Element]:
+    """The 'Poseidon preprocessor' box on a parsed document: return its
+    layout blocks, keyed by the element id they decorate, then strip
+    every Poseidon-specific element in place so the tree conforms to the
+    pure UML metamodel."""
+    layout: dict[str, ET.Element] = {}
+    for diagrams in root.iter(f"{{{NS_POSEIDON}}}Diagrams"):
+        for block in diagrams:
+            idref = block.get("xmi.idref")
+            if idref is None:
+                raise XmiError("Poseidon layout block without xmi.idref")
+            layout[idref] = block
     _strip(root)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True)
+    return layout
 
 
 def _strip(element: ET.Element) -> None:
@@ -61,31 +73,15 @@ def _strip(element: ET.Element) -> None:
             _strip(child)
 
 
-def extract_layout(text: str) -> dict[str, ET.Element]:
-    """The layout blocks of a Poseidon document, keyed by the element id
-    they decorate."""
-    root = _parse(text)
-    layout: dict[str, ET.Element] = {}
-    for diagrams in root.iter(f"{{{NS_POSEIDON}}}Diagrams"):
-        for block in diagrams:
-            idref = block.get("xmi.idref")
-            if idref is None:
-                raise XmiError("Poseidon layout block without xmi.idref")
-            layout[idref] = block
-    return layout
-
-
-def postprocess(reflected_text: str, original_poseidon_text: str) -> str:
-    """Merge the original project's layout into the reflected model (the
-    'Poseidon postprocessor' box).
+def merge_layout(reflected: ET.Element, layout: dict[str, ET.Element]) -> None:
+    """The 'Poseidon postprocessor' box on a reflected document element:
+    append the original project's layout in place.
 
     Layout blocks whose ``xmi.idref`` no longer resolves are dropped —
     reflection may have removed elements; everything else is carried
     over verbatim so the user's diagram arrangement survives the
     analysis round trip.
     """
-    reflected = _parse(reflected_text)
-    layout = extract_layout(original_poseidon_text)
     present_ids = {
         el.get("xmi.id")
         for el in reflected.iter()
@@ -97,8 +93,29 @@ def postprocess(reflected_text: str, original_poseidon_text: str) -> str:
             diagrams.append(block)
     if len(diagrams):
         reflected.append(diagrams)
-    ET.indent(reflected)
-    return ET.tostring(reflected, encoding="unicode", xml_declaration=True)
+
+
+def preprocess(text: str) -> str:
+    """:func:`split_layout`'s stripping on text: the document without its
+    Poseidon-specific elements (the layout blocks are neither kept nor
+    checked)."""
+    root = parse_xmi(text)
+    _strip(root)
+    return serialise_xmi(root)
+
+
+def extract_layout(text: str) -> dict[str, ET.Element]:
+    """The layout blocks of a Poseidon document, keyed by the element id
+    they decorate (:func:`split_layout` on text)."""
+    return split_layout(parse_xmi(text))
+
+
+def postprocess(reflected_text: str, original_poseidon_text: str) -> str:
+    """:func:`merge_layout` on text: the reflected document with the
+    original project's layout merged back."""
+    reflected = parse_xmi(reflected_text)
+    merge_layout(reflected, extract_layout(original_poseidon_text))
+    return serialise_xmi(reflected)
 
 
 def add_synthetic_layout(text: str, *, grid: int = 80) -> str:
@@ -108,7 +125,7 @@ def add_synthetic_layout(text: str, *, grid: int = 80) -> str:
     Used by tests and examples to synthesise realistic Poseidon project
     files, standing in for diagrams drawn by hand in the real tool.
     """
-    root = _parse(text)
+    root = parse_xmi(text)
     diagrams = ET.Element(f"{{{NS_POSEIDON}}}Diagrams")
     x = y = 0
     for el in root.iter():
@@ -126,5 +143,4 @@ def add_synthetic_layout(text: str, *, grid: int = 80) -> str:
             x = 0
             y += grid
     root.append(diagrams)
-    ET.indent(root)
-    return ET.tostring(root, encoding="unicode", xml_declaration=True)
+    return serialise_xmi(root)

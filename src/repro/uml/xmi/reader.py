@@ -1,5 +1,9 @@
 """XMI import: XMI document → MDR extent → UmlModel.
 
+:func:`parse_xmi` is the one parse of a document; :func:`xmi_to_mdr`
+reads the parsed tree, and the text-level :func:`xml_to_mdr` and
+:func:`read_model` wrap the two.
+
 The reader is strict about what the metamodel allows — any element not
 in the UML 1.4 subset is an :class:`XmiError` (which is why the
 Poseidon preprocessor must strip tool-specific elements *before* MDR
@@ -17,7 +21,7 @@ from repro.uml.statechart import State, StateMachine, StateTransition
 from repro.uml.xmi.mdr import UML14_METAMODEL, MdrObject, Repository
 from repro.uml.xmi.writer import NS_UML
 
-__all__ = ["xml_to_mdr", "mdr_to_model", "read_model"]
+__all__ = ["parse_xmi", "xmi_to_mdr", "xml_to_mdr", "mdr_to_model", "read_model"]
 
 
 def _local(tag: str) -> str:
@@ -28,12 +32,17 @@ def _is_uml(element: ET.Element) -> bool:
     return element.tag.startswith(f"{{{NS_UML}}}")
 
 
-def xml_to_mdr(text: str, repository: Repository | None = None) -> MdrObject:
-    """Parse XMI text into a repository extent; returns the Model root."""
+def parse_xmi(text: str) -> ET.Element:
+    """Parse XMI text into its document element."""
     try:
-        xmi = ET.fromstring(text)
+        return ET.fromstring(text)
     except ET.ParseError as exc:
         raise XmiError(f"not well-formed XML: {exc}") from exc
+
+
+def xmi_to_mdr(xmi: ET.Element, repository: Repository | None = None) -> MdrObject:
+    """Read a parsed XMI document into a repository extent; returns the
+    Model root."""
     if _local(xmi.tag) != "XMI":
         raise XmiError(f"root element is {xmi.tag!r}, expected XMI")
     header = xmi.find("XMI.header/XMI.metamodel")
@@ -65,6 +74,11 @@ def xml_to_mdr(text: str, repository: Repository | None = None) -> MdrObject:
     root = _element_to_mdr(models[0], repo, extent)
     root.validate()
     return root
+
+
+def xml_to_mdr(text: str, repository: Repository | None = None) -> MdrObject:
+    """Parse XMI text into a repository extent; returns the Model root."""
+    return xmi_to_mdr(parse_xmi(text), repository)
 
 
 def _element_to_mdr(element: ET.Element, repo: Repository, extent: str | None) -> MdrObject:

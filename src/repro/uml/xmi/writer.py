@@ -5,6 +5,10 @@ metamodel, content carrying the model) with the UML namespace on every
 model element.  Layout information is *not* written here — that is the
 Poseidon layer's business (:mod:`repro.uml.xmi.poseidon`), mirroring
 the paper's separation of structure from diagram data.
+
+:func:`mdr_to_xmi` builds the document element and
+:func:`serialise_xmi` is the one serialisation of a document; the
+text-level :func:`mdr_to_xml` and :func:`write_model` wrap the two.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from repro.uml.model import UmlElement, UmlModel
 from repro.uml.statechart import StateMachine
 from repro.uml.xmi.mdr import UML14_METAMODEL, MdrObject, Repository
 
-__all__ = ["NS_UML", "model_to_mdr", "mdr_to_xml", "write_model"]
+__all__ = ["NS_UML", "model_to_mdr", "mdr_to_xmi", "serialise_xmi", "mdr_to_xml", "write_model"]
 
 NS_UML = "org.omg.xmi.namespace.UML"
 ET.register_namespace("UML", NS_UML)
@@ -174,8 +178,9 @@ def _mdr_to_element(obj: MdrObject) -> ET.Element:
     return el
 
 
-def mdr_to_xml(root: MdrObject, metamodel_name: str = "UML", metamodel_version: str = "1.4") -> str:
-    """Serialise an MDR Model instance as an XMI document string."""
+def mdr_to_xmi(root: MdrObject, metamodel_name: str = "UML",
+               metamodel_version: str = "1.4") -> ET.Element:
+    """An MDR Model instance as an XMI document element."""
     xmi = ET.Element("XMI", {"xmi.version": "1.2"})
     header = ET.SubElement(xmi, "XMI.header")
     ET.SubElement(
@@ -185,8 +190,18 @@ def mdr_to_xml(root: MdrObject, metamodel_name: str = "UML", metamodel_version: 
     )
     content = ET.SubElement(xmi, "XMI.content")
     content.append(_mdr_to_element(root))
+    return xmi
+
+
+def serialise_xmi(xmi: ET.Element) -> str:
+    """Indent an XMI document element in place and serialise it."""
     ET.indent(xmi)
     return ET.tostring(xmi, encoding="unicode", xml_declaration=True)
+
+
+def mdr_to_xml(root: MdrObject, metamodel_name: str = "UML", metamodel_version: str = "1.4") -> str:
+    """Serialise an MDR Model instance as an XMI document string."""
+    return serialise_xmi(mdr_to_xmi(root, metamodel_name, metamodel_version))
 
 
 def write_model(model: UmlModel) -> str:
