@@ -1,11 +1,10 @@
-"""The one breadth-first state-space exploration kernel.
+"""The breadth-first state-space exploration kernel: two loops.
 
-Deriving a labelled transition system from an initial state and a
-successor function is the operation the whole tool chain hinges on —
-PEPA derivation graphs, PEPA-net marking graphs and Petri-net
-reachability/coverability graphs are all instances.  Each used to carry
-its own hand-rolled BFS loop; this module is the single kernel they now
-share, so every cross-cutting concern lands in exactly one place:
+Deriving a labelled transition system from an initial state is the
+operation the whole tool chain hinges on — PEPA derivation graphs,
+PEPA-net marking graphs and Petri-net reachability/coverability graphs
+are all instances.  Two loops do it, and share every cross-cutting
+concern through the helpers at the bottom of this module:
 
 * a **state ceiling** (``max_states``) raising
   :class:`~repro.exceptions.StateSpaceError` with a per-formalism
@@ -14,22 +13,34 @@ share, so every cross-cutting concern lands in exactly one place:
   checkpoint once per expanded state;
 * a tracer span around the whole search, ``explore.progress`` events
   every :data:`PROGRESS_INTERVAL` discovered states, and the
-  ``states_explored`` / ``transitions`` metrics counters;
-* optional per-successor hooks (``adjust_successor``,
-  ``on_new_state``) with access to the parent chain, which is how the
-  Petri layer expresses Karp–Miller ω-acceleration and the
-  unboundedness (strict-covering) abort without owning a loop.
+  ``states_explored`` / ``transitions`` metrics counters.
 
-The search writes no object per arc: each arc appends its source,
-target, rate and an action code to four flat arrays, which become the
-result's :class:`~repro.core.lts.ArcArrays` and go to the CTMC
-assembly as they are.  A compiled formalism searches over compact
-numeric states and wraps the result with a ``render`` function
-(:class:`~repro.core.lts.Lts`), so its terms are built only if
-something reads the states.
+:func:`explore_lts` expands one state at a time through a Python
+successor function over hashable states.  It serves every formalism
+whose states are objects: the term-level references, PEPA-net markings,
+and Petri nets, whose optional per-successor hooks (``adjust_successor``,
+``on_new_state``) see the parent chain — Karp–Miller ω-acceleration and
+the unboundedness abort — which only a per-state loop can offer.
 
-Future optimisations — parallel frontiers, smarter state interning,
-disk-backed spaces — belong here and nowhere else.
+:func:`explore_levels` expands a whole breadth-first level at a time.
+A state is a row of integers, a level is a matrix, and the caller's
+``expand`` turns a frontier matrix into the level's arcs with numpy
+(Ding & Hillston's numerical vector form: the compiled PEPA system
+equation of :mod:`repro.pepa.compiled`).  Targets are deduplicated with
+whole-row keys (a stable sort plus ``searchsorted`` against the sorted
+known rows), and new states are numbered in order of first appearance,
+so states, arcs, action codes, ceiling, budget checkpoints and progress
+events are exactly those of :func:`explore_lts` on the same successors.
+A per-state walk costs microseconds of Python per arc; a level costs
+over a hundred numpy calls, whatever its width, plus well under a
+microsecond per arc.  That is what lets exact derivation reach tens of
+thousands of states, and why a narrow, deep search is slower this way.
+
+Both loops write no object per arc: arcs land in four flat arrays, which
+become the result's :class:`~repro.core.lts.ArcArrays` and go to the
+CTMC assembly as they are.  A compiled formalism wraps the result with a
+``render`` function (:class:`~repro.core.lts.Lts`), so its terms are
+built only if something reads the states.
 """
 
 from __future__ import annotations
@@ -37,7 +48,9 @@ from __future__ import annotations
 import time
 from array import array
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Mapping
+from typing import (
+    TYPE_CHECKING, Any, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence,
+)
 
 import numpy as np
 
@@ -52,8 +65,10 @@ __all__ = [
     "DEFAULT_MAX_STATES",
     "PROGRESS_INTERVAL",
     "Exploration",
+    "Level",
     "SuccessorFn",
     "emit_progress",
+    "explore_levels",
     "explore_lts",
 ]
 
@@ -63,8 +78,8 @@ DEFAULT_MAX_STATES = 1_000_000
 
 #: How many newly discovered states between ``explore.progress`` events.
 #: Small enough to show life on a slow derivation, large enough to stay
-#: off the BFS hot path; tests shrink it via monkeypatching (the kernel
-#: reads it at call time).
+#: off the BFS hot path; tests shrink it via monkeypatching (both loops
+#: read it at call time).
 PROGRESS_INTERVAL = 1_000
 
 #: A successor function: state -> iterable of (action, rate, target).
@@ -119,7 +134,8 @@ def explore_lts(
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
     progress_interval: int | None = None,
 ) -> Lts:
-    """Breadth-first exploration of the reachable state space.
+    """Breadth-first exploration of the reachable state space, one state
+    at a time.
 
     ``stage`` names the tracer span and the ``explore.progress`` event
     stage (e.g. ``"pepa.statespace"``); ``budget_stage`` is the
@@ -154,9 +170,7 @@ def explore_lts(
     exploration = Exploration(states) if track_parents else None
     budget_stage = stage if budget_stage is None else budget_stage
 
-    attrs = dict(span_attrs) if span_attrs else {}
-    attrs["max_states"] = max_states
-    with get_tracer().span(stage, **attrs) as sp:
+    with _span(stage, span_attrs, max_states) as sp:
 
         while queue:
             state = queue.popleft()
@@ -173,11 +187,8 @@ def explore_lts(
                     if on_new_state is not None:
                         on_new_state(target, src, exploration)
                     if len(states) >= max_states:
-                        sp.set(**{span_count_key: len(states), "arcs": len(sources)})
-                        raise StateSpaceError(
-                            overflow(max_states) if overflow is not None else
-                            f"{stage}: state space exceeds {max_states} states"
-                        )
+                        _overflow(sp, stage, span_count_key, max_states, len(states),
+                                  len(sources), overflow)
                     tgt = len(states)
                     index[target] = tgt
                     states.append(target)
@@ -193,15 +204,268 @@ def explore_lts(
                 targets.append(tgt)
                 rates.append(rate)
                 codes.append(code)
-        sp.set(**{span_count_key: len(states), "arcs": len(sources)})
-    if events.enabled:
-        emit_progress(events, stage, len(states), 0, start)
-    metrics = get_metrics()
-    metrics.counter("states_explored").inc(len(states))
-    metrics.counter("transitions").inc(len(sources))
-    arcs = ArcArrays(
-        np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64),
-        np.array(rates, dtype=np.float64), np.array(codes, dtype=np.int64),
-        tuple(action_codes),
-    )
+        arcs = ArcArrays(
+            np.array(sources, dtype=np.int64), np.array(targets, dtype=np.int64),
+            np.array(rates, dtype=np.float64), np.array(codes, dtype=np.int64),
+            tuple(action_codes),
+        )
+        _finish(sp, events, stage, start, span_count_key, len(states), arcs)
     return Lts(states, arcs, index=index)
+
+
+class Level(NamedTuple):
+    """One expanded breadth-first level, as :func:`explore_levels` reads it.
+
+    Arc ``j`` leaves frontier row ``source[j]`` (nondecreasing: each
+    state's arcs together, in its own generation order) for the state
+    row ``target[j]`` (an ``int32`` matrix, one row per arc) at
+    ``rate[j]``, labelled ``names[action[j]]``.  ``failed`` is the first
+    frontier row whose expansion must raise, or -1: the arcs of that row
+    and of every later one are never read.
+    """
+
+    source: np.ndarray
+    target: np.ndarray
+    rate: np.ndarray
+    action: np.ndarray
+    failed: int = -1
+
+
+def explore_levels(
+    initial: np.ndarray,
+    expand: Callable[[np.ndarray], Level],
+    names: Sequence[str],
+    fail: Callable[[int, np.ndarray], None],
+    *,
+    root: Callable[[], Level] | None = None,
+    stage: str,
+    max_states: int = DEFAULT_MAX_STATES,
+    budget: "ExecutionBudget | None" = None,
+    budget_stage: str | None = None,
+    overflow: Callable[[int], str] | None = None,
+) -> Lts:
+    """Breadth-first exploration of integer-row states, a level at a time.
+
+    ``initial`` is state 0's row.  ``expand(frontier)`` returns the
+    :class:`Level` of a frontier matrix; its action codes index
+    ``names``, which ``expand`` may extend.  ``fail(index, row)`` is
+    called for a level's ``failed`` row and must raise that state's
+    error.  With ``root``, state 0 is opaque: ``root()`` expands it
+    instead of ``expand``, and no target is ever matched to its row.
+
+    The result is :func:`explore_lts` on the same successors, exactly:
+    the returned :class:`~repro.core.lts.Lts` holds the states as one
+    ``int32`` matrix, arcs in generation order, action codes in order of
+    first appearance; the ceiling raises at the same arc with the same
+    span attributes; ``budget`` is checkpointed once per expanded state
+    with the same ``explored``/``frontier``; the same
+    ``explore.progress`` events fire.  The span adds ``levels`` (how
+    many frontiers were expanded) and ``max_frontier`` (the widest).
+    """
+    interval = PROGRESS_INTERVAL
+    events = get_events()
+    start = time.perf_counter() if events.enabled else 0.0
+    budget_stage = stage if budget_stage is None else budget_stage
+    width = len(initial)
+    void = np.dtype((np.void, 4 * width))
+    frontier = np.asarray(initial, dtype=np.int32).reshape(1, width)
+    blocks = [frontier]
+    # The known rows and their state ids, in two sorted runs: ``known``,
+    # and the ``recent`` rows not yet merged into it.  A row of -1s ends
+    # each run: it sorts last, and no state is ever all -1s.  A level
+    # merges its new rows into ``recent``, which merges into ``known``
+    # once it outgrows the square root of it: a deep, narrow search then
+    # copies O(√n) rows a level, not O(n).
+    end = np.full((1, width), -1, dtype=np.int32).view(void).ravel()
+    no_id = np.array([-1], dtype=np.int64)
+    recent, recent_ids = end, no_id
+    if root is None:
+        known = np.concatenate([frontier.view(void).ravel(), end])
+        known_ids = np.array([0, -1], dtype=np.int64)
+    else:
+        known, known_ids = end, no_id
+    sources: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    rates: list[np.ndarray] = []
+    codes: list[np.ndarray] = []
+    n = 1            # states discovered
+    first_row = 0    # the frontier's first state
+    n_arcs = 0
+    levels = max_frontier = 0
+
+    with _span(stage, None, max_states) as sp:
+        while len(frontier):
+            k = len(frontier)
+            levels += 1
+            max_frontier = max(max_frontier, k)
+            level = root() if root is not None and first_row == 0 else expand(frontier)
+            uniq, first, inverse = _distinct(level.target.copy().view(void).ravel())
+            ids, _ = _lookup(known, known_ids, uniq)
+            if len(recent) > 1:     # ``at``: where each goes in ``recent``
+                found, at = _lookup(recent, recent_ids, uniq)
+                ids = np.maximum(ids, found)    # -1 unless in either run
+            else:
+                at = np.zeros(len(uniq), dtype=np.int64)
+            unseen = np.flatnonzero(ids < 0)
+            fresh = unseen[first[unseen].argsort(kind="stable")]
+            ids[fresh] = np.arange(n, n + len(fresh))
+            fresh_arc = first[fresh]                    # the arc discovering it
+            fresh_src = level.source[fresh_arc]         # nondecreasing
+
+            # Where the per-state search would stop in this level.
+            room = max(max_states - n, 0)   # new states before the ceiling
+            stop = int(fresh_src[room]) if len(fresh) > room else -1
+            if level.failed >= 0 and (stop < 0 or level.failed <= stop):
+                stop = level.failed
+                ceiling = False
+                committed = int(np.searchsorted(fresh_src, stop))
+            else:
+                ceiling = stop >= 0
+                committed = room if ceiling else len(fresh)
+            last = k - 1 if stop < 0 else stop
+            if budget is not None or events.enabled:
+                _replay(budget, budget_stage, events, stage, start, interval,
+                        first_row, n, fresh_src[:committed], last)
+            if ceiling:
+                _overflow(sp, stage, "states", max_states, n + committed,
+                          n_arcs + int(fresh_arc[committed]), overflow)
+            if stop >= 0:
+                fail(first_row + stop, frontier[stop])
+                raise AssertionError(f"{stage}: state {first_row + stop} was flagged "
+                                     "as failing but derived cleanly")
+
+            sources.append(level.source + first_row)
+            targets.append(ids[inverse])
+            rates.append(level.rate)
+            codes.append(level.action)
+            n_arcs += len(level.source)
+
+            if len(unseen):
+                recent, recent_ids = _merged(recent, recent_ids, at[unseen],
+                                             uniq[unseen], ids[unseen])
+                if (len(recent) - 1) ** 2 >= len(known) - 1:
+                    rows, row_ids = recent[:-1], recent_ids[:-1]
+                    known, known_ids = _merged(known, known_ids, known.searchsorted(rows),
+                                               rows, row_ids)
+                    recent, recent_ids = end, no_id
+            frontier = level.target[fresh_arc]
+            blocks.append(frontier)
+            first_row = n
+            n += len(fresh)
+
+        # Recode the actions in order of first appearance.
+        action = _joined(codes, np.int64)
+        used, used_at = np.unique(action, return_index=True)
+        ranked = used[used_at.argsort()]
+        recode = np.zeros(len(names), dtype=np.int64)
+        recode[ranked] = np.arange(len(ranked))
+        arcs = ArcArrays(
+            _joined(sources, np.int64), _joined(targets, np.int64),
+            _joined(rates, np.float64), recode[action],
+            tuple(names[code] for code in ranked.tolist()),
+        )
+        sp.set(levels=levels, max_frontier=max_frontier)
+        _finish(sp, events, stage, start, "states", n, arcs)
+    return Lts(np.concatenate(blocks), arcs)
+
+
+# ----------------------------------------------------------------------
+# What both loops share
+# ----------------------------------------------------------------------
+def _span(stage: str, span_attrs: Mapping[str, Any] | None, max_states: int):
+    attrs = dict(span_attrs) if span_attrs else {}
+    attrs["max_states"] = max_states
+    return get_tracer().span(stage, **attrs)
+
+
+def _overflow(sp, stage: str, count_key: str, max_states: int, states: int,
+              arcs: int, overflow: Callable[[int], str] | None) -> None:
+    """Raise the ceiling's error, recording the search so far on the span."""
+    sp.set(**{count_key: states, "arcs": arcs})
+    raise StateSpaceError(
+        overflow(max_states) if overflow is not None else
+        f"{stage}: state space exceeds {max_states} states"
+    )
+
+
+def _finish(sp, events, stage: str, start: float, count_key: str, n_states: int,
+            arcs: ArcArrays) -> None:
+    """The span totals, the last progress event and the counters."""
+    n_arcs = len(arcs.source)
+    sp.set(**{count_key: n_states, "arcs": n_arcs})
+    if events.enabled:
+        emit_progress(events, stage, n_states, 0, start)
+    metrics = get_metrics()
+    metrics.counter("states_explored").inc(n_states)
+    metrics.counter("transitions").inc(n_arcs)
+
+
+def _replay(budget, budget_stage: str, events, stage: str, start: float,
+            interval: int, first_row: int, n: int, fresh_src: np.ndarray,
+            last: int) -> None:
+    """The budget checkpoints and progress events a per-state search
+    makes while expanding this level's rows ``0 .. last``.
+
+    Row ``i`` is checkpointed with the states known when it is reached,
+    ``n`` plus those first found by earlier rows; the new state numbered
+    ``t`` is announced after its discovering row's checkpoint, with the
+    queue behind that row as its frontier."""
+    announce = []
+    if events.enabled:
+        t0 = -(-n // interval) * interval
+        announce = [(int(fresh_src[t - n]), t)
+                    for t in range(t0, n + len(fresh_src), interval)]
+    if budget is None:
+        for src, t in announce:
+            emit_progress(events, stage, t + 1, t - first_row - src, start)
+        return
+    known = (n + np.searchsorted(fresh_src, np.arange(last + 1))).tolist()
+    j = 0
+    for i, explored in enumerate(known):
+        budget.checkpoint(stage=budget_stage, explored=explored,
+                          frontier=explored - first_row - i - 1)
+        while j < len(announce) and announce[j][0] == i:
+            t = announce[j][1]
+            emit_progress(events, stage, t + 1, t - first_row - i, start)
+            j += 1
+
+
+def _distinct(keys: np.ndarray):
+    """``np.unique(keys, return_index=True, return_inverse=True)``, with
+    each key's first occurrence as its index, at a fraction of the fixed
+    cost."""
+    order = keys.argsort(kind="stable")
+    ordered = keys[order]
+    head = np.empty(len(keys), dtype=bool)
+    head[:1] = True
+    head[1:] = ordered[1:] != ordered[:-1]
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = head.cumsum() - 1
+    return ordered[head], order[head], inverse
+
+
+def _lookup(keys: np.ndarray, ids: np.ndarray, wanted: np.ndarray):
+    """The ids of ``wanted`` in the sorted run ``keys`` (-1 where
+    absent), and where each would be inserted."""
+    at = keys.searchsorted(wanted)
+    return np.where(keys[at] == wanted, ids[at], -1), at
+
+
+def _merged(keys: np.ndarray, ids: np.ndarray, at: np.ndarray,
+            new_keys: np.ndarray, new_ids: np.ndarray):
+    """Sorted ``keys`` with ``new_keys`` inserted before positions ``at``
+    (nondecreasing), and ``ids`` likewise."""
+    slots = at + np.arange(len(at))
+    old = np.ones(len(keys) + len(at), dtype=bool)
+    old[slots] = False
+    merged_keys = np.empty(len(old), dtype=keys.dtype)
+    merged_keys[slots] = new_keys
+    merged_keys[old] = keys
+    merged_ids = np.empty(len(old), dtype=ids.dtype)
+    merged_ids[slots] = new_ids
+    merged_ids[old] = ids
+    return merged_keys, merged_ids
+
+
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(parts).astype(dtype, copy=False) if parts else np.empty(0, dtype)

@@ -7,8 +7,12 @@ each state as a CTMC state and summing activity rates per (source,
 target) pair yields the generator matrix (done in
 :mod:`repro.pepa.ctmcgen`).
 
-Exploration runs on the shared breadth-first kernel
-(:func:`repro.core.explore.explore_lts`) with a configurable state
+:func:`explore` derives a breadth-first level at a time
+(:func:`repro.core.explore.explore_levels`) over the system equation
+compiled to integer leaf rows (:class:`repro.pepa.compiled.LevelKernel`);
+:func:`explore_reference` walks the term-level semantics one state at a
+time (:func:`repro.core.explore.explore_lts`) and is the oracle the
+compiled search is checked against.  Both take a configurable state
 bound — the paper is explicit that susceptibility to state-space
 explosion is the price of exact numerical solution, so we surface the
 bound as a first-class error instead of letting memory blow up.
@@ -18,14 +22,15 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.batch.cache import cached
-from repro.core.explore import DEFAULT_MAX_STATES, explore_lts
+from repro.core.explore import DEFAULT_MAX_STATES, Level, explore_levels, explore_lts
 from repro.core.keys import DerivationKey
 from repro.core.lts import ArcArrays, LabelledArc, Lts
-from repro.exceptions import WellFormednessError
+from repro.exceptions import ReproError, WellFormednessError
 from repro.pepa.environment import Environment, PepaModel
-from repro.pepa.compiled import LeafTable, Skeleton, apply_writes, expansion
-from repro.pepa.rates import Rate
+from repro.pepa.compiled import LeafTable, LevelKernel, expansion
 from repro.pepa.semantics import derivatives
 from repro.pepa.syntax import Expression
 
@@ -73,43 +78,48 @@ def explore(
     search silently grinding on.
 
     The search runs compiled (:mod:`repro.pepa.compiled`): a state is a
-    tuple of leaf ids of the system equation's skeleton, and its
-    successors are the memoised skeleton walk's rows, each applied to
-    the tuple once.  The arcs land in flat arrays; the states are
-    rendered back to expressions only when something reads them.
-    States, arcs and errors equal :func:`explore_reference`'s.
+    row of leaf ids of the system equation, and each breadth-first level
+    is expanded by numpy over the whole frontier.  The arcs land in flat
+    arrays; the states are rendered back to expressions only when
+    something reads them.  States, arcs, errors, ceiling, budget
+    checkpoints and progress events equal :func:`explore_reference`'s.
+    A constant naming the system's structure (``Sys = P <a> R; Sys``)
+    is state 0 of its own, derived by the reference semantics.
     """
-    table = LeafTable(env, exclude)
     body = expansion(initial, env)
-    skeleton = Skeleton(body, table)
-    derive = skeleton.derive
-    # The rendering closure alone outlives the search, so the space
-    # holds no derivation memo.
-    render_state = skeleton.render
+    kernel = LevelKernel(body, LeafTable(env, exclude))
+    opaque = body is not initial
 
-    def successors(state) -> list[tuple[str, float, tuple[int, ...]]]:
-        out = []
-        if state.__class__ is not tuple:
-            # A constant naming the system's structure: derive it by the
-            # reference semantics, once, and compile its successors.
-            for tr in derivatives(state, env, exclude=exclude):
-                _require_active(tr.action, tr.rate, state)
-                out.append((tr.action, tr.rate.value, skeleton.encode(tr.target)))
-            return out
-        for action, rate, writes in derive(state):
-            if rate.is_passive():
-                _require_active(action, rate, render_state(state))
-            out.append((action, rate.value, apply_writes(state, writes)))
-        return out
+    def root() -> Level:
+        try:
+            arcs = _successors(initial, env, exclude)
+        except ReproError:
+            return Level(np.zeros(0, dtype=np.int64),
+                         np.zeros((0, kernel.width), dtype=np.int32),
+                         np.zeros(0), np.zeros(0, dtype=np.int64), failed=0)
+        return Level(
+            np.zeros(len(arcs), dtype=np.int64),
+            np.array([kernel.encode(t) for _, _, t in arcs],
+                     dtype=np.int32).reshape(len(arcs), kernel.width),
+            np.array([r for _, r, _ in arcs], dtype=np.float64),
+            np.array([kernel.code(a) for a, _, _ in arcs], dtype=np.int64),
+        )
 
-    def render(states: list) -> list[Expression]:
-        return [s if s.__class__ is not tuple else render_state(s) for s in states]
+    def fail(index: int, row) -> None:
+        _successors(initial if opaque and index == 0 else kernel.render(row.tolist()),
+                    env, exclude)
 
-    lts = explore_lts(
-        skeleton.encode(initial) if body is initial else initial,
-        successors,
-        **_explore_options(max_states, budget),
-    )
+    def render(rows) -> list[Expression]:
+        rows = rows.tolist()
+        head = [initial] if opaque else []
+        return head + [kernel.render(row) for row in rows[len(head):]]
+
+    with np.errstate(all="ignore"):
+        lts = explore_levels(
+            np.full(kernel.width, -1) if opaque else kernel.encode(initial),
+            kernel.expand, kernel.names, fail, root=root if opaque else None,
+            **_explore_options(max_states, budget),
+        )
     return StateSpace(lts.states, lts.arc_arrays, render=render)
 
 
@@ -125,14 +135,8 @@ def explore_reference(
     (:func:`~repro.pepa.semantics.derivatives`, one term tree per
     state): the oracle the compiled search is checked against."""
 
-    def successors(state: Expression) -> list[tuple[str, float, Expression]]:
-        out = []
-        for tr in derivatives(state, env, exclude=exclude):
-            _require_active(tr.action, tr.rate, state)
-            out.append((tr.action, tr.rate.value, tr.target))
-        return out
-
-    lts = explore_lts(initial, successors, **_explore_options(max_states, budget))
+    lts = explore_lts(initial, lambda state: _successors(state, env, exclude),
+                      **_explore_options(max_states, budget))
     return StateSpace(lts.states, lts.arc_arrays, index=lts.index)
 
 
@@ -146,12 +150,19 @@ def _explore_options(max_states: int, budget: "ExecutionBudget | None") -> dict:
     }
 
 
-def _require_active(action: str, rate: Rate, state: Expression) -> None:
-    if rate.is_passive():
-        raise WellFormednessError(
-            f"activity ({action}, {rate}) of state {state} is passive at the "
-            "top level: the system equation leaves it without an active partner"
-        )
+def _successors(state: Expression, env: Environment,
+                exclude: frozenset[str]) -> list[tuple[str, float, Expression]]:
+    """The arcs of one state by the term-level semantics."""
+    out = []
+    for tr in derivatives(state, env, exclude=exclude):
+        if tr.rate.is_passive():
+            raise WellFormednessError(
+                f"activity ({tr.action}, {tr.rate}) of state {state} is passive at "
+                "the top level: the system equation leaves it without an active partner"
+            )
+        out.append((tr.action, tr.rate.value, tr.target))
+    return out
+
 
 
 #: Payload schema of cached PEPA state spaces; bump on layout changes.

@@ -73,7 +73,7 @@ class CompiledNet:
         initial: list[int] = []
         for name in self.names:
             place = net.places[name]
-            skeleton = Skeleton(place.template, table, offset, memo_root=True)
+            skeleton = Skeleton(place.template, table, offset)
             self._skeletons.append(skeleton)
             self._cells[name] = skeleton.cells
             initial.extend(skeleton.encode(place.initial_expression()))

@@ -9,7 +9,10 @@ breadth-first kernel straight over the term-level semantics
 (:func:`~repro.pepa.semantics.derivatives`,
 :func:`~repro.pepanets.semantics.net_arcs`).  States, arc lists and
 float rates must be equal exactly, and so must every error either path
-raises.
+raises.  The PEPA search runs a level at a time
+(:func:`repro.core.explore.explore_levels`), so its ceiling, budget
+checkpoints, progress events and failing state are checked against the
+per-state reference too.
 """
 
 from __future__ import annotations
@@ -17,14 +20,16 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import RateError, ReproError, StateSpaceError, WellFormednessError
+from repro.obs import EventStream, ObsContext, Tracer, use_obs
 from repro.pepa.environment import Environment, PepaModel
 from repro.pepa.parser import parse_model
 from repro.pepa.rates import ActiveRate, PassiveRate
 from repro.pepa.statespace import explore, explore_reference
-from repro.pepa.syntax import Cell, Const, Cooperation, Prefix
+from repro.pepa.syntax import TAU, Cell, Const, Cooperation, Prefix
 from repro.pepanets import parse_net
 from repro.pepanets.semantics import explore_net, explore_net_reference
 from repro.pepanets.syntax import NetTransitionSpec, PepaNet, PlaceDef
+from repro.resilience.budget import ExecutionBudget
 from repro.scenarios import GeneratorParams, generate_scenario
 from tests.core._equivalence import CASES, _builders
 
@@ -112,6 +117,7 @@ class TestHandCases:
         """)
         same_pepa(model)
         same_pepa(model, exclude=frozenset({"c"}))
+        same_pepa(model, exclude=frozenset({TAU}))
 
     def test_wildcard_cooperation(self):
         model = parse_model("""
@@ -419,3 +425,207 @@ class TestWriteRowKernel:
             go = (go, 2.0) : A -> B;
             back = (go, 1.0) : B -> A;
         """))
+
+
+# ----------------------------------------------------------------------
+# The level kernel: ceiling, budget, progress and errors where the
+# per-state search has them
+# ----------------------------------------------------------------------
+LEVEL_MODELS = {
+    "client_server": lambda: _builders()["client_server"](n_clients=3),
+    "tandem_queue": lambda: _builders()["tandem_queue"](stages=2, capacity=3),
+}
+
+
+def traced(run):
+    """The outcome of ``run`` and the attributes of its statespace span."""
+    tracer = Tracer()
+    with use_obs(ObsContext(tracer=tracer)):
+        result = outcome(run)
+    (span,) = [s for s in tracer.roots if s.name == "pepa.statespace"]
+    return result, {k: v for k, v in span.attributes.items()
+                    if k not in ("levels", "max_frontier")}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+def test_ceiling_at_every_bound(name):
+    model = LEVEL_MODELS[name]()
+    size = explore_reference(model.system, model.environment).size
+    for bound in range(1, size + 1):
+        ours = traced(lambda: explore(model.system, model.environment, max_states=bound))
+        theirs = traced(lambda: explore_reference(model.system, model.environment,
+                                                  max_states=bound))
+        assert ours == theirs, bound
+        assert (ours[0] is None) == (bound == size)
+
+
+def budget_outcome(run) -> tuple | None:
+    try:
+        run()
+    except ReproError as exc:
+        return (type(exc), str(exc), getattr(exc, "explored", None),
+                getattr(exc, "frontier", None))
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+def test_state_budget_at_every_size(name):
+    model = LEVEL_MODELS[name]()
+    size = explore_reference(model.system, model.environment).size
+    for limit in range(0, size + 1):
+        ours = budget_outcome(lambda: explore(
+            model.system, model.environment, budget=ExecutionBudget.of(max_states=limit)))
+        theirs = budget_outcome(lambda: explore_reference(
+            model.system, model.environment, budget=ExecutionBudget.of(max_states=limit)))
+        assert ours == theirs, limit
+
+
+class CountingBudget:
+    """Records every checkpoint; never runs out."""
+
+    def __init__(self):
+        self.calls: list[dict] = []
+
+    def checkpoint(self, **fields) -> None:
+        self.calls.append(fields)
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_MODELS) + ["constant"])
+def test_checkpoint_calls_match(name):
+    model = LEVEL_MODELS[name]() if name in LEVEL_MODELS else parse_model(
+        "P = (a, 1.0).Q; Q = (b, 2.0).P; R = (a, T).R; Sys = P <a> R; Sys")
+    ours, theirs = CountingBudget(), CountingBudget()
+    explore(model.system, model.environment, budget=ours)
+    explore_reference(model.system, model.environment, budget=theirs)
+    assert ours.calls == theirs.calls
+    assert len(ours.calls) == explore(model.system, model.environment).size
+
+
+def test_checkpoints_stop_where_the_ceiling_does():
+    model = LEVEL_MODELS["client_server"]()
+    ours, theirs = CountingBudget(), CountingBudget()
+    for budget, search in ((ours, explore), (theirs, explore_reference)):
+        with pytest.raises(StateSpaceError):
+            search(model.system, model.environment, max_states=9, budget=budget)
+    assert ours.calls == theirs.calls
+
+
+def progress_fields(run, monkeypatch) -> list[dict]:
+    from repro.core import explore as kernel
+
+    monkeypatch.setattr(kernel, "PROGRESS_INTERVAL", 2)
+    stream = EventStream()
+    with use_obs(ObsContext(events=stream)):
+        outcome(run)
+    return [{k: v for k, v in e.fields.items() if k not in ("states_per_sec", "elapsed_s")}
+            for e in stream.by_name("explore.progress")]
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
+def test_progress_events_match(name, monkeypatch):
+    model = LEVEL_MODELS[name]()
+    for bound in (1_000_000, 7):
+        ours = progress_fields(lambda: explore(
+            model.system, model.environment, max_states=bound), monkeypatch)
+        theirs = progress_fields(lambda: explore_reference(
+            model.system, model.environment, max_states=bound), monkeypatch)
+        assert ours == theirs
+        assert len(ours) > 2
+
+
+def failing_state(model: PepaModel, search):
+    """The error a search raises, and its checkpoints up to the state
+    whose expansion raised it."""
+    budget = CountingBudget()
+    return outcome(lambda: search(model.system, model.environment, budget=budget)), \
+        budget.calls
+
+
+class TestLevelErrors:
+    def test_blocked_ill_formed_derivative_is_never_derived(self, monkeypatch):
+        """``Bad`` and ``Nowhere`` are local derivatives of ``P`` behind an
+        ``a`` its partner never offers: neither search derives them."""
+        from repro.pepa import compiled
+
+        model = parse_model("""
+            P = (a, 1.0).Bad + (b, 1.0).P + (c, 1.0).Nowhere;
+            Bad = Bad2; Bad2 = Bad;
+            Q = (d, 2.0).Q2; Q2 = (e, 1.0).Q;
+            P <a, c> Q
+        """)
+        derived: list[str] = []
+        rows = compiled.LeafTable.rows
+
+        def recording(table, tid):
+            derived.append(str(table.terms[tid]))
+            return rows(table, tid)
+
+        monkeypatch.setattr(compiled.LeafTable, "rows", recording)
+        same_kernel_pepa(model)
+        assert sorted(set(derived)) == ["P", "Q", "Q2"]
+
+    def test_apparent_rate_clash_only_where_synchronised(self):
+        """``P2`` enables ``a`` both actively and passively; that only
+        matters once ``Q`` offers ``a`` too, in the third state."""
+        model = parse_model("""
+            P = (b, 1.0).P2; P2 = (a, 1.0).P + (a, T).P + (e, 1.0).P2;
+            Q = (c, 1.0).Q2; Q2 = (a, 1.0).Q;
+            P <a> Q
+        """)
+        ours, theirs = failing_state(model, explore), failing_state(model, explore_reference)
+        assert ours == theirs
+        assert ours[0][0] is RateError
+        unsynchronised = explore(model.system, model.environment, exclude=frozenset({"a"}))
+        assert [str(s) for s in unsynchronised.states][:4] == \
+            ["P <a> Q", "P2 <a> Q", "P <a> Q2", "P2 <a> Q2"]
+        assert len(ours[1]) == 4   # the search fails expanding P2 <a> Q2
+
+    def test_underflowing_joint_rate(self):
+        """(1e-200 / 1) * (1e-200 / 1) * 1 underflows to 0, not an active
+        rate: the error of the state that synchronises, after a step."""
+        model = parse_model("""
+            P = (b, 1.0).P2; P2 = (a, 1.0e-200).P + (a, 1.0).P;
+            Q = (a, 1.0e-200).Q + (a, 1.0).Q;
+            P <a> Q
+        """)
+        ours, theirs = failing_state(model, explore), failing_state(model, explore_reference)
+        assert ours == theirs
+        assert ours[0][0] is RateError
+        assert len(ours[1]) == 2   # the search fails expanding P2 <a> Q
+
+    def test_error_and_ceiling_in_one_level(self):
+        """Whichever the per-state search meets first wins."""
+        model = parse_model("""
+            P = (b, 1.0).P2 + (f, 1.0).P3; P2 = (b, T).P; P3 = (g, 1.0).P3;
+            R = (h, 1.0).R2; R2 = (h, 1.0).R;
+            P || R
+        """)
+        for bound in range(1, 8):
+            assert traced(lambda: explore(model.system, model.environment,
+                                          max_states=bound)) == \
+                traced(lambda: explore_reference(model.system, model.environment,
+                                                 max_states=bound))
+
+
+def test_deep_search_finds_old_states_in_either_run():
+    """Narrow, deep searches: the recently found rows merge into the
+    bulk of the known rows as the search goes, and arcs lead back to
+    states in both."""
+    ring = ["P0 = (a, 1.0).P1;"] + [
+        f"P{i} = (a, 1.0).P{(i + 1) % 60} + (b, 2.0).P{i - 1};" for i in range(1, 60)]
+    same_kernel_pepa(parse_model("\n".join(ring) + """
+        Q = (a, T).Q2 + (c, 3.0).Q; Q2 = (c, 1.0).Q;
+        P0 <a> Q
+    """))
+    same_kernel_pepa(_builders()["tandem_queue"](stages=2, capacity=12))
+
+
+def test_span_reports_levels_and_widest_frontier():
+    model = LEVEL_MODELS["client_server"]()
+    tracer = Tracer()
+    with use_obs(ObsContext(tracer=tracer)):
+        space = explore(model.system, model.environment)
+    (span,) = tracer.roots
+    assert span.attributes["states"] == space.size
+    assert span.attributes["levels"] >= 2
+    assert 1 <= span.attributes["max_frontier"] < space.size
