@@ -13,7 +13,7 @@ into a throughput machine:
 * :mod:`repro.batch.engine` — a multiprocess work-queue engine running
   Choreographer pipelines, experiment sweeps and bench workloads
   across N workers, each with its own ambient observability and
-  per-task :class:`~repro.resilience.budget.BudgetSpec`, merging the
+  per-task wall-clock deadline, merging the
   workers' traces/metrics/events back into the single documents the
   analysis tooling consumes — under supervision (retry with backoff,
   pool rebuild on worker death, per-task timeouts, quarantine) so one

@@ -49,9 +49,10 @@ the recorded results and runs only what's missing, producing a report
 byte-identical to an uninterrupted run.  See
 :mod:`repro.batch.journal`.
 
-Budgets: a :class:`~repro.resilience.budget.BudgetSpec` attached to a
-task (or the engine-wide default) is *materialised in the worker as the
-task starts*, so the deadline clock never charges queueing time.
+Budgets: a task's ``deadline_seconds`` (or the engine-wide default)
+becomes an :class:`~repro.resilience.budget.ExecutionBudget` *in the
+worker as the task starts*, so the deadline clock never charges
+queueing time.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -89,7 +90,7 @@ from repro.obs import (
     reset_ambient,
     use_obs,
 )
-from repro.resilience.budget import BudgetSpec
+from repro.resilience.budget import ExecutionBudget
 from repro.resilience.faultinject import (
     BatchFaultPlan,
     InjectedWorkerCrash,
@@ -160,14 +161,15 @@ class BatchTask:
     """One unit of batch work.
 
     ``kind`` selects the runner (see :mod:`repro.batch.tasks`);
-    ``payload`` is its JSON-able argument dict; ``budget`` optionally
-    bounds the task (materialised in the worker at task start).
+    ``payload`` is its JSON-able argument dict; ``deadline_seconds``
+    optionally bounds the task's derivations in wall-clock time, the
+    clock starting in the worker as the task does.
     """
 
     id: str
     kind: str
     payload: dict[str, Any] = field(default_factory=dict)
-    budget: BudgetSpec | None = None
+    deadline_seconds: float | None = None
 
 
 @dataclass
@@ -255,7 +257,7 @@ def execute_task(
     This is the single execution path shared by inline (``jobs=1``) and
     pooled runs: fresh tracer/metrics/events installed for the duration
     of the task (profiled as ``profile`` asks), the task's budget
-    materialised here (worker-side), and failures captured into the
+    built here (worker-side), and failures captured into the
     result so one poisoned task degrades itself only.  The capture is deliberate about *which* failures
     degrade gracefully:
 
@@ -277,7 +279,8 @@ def execute_task(
     from repro.batch.tasks import run_task
 
     plan = get_batch_faults()
-    budget = task.budget.materialise() if task.budget is not None else None
+    budget = (None if task.deadline_seconds is None
+              else ExecutionBudget.of(deadline_seconds=task.deadline_seconds))
     measures: dict[str, Any] = {}
     error: str | None = None
     error_context: dict[str, Any] = {}
@@ -520,7 +523,7 @@ class BatchEngine:
     ``jobs=1`` runs inline (no pool); ``jobs>1`` uses a process pool
     whose workers are initialised with a clean ambient slate and their
     own :class:`~repro.batch.cache.DerivationCache` over the shared
-    ``cache_dir`` (bounded by ``cache_max_bytes``).  ``default_budget``
+    ``cache_dir`` (bounded by ``cache_max_bytes``).  ``deadline_seconds``
     applies to tasks without one; ``retry`` governs supervision;
     ``journal`` enables checkpointing; ``faults`` installs a chaos plan
     (engine-wide and in every worker); ``profile`` is passed to every
@@ -532,7 +535,7 @@ class BatchEngine:
         *,
         jobs: int = 1,
         cache_dir: str | os.PathLike | None = None,
-        default_budget: BudgetSpec | None = None,
+        deadline_seconds: float | None = None,
         mp_start: str | None = None,
         retry: RetryPolicy | None = None,
         journal: str | os.PathLike | None = None,
@@ -544,7 +547,7 @@ class BatchEngine:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.default_budget = default_budget
+        self.deadline_seconds = deadline_seconds
         self.mp_start = mp_start
         self.retry = retry if retry is not None else RetryPolicy()
         self.journal_path = str(journal) if journal is not None else None
@@ -559,12 +562,11 @@ class BatchEngine:
         return multiprocessing.get_context(method)
 
     def _with_budgets(self, tasks: Sequence[BatchTask]) -> list[BatchTask]:
-        if self.default_budget is None:
+        if self.deadline_seconds is None:
             return list(tasks)
         return [
-            task if task.budget is not None
-            else BatchTask(id=task.id, kind=task.kind, payload=task.payload,
-                           budget=self.default_budget)
+            task if task.deadline_seconds is not None
+            else replace(task, deadline_seconds=self.deadline_seconds)
             for task in tasks
         ]
 
@@ -918,7 +920,7 @@ def run_batch(
     *,
     jobs: int = 1,
     cache_dir: str | os.PathLike | None = None,
-    default_budget: BudgetSpec | None = None,
+    deadline_seconds: float | None = None,
     retry: RetryPolicy | None = None,
     journal: str | os.PathLike | None = None,
     cache_max_bytes: int | None = None,
@@ -927,7 +929,7 @@ def run_batch(
 ) -> BatchReport:
     """One-call convenience over :class:`BatchEngine`."""
     engine = BatchEngine(
-        jobs=jobs, cache_dir=cache_dir, default_budget=default_budget,
+        jobs=jobs, cache_dir=cache_dir, deadline_seconds=deadline_seconds,
         retry=retry, journal=journal, cache_max_bytes=cache_max_bytes,
         faults=faults, profile=profile,
     )

@@ -17,7 +17,7 @@ File layout (schema ``repro-journal/1``)::
     ...
 
 The header embeds the *full serialised task list* — ids, kinds,
-payloads, budgets — so ``choreographer batch --resume JOURNAL`` needs
+payloads, deadlines — so ``choreographer batch --resume JOURNAL`` needs
 no other input: the journal alone reconstructs the run.  The
 ``fingerprint`` is :func:`repro.core.keys.stable_digest` over that
 task list, letting :meth:`BatchEngine.resume` refuse a journal that
@@ -46,7 +46,6 @@ from pathlib import Path
 from typing import Any, Iterable
 
 from repro.core.keys import stable_digest
-from repro.resilience.budget import BudgetSpec
 
 __all__ = ["JOURNAL_SCHEMA", "RunJournal", "task_to_dict", "task_from_dict",
            "result_to_dict", "result_from_dict"]
@@ -62,29 +61,27 @@ def task_to_dict(task) -> dict[str, Any]:
     document: dict[str, Any] = {
         "id": task.id, "kind": task.kind, "payload": task.payload,
     }
-    if task.budget is not None:
-        document["budget"] = {
-            "deadline_seconds": task.budget.deadline_seconds,
-            "max_states": task.budget.max_states,
-            "check_every": task.budget.check_every,
-        }
+    if task.deadline_seconds is not None:
+        document["deadline_seconds"] = task.deadline_seconds
     return document
 
 
 def task_from_dict(document: dict[str, Any]):
-    """Rebuild a :class:`~repro.batch.engine.BatchTask` from its journal form."""
+    """Rebuild a :class:`~repro.batch.engine.BatchTask` from its journal form.
+
+    Older journals carry a task's deadline inside a ``budget`` dict,
+    next to a state limit and a clock-read interval that no longer
+    exist; only its ``deadline_seconds`` is read.
+    """
     from repro.batch.engine import BatchTask
 
-    budget = document.get("budget")
+    deadline = document.get("deadline_seconds",
+                            (document.get("budget") or {}).get("deadline_seconds"))
     return BatchTask(
         id=document["id"],
         kind=document["kind"],
         payload=document.get("payload", {}),
-        budget=BudgetSpec(
-            deadline_seconds=budget.get("deadline_seconds"),
-            max_states=budget.get("max_states"),
-            check_every=budget.get("check_every", 64),
-        ) if budget is not None else None,
+        deadline_seconds=deadline,
     )
 
 
@@ -131,7 +128,7 @@ def result_from_dict(document: dict[str, Any]):
 
 
 def tasks_fingerprint(tasks: Iterable) -> str:
-    """A stable digest over a task list (order-sensitive, budget-inclusive)."""
+    """A stable digest over a task list (order-sensitive, deadline-inclusive)."""
     return stable_digest({"tasks": [task_to_dict(task) for task in tasks]})
 
 

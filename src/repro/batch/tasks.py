@@ -1,7 +1,7 @@
 """Task runners: what each :class:`~repro.batch.engine.BatchTask` kind does.
 
 Every runner takes the task's JSON-able ``payload`` plus the
-worker-materialised :class:`~repro.resilience.budget.ExecutionBudget`
+task's :class:`~repro.resilience.budget.ExecutionBudget`, built in the worker,
 and returns a JSON-able *measures* dict.  Measures must be functions of
 the payload alone — no clocks, no pids, no paths — because the batch
 contract compares them byte-for-byte between serial and parallel runs.

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_solver_flag(cmd)
         cmd.add_argument(
             "--deadline", type=float, metavar="SECONDS",
-            help="cooperative wall-clock budget for derivation and solving")
+            help="cooperative wall-clock budget for derivation")
         cmd.add_argument(
             "-v", "--verbose", action="store_true",
             help="print the solver attempt table (SolveDiagnostics)")
@@ -684,7 +684,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     from repro.batch.engine import RetryPolicy
     from repro.batch.journal import tasks_fingerprint
     from repro.obs import RunLedger, build_run_document
-    from repro.resilience.budget import BudgetSpec
     from repro.resilience.faultinject import BatchFaultPlan
 
     created_unix = time.time()
@@ -711,9 +710,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     engine = BatchEngine(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
-        default_budget=(
-            BudgetSpec(deadline_seconds=args.deadline) if args.deadline else None
-        ),
+        deadline_seconds=args.deadline,
         retry=RetryPolicy(retries=args.retries, task_timeout=args.task_timeout),
         journal=args.journal,
         cache_max_bytes=args.cache_max_bytes,

@@ -10,10 +10,11 @@ concern through the helpers at the bottom of this module:
   :class:`~repro.exceptions.StateSpaceError` with a per-formalism
   message before memory blows up;
 * a cooperative :class:`~repro.resilience.budget.ExecutionBudget`
-  checkpoint once per expanded state;
+  checkpoint once per expanded state, or once per level;
 * a tracer span around the whole search, ``explore.progress`` events
-  every :data:`PROGRESS_INTERVAL` discovered states, and the
-  ``states_explored`` / ``transitions`` metrics counters.
+  as the discovered states pass each multiple of
+  :data:`PROGRESS_INTERVAL`, and the ``states_explored`` /
+  ``transitions`` metrics counters.
 
 :func:`explore_lts` expands one state at a time through a Python
 successor function over hashable states.  It serves every formalism
@@ -29,11 +30,11 @@ A state is a row of integers, a level is a matrix, and the caller's
 equation of :mod:`repro.pepa.compiled`).  Targets are deduplicated with
 whole-row keys (a stable sort plus ``searchsorted`` against the sorted
 known rows), and new states are numbered in order of first appearance,
-so states, arcs, action codes, ceiling, budget checkpoints and progress
-events are exactly those of :func:`explore_lts` on the same successors.
-A per-state walk costs microseconds of Python per arc; a level costs
-over a hundred numpy calls, whatever its width, plus well under a
-microsecond per arc.  That is what lets exact derivation reach tens of
+so states, arcs, action codes, ceiling and first error are exactly those
+of :func:`explore_lts` on the same successors; the budget and the
+progress events see the search a level at a time.  A per-state walk
+costs microseconds of Python per arc; a level costs over a hundred
+numpy calls, whatever its width, plus well under a microsecond per arc.  That is what lets exact derivation reach tens of
 thousands of states, and why a narrow, deep search is slower this way.
 
 Both loops write no object per arc: arcs land in four flat arrays, which
@@ -76,10 +77,11 @@ __all__ = [
 #: (hundreds of states) while catching accidental explosions quickly.
 DEFAULT_MAX_STATES = 1_000_000
 
-#: How many newly discovered states between ``explore.progress`` events.
-#: Small enough to show life on a slow derivation, large enough to stay
-#: off the BFS hot path; tests shrink it via monkeypatching (both loops
-#: read it at call time).
+#: How many newly discovered states between ``explore.progress`` events
+#: (:func:`explore_levels` emits at most one per level).  Small enough
+#: to show life on a slow derivation, large enough to stay off the BFS
+#: hot path; tests shrink it via monkeypatching (both loops read it at
+#: call time).
 PROGRESS_INTERVAL = 1_000
 
 #: A successor function: state -> iterable of (action, rate, target).
@@ -257,10 +259,17 @@ def explore_levels(
     the returned :class:`~repro.core.lts.Lts` holds the states as one
     ``int32`` matrix, arcs in generation order, action codes in order of
     first appearance; the ceiling raises at the same arc with the same
-    span attributes; ``budget`` is checkpointed once per expanded state
-    with the same ``explored``/``frontier``; the same
-    ``explore.progress`` events fire.  The span adds ``levels`` (how
-    many frontiers were expanded) and ``max_frontier`` (the widest).
+    span attributes, and the same state's error is raised.  The span
+    adds ``levels`` (how many frontiers were expanded) and
+    ``max_frontier`` (the widest).
+
+    ``budget`` is checkpointed once per level, before its expansion,
+    with ``explored`` the states found so far and ``frontier`` the
+    level's width, so a deadline is overrun by one level at most.  An
+    ``explore.progress`` event follows each completed level after which
+    the states found so far have passed a multiple of
+    :data:`PROGRESS_INTERVAL`, with ``frontier`` the next level's width;
+    the search ends with one more, ``frontier`` 0.
     """
     interval = PROGRESS_INTERVAL
     events = get_events()
@@ -296,6 +305,8 @@ def explore_levels(
     with _span(stage, None, max_states) as sp:
         while len(frontier):
             k = len(frontier)
+            if budget is not None:
+                budget.checkpoint(stage=budget_stage, explored=n, frontier=k)
             levels += 1
             max_frontier = max(max_frontier, k)
             level = root() if root is not None and first_row == 0 else expand(frontier)
@@ -312,27 +323,18 @@ def explore_levels(
             fresh_arc = first[fresh]                    # the arc discovering it
             fresh_src = level.source[fresh_arc]         # nondecreasing
 
-            # Where the per-state search would stop in this level.
+            # Whichever the per-state search would meet first: the row
+            # that fails, or the row that finds one state too many.
             room = max(max_states - n, 0)   # new states before the ceiling
-            stop = int(fresh_src[room]) if len(fresh) > room else -1
-            if level.failed >= 0 and (stop < 0 or level.failed <= stop):
-                stop = level.failed
-                ceiling = False
-                committed = int(np.searchsorted(fresh_src, stop))
-            else:
-                ceiling = stop >= 0
-                committed = room if ceiling else len(fresh)
-            last = k - 1 if stop < 0 else stop
-            if budget is not None or events.enabled:
-                _replay(budget, budget_stage, events, stage, start, interval,
-                        first_row, n, fresh_src[:committed], last)
-            if ceiling:
-                _overflow(sp, stage, "states", max_states, n + committed,
-                          n_arcs + int(fresh_arc[committed]), overflow)
-            if stop >= 0:
-                fail(first_row + stop, frontier[stop])
-                raise AssertionError(f"{stage}: state {first_row + stop} was flagged "
+            full = int(fresh_src[room]) if len(fresh) > room else -1
+            bad = level.failed
+            if bad >= 0 and (full < 0 or bad <= full):
+                fail(first_row + bad, frontier[bad])
+                raise AssertionError(f"{stage}: state {first_row + bad} was flagged "
                                      "as failing but derived cleanly")
+            if full >= 0:
+                _overflow(sp, stage, "states", max_states, n + room,
+                          n_arcs + int(fresh_arc[room]), overflow)
 
             sources.append(level.source + first_row)
             targets.append(ids[inverse])
@@ -352,6 +354,8 @@ def explore_levels(
             blocks.append(frontier)
             first_row = n
             n += len(fresh)
+            if events.enabled and n // interval > first_row // interval:
+                emit_progress(events, stage, n, len(fresh), start)
 
         # Recode the actions in order of first appearance.
         action = _joined(codes, np.int64)
@@ -398,36 +402,6 @@ def _finish(sp, events, stage: str, start: float, count_key: str, n_states: int,
     metrics = get_metrics()
     metrics.counter("states_explored").inc(n_states)
     metrics.counter("transitions").inc(n_arcs)
-
-
-def _replay(budget, budget_stage: str, events, stage: str, start: float,
-            interval: int, first_row: int, n: int, fresh_src: np.ndarray,
-            last: int) -> None:
-    """The budget checkpoints and progress events a per-state search
-    makes while expanding this level's rows ``0 .. last``.
-
-    Row ``i`` is checkpointed with the states known when it is reached,
-    ``n`` plus those first found by earlier rows; the new state numbered
-    ``t`` is announced after its discovering row's checkpoint, with the
-    queue behind that row as its frontier."""
-    announce = []
-    if events.enabled:
-        t0 = -(-n // interval) * interval
-        announce = [(int(fresh_src[t - n]), t)
-                    for t in range(t0, n + len(fresh_src), interval)]
-    if budget is None:
-        for src, t in announce:
-            emit_progress(events, stage, t + 1, t - first_row - src, start)
-        return
-    known = (n + np.searchsorted(fresh_src, np.arange(last + 1))).tolist()
-    j = 0
-    for i, explored in enumerate(known):
-        budget.checkpoint(stage=budget_stage, explored=explored,
-                          frontier=explored - first_row - i - 1)
-        while j < len(announce) and announce[j][0] == i:
-            t = announce[j][1]
-            emit_progress(events, stage, t + 1, t - first_row - i, start)
-            j += 1
 
 
 def _distinct(keys: np.ndarray):

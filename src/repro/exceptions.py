@@ -78,8 +78,8 @@ class SolverError(ReproError):
 
 
 class BudgetExceededError(ReproError):
-    """Raised when a cooperative execution budget (wall-clock deadline or
-    state count) is exhausted mid-derivation.
+    """Raised when a cooperative execution budget (a wall-clock
+    deadline) is exhausted mid-derivation.
 
     Unlike a bare timeout, the error carries a resumable summary of how
     far the work got: the stage name, the number of states explored, the

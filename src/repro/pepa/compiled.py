@@ -502,13 +502,9 @@ class _Hiding:
         return self._relabel
 
     def arcs(self, sweep: _Sweep):
-        tau = self.kernel.tau
         arcs, rates = self.child.arcs(sweep)
         arcs = arcs.copy()
         arcs[:, _ACTION] = self._relabelling()[arcs[:, _ACTION]]
-        if self.kernel.drop_tau:
-            keep = arcs[:, _ACTION] != tau
-            arcs, rates = arcs[keep], rates[keep]
         return arcs, rates
 
     def apparent(self, sweep: _Sweep, rows, codes):
@@ -615,8 +611,6 @@ class LevelKernel:
 
     def __init__(self, expr: Expression, table: LeafTable):
         self.table = table
-        #: Whether hidden activities are held back too (``tau`` excluded).
-        self.drop_tau = TAU in table.exclude
         self.names: list[str] = []
         self._codes: dict[str, int] = {}
         self.tau = self.code(TAU)

@@ -64,15 +64,12 @@ def explore(
     env: Environment,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    exclude: frozenset[str] = frozenset(),
     budget: "ExecutionBudget | None" = None,
 ) -> StateSpace:
     """Breadth-first derivation of the reachable state space.
 
-    ``exclude`` suppresses the given action types (used by the PEPA-net
-    layer to keep firings out of local derivation).  ``budget`` adds a
-    cooperative wall-clock/state-count guard checked once per explored
-    state; when it runs out a
+    ``budget`` adds a cooperative wall-clock guard checked once per
+    breadth-first level; when it runs out a
     :class:`~repro.exceptions.BudgetExceededError` carrying the partial
     frontier size and a resumable summary is raised instead of the
     search silently grinding on.
@@ -81,18 +78,18 @@ def explore(
     row of leaf ids of the system equation, and each breadth-first level
     is expanded by numpy over the whole frontier.  The arcs land in flat
     arrays; the states are rendered back to expressions only when
-    something reads them.  States, arcs, errors, ceiling, budget
-    checkpoints and progress events equal :func:`explore_reference`'s.
+    something reads them.  States, arcs, errors and ceiling equal
+    :func:`explore_reference`'s.
     A constant naming the system's structure (``Sys = P <a> R; Sys``)
     is state 0 of its own, derived by the reference semantics.
     """
     body = expansion(initial, env)
-    kernel = LevelKernel(body, LeafTable(env, exclude))
+    kernel = LevelKernel(body, LeafTable(env))
     opaque = body is not initial
 
     def root() -> Level:
         try:
-            arcs = _successors(initial, env, exclude)
+            arcs = _successors(initial, env)
         except ReproError:
             return Level(np.zeros(0, dtype=np.int64),
                          np.zeros((0, kernel.width), dtype=np.int32),
@@ -106,8 +103,7 @@ def explore(
         )
 
     def fail(index: int, row) -> None:
-        _successors(initial if opaque and index == 0 else kernel.render(row.tolist()),
-                    env, exclude)
+        _successors(initial if opaque and index == 0 else kernel.render(row.tolist()), env)
 
     def render(rows) -> list[Expression]:
         rows = rows.tolist()
@@ -128,14 +124,14 @@ def explore_reference(
     env: Environment,
     *,
     max_states: int = DEFAULT_MAX_STATES,
-    exclude: frozenset[str] = frozenset(),
     budget: "ExecutionBudget | None" = None,
 ) -> StateSpace:
     """:func:`explore` straight over the term-level semantics
     (:func:`~repro.pepa.semantics.derivatives`, one term tree per
-    state): the oracle the compiled search is checked against."""
+    state), checking ``budget`` once per state: the oracle the compiled
+    search is checked against."""
 
-    lts = explore_lts(initial, lambda state: _successors(state, env, exclude),
+    lts = explore_lts(initial, lambda state: _successors(state, env),
                       **_explore_options(max_states, budget))
     return StateSpace(lts.states, lts.arc_arrays, index=lts.index)
 
@@ -150,11 +146,10 @@ def _explore_options(max_states: int, budget: "ExecutionBudget | None") -> dict:
     }
 
 
-def _successors(state: Expression, env: Environment,
-                exclude: frozenset[str]) -> list[tuple[str, float, Expression]]:
+def _successors(state: Expression, env: Environment) -> list[tuple[str, float, Expression]]:
     """The arcs of one state by the term-level semantics."""
     out = []
-    for tr in derivatives(state, env, exclude=exclude):
+    for tr in derivatives(state, env):
         if tr.rate.is_passive():
             raise WellFormednessError(
                 f"activity ({tr.action}, {tr.rate}) of state {state} is passive at "

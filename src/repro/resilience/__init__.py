@@ -9,8 +9,8 @@ machinery that keeps one failure from taking the whole run down:
   methods, each tried once in turn, and a structured
   :class:`~repro.resilience.fallback.SolveDiagnostics` record of every
   attempt;
-* :mod:`repro.resilience.budget` — cooperative wall-clock/state-count
-  budgets threaded through state-space derivation, raising a resumable
+* :mod:`repro.resilience.budget` — the cooperative wall-clock budget
+  threaded through state-space derivation, raising a resumable
   :class:`~repro.exceptions.BudgetExceededError` instead of dying deep
   in a loop;
 * :mod:`repro.resilience.faultinject` — deterministic fault injection
@@ -24,7 +24,7 @@ machinery that keeps one failure from taking the whole run down:
 """
 
 from repro.exceptions import BudgetExceededError
-from repro.resilience.budget import BudgetSpec, Deadline, ExecutionBudget
+from repro.resilience.budget import ExecutionBudget
 from repro.resilience.fallback import (
     AttemptRecord,
     FallbackPolicy,
@@ -48,8 +48,6 @@ __all__ = [
     "BatchFault",
     "BatchFaultPlan",
     "BudgetExceededError",
-    "BudgetSpec",
-    "Deadline",
     "ExecutionBudget",
     "FallbackPolicy",
     "FaultInjector",

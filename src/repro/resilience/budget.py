@@ -1,156 +1,74 @@
-"""Cooperative execution budgets for long-running derivations.
+"""The cooperative wall-clock budget of a derivation.
 
 State-space exploration is the part of the tool chain that can run away
 — the paper is explicit that susceptibility to state-space explosion is
-the price of exact numerical solution.  The existing ``max_states``
-bound catches size blow-ups; a :class:`Deadline` adds the wall-clock
-dimension, and an :class:`ExecutionBudget` bundles both behind a single
-cooperative ``checkpoint()`` call that exploration loops invoke
-periodically.  When a budget runs out the loop raises
-:class:`~repro.exceptions.BudgetExceededError` carrying a resumable
-summary (stage, states explored, frontier size, elapsed time) instead
-of dying silently deep in the search.
+the price of exact numerical solution.  Each search's own ``max_states``
+ceiling catches size blow-ups; an :class:`ExecutionBudget` adds the
+wall-clock dimension behind a single cooperative ``checkpoint()`` call
+that exploration loops invoke as they go (once per state in
+:func:`~repro.core.explore.explore_lts`, once per breadth-first level in
+:func:`~repro.core.explore.explore_levels`).  When it runs out the loop
+raises :class:`~repro.exceptions.BudgetExceededError` carrying a
+resumable summary (stage, states explored, frontier size, elapsed time)
+instead of dying silently deep in the search.
 
 Budgets are *cooperative*: they are only enforced at checkpoint calls,
-never by pre-empting running code, so a single long numerical kernel
-can still overrun its deadline by the length of that one call.
+never by pre-empting running code, so a search can overrun its deadline
+by the time between two checkpoints, and a solve is not bounded at all.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from repro.exceptions import BudgetExceededError
 
-__all__ = ["BudgetSpec", "Deadline", "ExecutionBudget"]
+__all__ = ["ExecutionBudget"]
 
 
-class Deadline:
-    """A wall-clock deadline measured against :func:`time.monotonic`.
+class ExecutionBudget:
+    """A wall-clock deadline, ``deadline_seconds`` from when it was built
+    (``math.inf`` never expires), checked cooperatively during search.
 
-    Construct with :meth:`after` (relative seconds) or ``Deadline(None)``
-    for an unbounded deadline that never expires.
+    Its clock starts at construction, so a batch task builds its budget
+    in the worker as it starts, never charging queueing time.
     """
 
-    def __init__(self, seconds: float | None):
-        self.seconds = seconds
+    __slots__ = ("deadline_seconds", "_start", "_expiry")
+
+    def __init__(self, deadline_seconds: float):
+        self.deadline_seconds = deadline_seconds
         self._start = time.monotonic()
+        self._expiry = self._start + deadline_seconds
 
     @classmethod
-    def after(cls, seconds: float | None) -> "Deadline":
-        """A deadline expiring ``seconds`` from now (``None`` = never)."""
-        return cls(seconds)
+    def of(cls, *, deadline_seconds: float) -> "ExecutionBudget":
+        """A budget expiring ``deadline_seconds`` from now."""
+        return cls(deadline_seconds)
 
     def elapsed(self) -> float:
-        """Seconds since the deadline was created."""
+        """Seconds since the budget was built."""
         return time.monotonic() - self._start
 
-    def remaining(self) -> float:
-        """Seconds left before expiry (``inf`` for unbounded deadlines)."""
-        if self.seconds is None:
-            return float("inf")
-        return self.seconds - self.elapsed()
-
-    @property
-    def expired(self) -> bool:
-        """True once the deadline has passed."""
-        return self.remaining() <= 0.0
-
-    def __repr__(self) -> str:
-        if self.seconds is None:
-            return "Deadline(unbounded)"
-        return f"Deadline({self.seconds:g}s, {max(self.remaining(), 0.0):.3f}s left)"
-
-
-@dataclass(frozen=True)
-class BudgetSpec:
-    """A *description* of an execution budget, safe to pickle and ship.
-
-    A live :class:`ExecutionBudget` embeds a :class:`Deadline` whose
-    clock started in the process that built it — shipping one to a
-    batch worker would charge the worker for queueing time it never
-    controlled.  A spec carries only the numbers; each worker calls
-    :meth:`materialise` as it *starts* the task, so the deadline clock
-    begins at task start in the worker, which is the per-task budget
-    semantics :mod:`repro.batch.engine` promises.
-    """
-
-    deadline_seconds: float | None = None
-    max_states: int | None = None
-    check_every: int = 64
-
-    @property
-    def unlimited(self) -> bool:
-        """True when the spec imposes no limit at all."""
-        return self.deadline_seconds is None and self.max_states is None
-
-    def materialise(self) -> "ExecutionBudget | None":
-        """A fresh budget whose clock starts now (``None`` if unlimited)."""
-        if self.unlimited:
-            return None
-        return ExecutionBudget.of(
-            deadline_seconds=self.deadline_seconds,
-            max_states=self.max_states,
-            check_every=self.check_every,
-        )
-
-
-@dataclass
-class ExecutionBudget:
-    """Time and state-count limits checked cooperatively during search.
-
-    ``deadline`` bounds wall-clock time; ``max_states`` bounds the
-    number of explored states (on top of — and independent from — an
-    exploration's own ``max_states`` argument).  ``check_every``
-    rate-limits the clock reads: only every Nth :meth:`checkpoint` call
-    actually consults the deadline, so the guard adds negligible cost to
-    tight loops while still bounding overrun to ``check_every``
-    iterations.
-    """
-
-    deadline: Deadline | None = None
-    max_states: int | None = None
-    check_every: int = 64
-    _ticks: int = field(default=0, repr=False)
-
-    @classmethod
-    def of(cls, *, deadline_seconds: float | None = None,
-           max_states: int | None = None, check_every: int = 64) -> "ExecutionBudget":
-        """Build a budget from plain numbers (``None`` = unlimited)."""
-        deadline = Deadline.after(deadline_seconds) if deadline_seconds is not None else None
-        return cls(deadline=deadline, max_states=max_states, check_every=check_every)
-
     def checkpoint(self, *, stage: str, explored: int, frontier: int = 0) -> None:
-        """Raise :class:`BudgetExceededError` if any limit is exhausted.
+        """Raise :class:`BudgetExceededError` once the deadline has passed.
 
         ``explored``/``frontier`` describe current progress and are
         embedded in the error so the caller can report (or resume) the
-        partial work.  The state-count limit is checked on every call;
-        the clock only every ``check_every`` calls.
+        partial work.
         """
-        if self.max_states is not None and explored > self.max_states:
-            raise BudgetExceededError(
-                f"{stage}: explored {explored} states, over the budget of "
-                f"{self.max_states}",
-                stage=stage, explored=explored, frontier=frontier,
-                elapsed=self.deadline.elapsed() if self.deadline else None,
-                limit=f"max_states={self.max_states}",
-            )
-        if self.deadline is None:
+        now = time.monotonic()
+        if now < self._expiry:
             return
-        self._ticks += 1
-        # Always consult the clock on the very first checkpoint (small
-        # explorations would otherwise never see the deadline), then
-        # only every ``check_every`` calls.
-        if (self._ticks - 1) % self.check_every:
-            return
-        if self.deadline.expired:
-            raise BudgetExceededError(
-                f"{stage}: wall-clock budget of {self.deadline.seconds:g}s "
-                f"exhausted after {explored} states "
-                f"({frontier} still on the frontier)",
-                stage=stage, explored=explored, frontier=frontier,
-                elapsed=self.deadline.elapsed(),
-                limit=f"deadline={self.deadline.seconds:g}s",
-            )
+        raise BudgetExceededError(
+            f"{stage}: wall-clock budget of {self.deadline_seconds:g}s "
+            f"exhausted after {explored} states "
+            f"({frontier} still on the frontier)",
+            stage=stage, explored=explored, frontier=frontier,
+            elapsed=now - self._start,
+            limit=f"deadline={self.deadline_seconds:g}s",
+        )
+
+    def __repr__(self) -> str:
+        left = max(self._expiry - time.monotonic(), 0.0)
+        return f"ExecutionBudget({self.deadline_seconds:g}s, {left:.3f}s left)"

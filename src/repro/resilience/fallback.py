@@ -5,9 +5,8 @@ A production service cannot abort a whole request because ``gmres``
 returned ``info != 0`` — numerical back ends are fallible,
 interchangeable components behind a uniform interface (Ding & Hillston,
 arXiv:1012.3040).  :func:`run_chain` is that interface's loop: it runs
-each method of a :class:`FallbackPolicy` once, in order, stops at a
-cooperative wall-clock deadline, records every attempt in a
-:class:`SolveDiagnostics`, and accepts a candidate only if its residual
+each method of a :class:`FallbackPolicy` once, in order, records every
+attempt in a :class:`SolveDiagnostics`, and accepts a candidate only if its residual
 passes a scale-aware bound — so a method that silently stagnated cannot
 hand back a wrong answer.  A residual can still be small on a wrong
 answer when the chain mixes slowly, so an optional certificate judges
@@ -39,7 +38,6 @@ from repro.ctmc.chain import CTMC
 from repro.ctmc.steady import SOLVERS, _irreducibility_failure, _normalise, error_bound
 from repro.exceptions import SolverError
 from repro.obs import get_metrics, get_tracer
-from repro.resilience.budget import Deadline
 from repro.utils.formatting import format_table
 
 __all__ = [
@@ -73,8 +71,6 @@ class FallbackPolicy:
 
     ``methods`` are tried left to right, once each; ``None`` (the
     default) means the size-ordered chain of :meth:`methods_for`.
-    ``deadline`` bounds the whole chain in wall-clock seconds
-    (cooperatively — a running scipy kernel is never pre-empted).
     A candidate answer is rejected unless its residual ``‖πQ‖∞`` is
     below ``residual_tol`` scaled by the chain's largest exit rate, and
     an iterative one also unless its certified L1 error bound is at
@@ -82,7 +78,6 @@ class FallbackPolicy:
     """
 
     methods: tuple[str, ...] | None = None
-    deadline: float | None = None
     tol: float = 1e-12
     max_iterations: int = 200_000
     residual_tol: float = 1e-6
@@ -109,7 +104,7 @@ class FallbackPolicy:
     def parse(cls, spec: "str | Sequence[str]", **overrides) -> "FallbackPolicy":
         """Build a policy from a comma-separated method list.
 
-        ``FallbackPolicy.parse("direct,gmres,jacobi", deadline=30.0)``
+        ``FallbackPolicy.parse("direct,gmres,jacobi", max_iterations=5000)``
         is the CLI's ``--solver`` syntax; remaining fields come from
         ``overrides`` or the defaults.
         """
@@ -171,9 +166,8 @@ class AttemptRecord:
     ``outcome`` is one of ``"converged"``, ``"failed"`` (a
     :class:`SolverError`), ``"error"`` (an unexpected exception),
     ``"bad-residual"`` (converged but failed the ``‖πQ‖∞`` sanity
-    check), ``"uncertified"`` (passed the residual check, but its
-    certified error bound did not) or ``"deadline"`` (skipped, budget
-    exhausted).
+    check) or ``"uncertified"`` (passed the residual check, but its
+    certified error bound did not).
     """
 
     method: str
@@ -337,25 +331,16 @@ def run_chain(
 
     Returns ``(candidate, diagnostics)``.  Raises :class:`SolverError`
     with ``exc.diagnostics`` attached, ``stage`` in its context, when
-    every attempt failed or the policy's deadline ran out.
+    every attempt failed.
     """
     methods = policy.methods_for(n_states)
     span.set(methods=",".join(methods))
     diag = SolveDiagnostics(n_states=n_states)
-    deadline = Deadline.after(policy.deadline)
     start = time.monotonic()
     tracer = get_tracer()
     uncertified = None
     try:
         for method in methods:
-            if deadline.expired:
-                diag.record(
-                    method, "deadline", 0.0,
-                    detail=f"skipped: {policy.deadline:g}s budget exhausted",
-                )
-                raise _chain_failure(
-                    f"steady-state deadline of {policy.deadline:g}s exhausted "
-                    f"after {len(diag.attempts)} attempt(s)", diag, stage)
             info: dict = {}
             res = cert = None
             t0 = time.monotonic()
@@ -468,7 +453,7 @@ def solve_with_fallback(
 
     Raises :class:`SolverError` — with the full :class:`SolveDiagnostics`
     attached as ``exc.diagnostics`` — when every method of the policy
-    has been exhausted or the deadline ran out.
+    has been exhausted.
     """
     policy = FallbackPolicy.of(policy)
     registry = SOLVERS if solvers is None else solvers

@@ -30,7 +30,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from repro.exceptions import BudgetExceededError, ReproError
-from repro.resilience.budget import BudgetSpec, ExecutionBudget
+from repro.resilience.budget import ExecutionBudget
 from repro.scenarios.generator import (
     GeneratorParams,
     ScenarioSpec,
@@ -407,7 +407,7 @@ def run_sweep(seeds: Sequence[int] | Iterable[int], *,
     """Run the differential oracle over many seeds.
 
     ``deadline`` bounds the whole sweep with one cooperative
-    :class:`~repro.resilience.budget.BudgetSpec` — exceeding it stops
+    :class:`~repro.resilience.budget.ExecutionBudget` — exceeding it stops
     the sweep gracefully with ``budget_exhausted`` set and
     ``exhausted_seed`` naming the seed in flight, it never fails seeds
     that were not reached.  With ``out_dir`` set, every divergent
@@ -416,7 +416,7 @@ def run_sweep(seeds: Sequence[int] | Iterable[int], *,
     """
     seeds = list(seeds)
     report = SweepReport(requested=len(seeds))
-    budget = BudgetSpec(deadline_seconds=deadline).materialise() if deadline else None
+    budget = None if deadline is None else ExecutionBudget.of(deadline_seconds=deadline)
     for seed in seeds:
         try:
             result = compare_seed(seed, params=params, solver=solver,

@@ -53,9 +53,12 @@ def split_layout(root: ET.Element) -> dict[str, ET.Element]:
     """The 'Poseidon preprocessor' box on a parsed document: return its
     layout blocks, keyed by the element id they decorate, then strip
     every Poseidon-specific element in place so the tree conforms to the
-    pure UML metamodel."""
+    pure UML metamodel.
+
+    Only the ``Poseidon:Diagrams`` outside any other Poseidon element are
+    read: a ``Diagrams`` nested in a layout block travels inside it."""
     layout: dict[str, ET.Element] = {}
-    for diagrams in root.iter(f"{{{NS_POSEIDON}}}Diagrams"):
+    for diagrams in _outer_diagrams(root):
         for block in diagrams:
             idref = block.get("xmi.idref")
             if idref is None:
@@ -63,6 +66,16 @@ def split_layout(root: ET.Element) -> dict[str, ET.Element]:
             layout[idref] = block
     _strip(root)
     return layout
+
+
+def _outer_diagrams(element: ET.Element):
+    """The ``Poseidon:Diagrams`` below ``element`` that no other Poseidon
+    element encloses, in document order."""
+    for child in element:
+        if child.tag == f"{{{NS_POSEIDON}}}Diagrams":
+            yield child
+        elif not _is_poseidon(child):
+            yield from _outer_diagrams(child)
 
 
 def _strip(element: ET.Element) -> None:

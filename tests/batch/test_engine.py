@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.batch import BatchEngine, BatchTask, run_batch
-from repro.resilience.budget import BudgetSpec
 
 SRC = """
 r = 2.0;
@@ -77,20 +76,19 @@ def test_jobs_must_be_positive():
 
 
 def test_default_budget_applies_to_budgetless_tasks():
-    spec = BudgetSpec(max_states=1)
     report = run_batch(
         [BatchTask(id="model", kind="pepa", payload={"source": SRC})],
-        default_budget=spec,
+        deadline_seconds=0.0,
     )
     assert not report.ok
     assert "Budget" in report.results[0].error
 
 
 def test_task_budget_overrides_default():
-    roomy = BudgetSpec(max_states=10_000)
     report = run_batch(
-        [BatchTask(id="model", kind="pepa", payload={"source": SRC}, budget=roomy)],
-        default_budget=BudgetSpec(max_states=1),
+        [BatchTask(id="model", kind="pepa", payload={"source": SRC},
+                   deadline_seconds=300.0)],
+        deadline_seconds=0.0,
     )
     assert report.ok
 

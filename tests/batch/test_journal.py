@@ -17,14 +17,13 @@ from repro.batch.journal import (
     task_to_dict,
     tasks_fingerprint,
 )
-from repro.resilience.budget import BudgetSpec
 
 
 def _tasks():
     return [
         BatchTask(id="a", kind="pepa", payload={"source": "P = (w, 1.0).P; P"}),
         BatchTask(id="b", kind="experiment", payload={"experiment": "E1"},
-                  budget=BudgetSpec(deadline_seconds=5.0, max_states=100)),
+                  deadline_seconds=5.0),
     ]
 
 
@@ -79,7 +78,7 @@ def test_create_append_load_round_trip(tmp_path):
     loaded = RunJournal.load(path)
     assert loaded.fingerprint == journal.fingerprint
     assert [t.id for t in loaded.tasks] == ["a", "b"]
-    assert loaded.tasks[1].budget == BudgetSpec(deadline_seconds=5.0, max_states=100)
+    assert loaded.tasks[1].deadline_seconds == 5.0
     assert set(loaded.results) == {"a", "b"}
     assert loaded.results["a"] == _result("a")
     assert loaded.incidents == [{"incident": "retry", "task": "b",

@@ -162,3 +162,28 @@ def test_resumed_incidents_accumulate_across_runs(tmp_path):
     assert resumed.ok
     assert len(resumed.incidents) == n_first + 1
     assert len(RunJournal.load(journal_path).incidents) == n_first + 1
+
+
+def test_journal_tasks_with_a_budget_dict_resume(tmp_path):
+    """Older journals carry each task's deadline inside a ``budget``
+    dict with a state limit and a clock-read interval; they still load,
+    keep the deadline, and resume to the same measures."""
+    tasks = [BatchTask(id=t.id, kind=t.kind, payload=t.payload, deadline_seconds=300.0)
+             for t in _tasks()]
+    journal_path = tmp_path / "run.journal"
+    first = BatchEngine(jobs=1, journal=journal_path, retry=FAST).run(tasks)
+
+    header, *records = journal_path.read_text().splitlines()
+    header = json.loads(header)
+    for task in header["tasks"]:
+        task["budget"] = {"deadline_seconds": task.pop("deadline_seconds"),
+                          "max_states": None, "check_every": 64}
+    journal_path.write_text("\n".join([json.dumps(header, sort_keys=True)]
+                                      + records[:-1]) + "\n")
+
+    loaded = RunJournal.load(journal_path)
+    assert [t.deadline_seconds for t in loaded.tasks] == [300.0] * len(tasks)
+    assert [t.id for t in loaded.pending()] == [tasks[-1].id]
+    resumed = BatchEngine(jobs=1, retry=FAST).resume(journal_path)
+    assert resumed.ok
+    assert resumed.measures_json() == first.measures_json()

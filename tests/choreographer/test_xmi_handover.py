@@ -55,9 +55,18 @@ def reference_preprocess(text):
     return ET.tostring(root, encoding="unicode", xml_declaration=True)
 
 
+def outer_diagrams(element):
+    """The ``Poseidon:Diagrams`` no other Poseidon element encloses."""
+    for child in element:
+        if child.tag == f"{{{NS_POSEIDON}}}Diagrams":
+            yield child
+        elif not child.tag.startswith(f"{{{NS_POSEIDON}}}"):
+            yield from outer_diagrams(child)
+
+
 def reference_layout(text):
     layout = {}
-    for diagrams in ET.fromstring(text).iter(f"{{{NS_POSEIDON}}}Diagrams"):
+    for diagrams in outer_diagrams(ET.fromstring(text)):
         for block in diagrams:
             idref = block.get("xmi.idref")
             if idref is None:
@@ -254,6 +263,16 @@ class TestSameBytesAsTextRoute:
         assert "gone." not in doc
         doc = platform.process_xmi(ADVERSARIAL["other_prefix"], RATES).document
         assert "not-poseidon" not in doc and "Poseidon:x=" in doc
+
+    def test_nested_diagrams_carried_once(self, platform):
+        """A ``Diagrams`` inside a layout block travels inside it, once;
+        its blocks do not displace the top-level block for their id."""
+        doc = platform.process_xmi(ADVERSARIAL["nested_and_duplicate_diagrams"],
+                                   RATES).document
+        assert doc.count('x="3"') == 1
+        assert doc.count('x="5"') == 1
+        nested = doc.index('x="2"')
+        assert nested < doc.index('x="3"') < doc.index("</Poseidon:NodeLayout>", nested)
 
 
 # ----------------------------------------------------------------------

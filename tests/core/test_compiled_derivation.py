@@ -25,11 +25,10 @@ from repro.pepa.environment import Environment, PepaModel
 from repro.pepa.parser import parse_model
 from repro.pepa.rates import ActiveRate, PassiveRate
 from repro.pepa.statespace import explore, explore_reference
-from repro.pepa.syntax import TAU, Cell, Const, Cooperation, Prefix
+from repro.pepa.syntax import Cell, Const, Cooperation, Prefix
 from repro.pepanets import parse_net
 from repro.pepanets.semantics import explore_net, explore_net_reference
 from repro.pepanets.syntax import NetTransitionSpec, PepaNet, PlaceDef
-from repro.resilience.budget import ExecutionBudget
 from repro.scenarios import GeneratorParams, generate_scenario
 from tests.core._equivalence import CASES, _builders
 
@@ -110,14 +109,16 @@ class TestHandCases:
         """))
 
     def test_hiding_and_exclusion(self):
-        model = parse_model("""
+        """Hiding, hiding again over the ``tau`` the first one made, and
+        an action held back by a partner that never offers it."""
+        defs = """
             P = (a, 1.0).Q + (c, 0.5).P; Q = (b, 2.0).P;
             R = (a, T).R2; R2 = (b, T).R;
-            (P <a, b> R)/{a}
-        """)
-        same_pepa(model)
-        same_pepa(model, exclude=frozenset({"c"}))
-        same_pepa(model, exclude=frozenset({TAU}))
+            Z = (z, 1.0).Z;
+        """
+        for system in ("(P <a, b> R)/{a}", "((P <a, b> R)/{a})/{b}",
+                       "((P <a, b> R)/{a}) <c> Z", "((P <a, b> R)/{a, c}) <c> Z"):
+            same_pepa(parse_model(defs + system))
 
     def test_wildcard_cooperation(self):
         model = parse_model("""
@@ -459,27 +460,6 @@ def test_ceiling_at_every_bound(name):
         assert (ours[0] is None) == (bound == size)
 
 
-def budget_outcome(run) -> tuple | None:
-    try:
-        run()
-    except ReproError as exc:
-        return (type(exc), str(exc), getattr(exc, "explored", None),
-                getattr(exc, "frontier", None))
-    return None
-
-
-@pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
-def test_state_budget_at_every_size(name):
-    model = LEVEL_MODELS[name]()
-    size = explore_reference(model.system, model.environment).size
-    for limit in range(0, size + 1):
-        ours = budget_outcome(lambda: explore(
-            model.system, model.environment, budget=ExecutionBudget.of(max_states=limit)))
-        theirs = budget_outcome(lambda: explore_reference(
-            model.system, model.environment, budget=ExecutionBudget.of(max_states=limit)))
-        assert ours == theirs, limit
-
-
 class CountingBudget:
     """Records every checkpoint; never runs out."""
 
@@ -490,24 +470,50 @@ class CountingBudget:
         self.calls.append(fields)
 
 
+def layer_widths(model: PepaModel) -> list[int]:
+    """How many states lie at each breadth-first distance from state 0,
+    read off the reference search's arcs."""
+    space = explore_reference(model.system, model.environment)
+    arcs = space.arc_arrays
+    depth = [0] + [-1] * (space.size - 1)
+    for src, tgt in zip(arcs.source.tolist(), arcs.target.tolist()):
+        if depth[tgt] < 0:      # arcs leave states in discovery order
+            depth[tgt] = depth[src] + 1
+    return [depth.count(d) for d in range(max(depth) + 1)]
+
+
+def constant_model() -> PepaModel:
+    return parse_model("P = (a, 1.0).Q; Q = (b, 2.0).P; R = (a, T).R; Sys = P <a> R; Sys")
+
+
 @pytest.mark.parametrize("name", sorted(LEVEL_MODELS) + ["constant"])
 def test_checkpoint_calls_match(name):
-    model = LEVEL_MODELS[name]() if name in LEVEL_MODELS else parse_model(
-        "P = (a, 1.0).Q; Q = (b, 2.0).P; R = (a, T).R; Sys = P <a> R; Sys")
-    ours, theirs = CountingBudget(), CountingBudget()
-    explore(model.system, model.environment, budget=ours)
-    explore_reference(model.system, model.environment, budget=theirs)
-    assert ours.calls == theirs.calls
-    assert len(ours.calls) == explore(model.system, model.environment).size
+    """One checkpoint per level, before its expansion: the states found
+    so far and the level's width, as many as the span's ``levels``."""
+    model = LEVEL_MODELS[name]() if name in LEVEL_MODELS else constant_model()
+    widths = layer_widths(model)
+    budget, tracer = CountingBudget(), Tracer()
+    with use_obs(ObsContext(tracer=tracer)):
+        explore(model.system, model.environment, budget=budget)
+    (span,) = tracer.roots
+    assert len(budget.calls) == span.attributes["levels"] == len(widths)
+    assert budget.calls == [
+        {"stage": "pepa state space", "explored": sum(widths[:d + 1]), "frontier": width}
+        for d, width in enumerate(widths)
+    ]
 
 
 def test_checkpoints_stop_where_the_ceiling_does():
+    """A search stopped by the ceiling made the unbounded search's
+    checkpoints up to the level that found one state too many."""
     model = LEVEL_MODELS["client_server"]()
-    ours, theirs = CountingBudget(), CountingBudget()
-    for budget, search in ((ours, explore), (theirs, explore_reference)):
-        with pytest.raises(StateSpaceError):
-            search(model.system, model.environment, max_states=9, budget=budget)
-    assert ours.calls == theirs.calls
+    full, bounded = CountingBudget(), CountingBudget()
+    explore(model.system, model.environment, budget=full)
+    with pytest.raises(StateSpaceError):
+        explore(model.system, model.environment, max_states=9, budget=bounded)
+    m = len(bounded.calls)
+    assert bounded.calls == full.calls[:m]
+    assert bounded.calls[-1]["explored"] <= 9 < full.calls[m]["explored"]
 
 
 def progress_fields(run, monkeypatch) -> list[dict]:
@@ -523,22 +529,43 @@ def progress_fields(run, monkeypatch) -> list[dict]:
 
 @pytest.mark.parametrize("name", sorted(LEVEL_MODELS))
 def test_progress_events_match(name, monkeypatch):
+    """With ``PROGRESS_INTERVAL = 2``: one event after each level whose
+    new states carry the count past a multiple of 2, with the next
+    level's width as the frontier, then a final event; a search stopped
+    by the ceiling stops its events at the last level it completed."""
     model = LEVEL_MODELS[name]()
-    for bound in (1_000_000, 7):
-        ours = progress_fields(lambda: explore(
-            model.system, model.environment, max_states=bound), monkeypatch)
-        theirs = progress_fields(lambda: explore_reference(
-            model.system, model.environment, max_states=bound), monkeypatch)
-        assert ours == theirs
-        assert len(ours) > 2
+    widths = layer_widths(model)
+    expected, n = [], 1
+    for found in widths[1:] + [0]:
+        if (n + found) // 2 > n // 2:
+            expected.append({"stage": "pepa.statespace", "explored": n + found,
+                             "frontier": found})
+        n += found
+    final = {"stage": "pepa.statespace", "explored": n, "frontier": 0}
+    assert progress_fields(lambda: explore(model.system, model.environment),
+                           monkeypatch) == expected + [final]
+    assert progress_fields(lambda: explore(model.system, model.environment, max_states=7),
+                           monkeypatch) == [e for e in expected if e["explored"] <= 7]
+    assert len(expected) > 2
 
 
-def failing_state(model: PepaModel, search):
-    """The error a search raises, and its checkpoints up to the state
-    whose expansion raised it."""
-    budget = CountingBudget()
-    return outcome(lambda: search(model.system, model.environment, budget=budget)), \
-        budget.calls
+def failing_state(model: PepaModel) -> int:
+    """How many states the search has found when it raises its error:
+    it fails expanding the last of them, so with room for one state
+    fewer it stops at the ceiling first.  The reference agrees at every
+    bound."""
+    def both(**kwargs):
+        ours = outcome(lambda: explore(model.system, model.environment, **kwargs))
+        assert ours == outcome(lambda: explore_reference(
+            model.system, model.environment, **kwargs))
+        return ours
+
+    error = both()
+    bound = 1
+    while both(max_states=bound)[0] is StateSpaceError:
+        bound += 1
+    assert both(max_states=bound) == error
+    return bound
 
 
 class TestLevelErrors:
@@ -572,13 +599,17 @@ class TestLevelErrors:
             Q = (c, 1.0).Q2; Q2 = (a, 1.0).Q;
             P <a> Q
         """)
-        ours, theirs = failing_state(model, explore), failing_state(model, explore_reference)
-        assert ours == theirs
-        assert ours[0][0] is RateError
-        unsynchronised = explore(model.system, model.environment, exclude=frozenset({"a"}))
-        assert [str(s) for s in unsynchronised.states][:4] == \
+        assert outcome(lambda: explore(model.system, model.environment))[0] is RateError
+        assert failing_state(model) == 4
+        # Without the passive ``a`` the same four states come first, so
+        # the search fails expanding P2 <a> Q2.
+        clean = parse_model("""
+            P = (b, 1.0).P2; P2 = (a, 1.0).P + (e, 1.0).P2;
+            Q = (c, 1.0).Q2; Q2 = (a, 1.0).Q;
+            P <a> Q
+        """)
+        assert [str(s) for s in explore(clean.system, clean.environment).states][:4] == \
             ["P <a> Q", "P2 <a> Q", "P <a> Q2", "P2 <a> Q2"]
-        assert len(ours[1]) == 4   # the search fails expanding P2 <a> Q2
 
     def test_underflowing_joint_rate(self):
         """(1e-200 / 1) * (1e-200 / 1) * 1 underflows to 0, not an active
@@ -588,10 +619,8 @@ class TestLevelErrors:
             Q = (a, 1.0e-200).Q + (a, 1.0).Q;
             P <a> Q
         """)
-        ours, theirs = failing_state(model, explore), failing_state(model, explore_reference)
-        assert ours == theirs
-        assert ours[0][0] is RateError
-        assert len(ours[1]) == 2   # the search fails expanding P2 <a> Q
+        assert outcome(lambda: explore(model.system, model.environment))[0] is RateError
+        assert failing_state(model) == 2   # it fails expanding P2 <a> Q
 
     def test_error_and_ceiling_in_one_level(self):
         """Whichever the per-state search meets first wins."""

@@ -1,5 +1,7 @@
 """Unit tests for the shared BFS kernel (:mod:`repro.core.explore`)."""
 
+import time
+
 import pytest
 
 from repro.core.explore import Exploration, explore_lts
@@ -65,23 +67,28 @@ class TestKernel:
 
 class TestBudget:
     def test_deadline_budget_uses_budget_stage(self):
-        budget = ExecutionBudget.of(deadline_seconds=0.0, check_every=1)
+        budget = ExecutionBudget.of(deadline_seconds=0.0)
         with pytest.raises(BudgetExceededError) as info:
             explore_lts(0, counter_chain(100), stage="test.explore",
                         budget=budget, budget_stage="demo stage")
         assert info.value.stage == "demo stage"
 
     def test_budget_stage_defaults_to_span_stage(self):
-        budget = ExecutionBudget.of(deadline_seconds=0.0, check_every=1)
+        budget = ExecutionBudget.of(deadline_seconds=0.0)
         with pytest.raises(BudgetExceededError) as info:
             explore_lts(0, counter_chain(100), stage="test.explore", budget=budget)
         assert info.value.stage == "test.explore"
 
-    def test_state_budget_carries_progress(self):
-        budget = ExecutionBudget.of(max_states=3)
+    def test_budget_error_carries_progress(self, monkeypatch):
+        """The clock runs out after the fourth state: the error counts
+        the states found by then."""
+        reads = iter([0.0] + [0.0] * 3 + [10.0])
+        monkeypatch.setattr(time, "monotonic", lambda: next(reads))
+        budget = ExecutionBudget.of(deadline_seconds=5.0)
         with pytest.raises(BudgetExceededError) as info:
             explore_lts(0, counter_chain(100), stage="test.explore", budget=budget)
         assert info.value.explored == 4
+        assert info.value.frontier == 0
 
 
 class TestHooks:

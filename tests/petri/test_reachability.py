@@ -120,20 +120,14 @@ class TestBudgetedReachability:
     exploration kernel — support it never had before."""
 
     def test_deadline_budget_aborts_exploration(self):
-        budget = ExecutionBudget.of(deadline_seconds=0.0, check_every=1)
+        budget = ExecutionBudget.of(deadline_seconds=0.0)
         with pytest.raises(BudgetExceededError) as info:
             build_reachability_graph(token_ring(8, tokens=4), budget=budget)
         assert info.value.stage == "petri reachability graph"
         assert info.value.explored >= 1
 
-    def test_state_budget_aborts_exploration(self):
-        budget = ExecutionBudget.of(max_states=3)
-        with pytest.raises(BudgetExceededError) as info:
-            build_reachability_graph(token_ring(8, tokens=4), budget=budget)
-        assert info.value.explored == 4
-
     def test_roomy_budget_matches_unbudgeted_graph(self):
-        roomy = ExecutionBudget.of(deadline_seconds=300.0, max_states=10_000)
+        roomy = ExecutionBudget.of(deadline_seconds=300.0)
         budgeted = build_reachability_graph(mutex_net(), budget=roomy)
         plain = build_reachability_graph(mutex_net())
         assert budgeted.markings == plain.markings
@@ -142,7 +136,7 @@ class TestBudgetedReachability:
     def test_coverability_honours_budget_too(self):
         from repro.petri import build_coverability_graph
 
-        budget = ExecutionBudget.of(deadline_seconds=0.0, check_every=1)
+        budget = ExecutionBudget.of(deadline_seconds=0.0)
         with pytest.raises(BudgetExceededError) as info:
             build_coverability_graph(token_ring(8, tokens=4), budget=budget)
         assert info.value.stage == "petri coverability graph"

@@ -142,11 +142,6 @@ class TestFallbackChain:
                     assert exc.context["stage"] == "solve"
                     raise
 
-    def test_deadline_exhaustion_raises(self, chain):
-        policy = FallbackPolicy(deadline=0.0)
-        with pytest.raises(SolverError, match="deadline"):
-            solve_with_fallback(chain, policy)
-
     def test_bad_residual_rejected(self, chain):
         """A solver that converges to the wrong vector must be caught
         by the ‖πQ‖∞ sanity check, not returned."""

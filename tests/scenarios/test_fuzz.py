@@ -180,6 +180,9 @@ class TestSweepDriver:
             f"(budget exhausted at seed {report.exhausted_seed})"
             in report.summary()
         )
+        # A zero deadline is a deadline, as on every other command.
+        stopped = run_sweep(range(0, 3), deadline=0.0)
+        assert stopped.budget_exhausted and stopped.completed == 0
         assert report.as_json()["exhausted_seed"] == report.exhausted_seed
 
     def test_report_json_shape(self):
