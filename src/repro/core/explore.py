@@ -135,6 +135,7 @@ def explore_lts(
     adjust_successor: Callable[[Any, int, Exploration], Any] | None = None,
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
     progress_interval: int | None = None,
+    span_totals: Callable[[], Mapping[str, Any]] | None = None,
 ) -> Lts:
     """Breadth-first exploration of the reachable state space, one state
     at a time.
@@ -154,6 +155,9 @@ def explore_lts(
     not-yet-interned successor and may raise to abort the search (the
     Petri unboundedness check).  Providing either enables parent-chain
     tracking on the :class:`Exploration` they receive.
+
+    ``span_totals()``, called once the search completes, returns extra
+    attributes for the span (the successor function's own tallies).
 
     States are interned in discovery order — the returned
     :class:`~repro.core.lts.Lts` numbers the initial state 0 and keeps
@@ -211,6 +215,8 @@ def explore_lts(
             np.array(rates, dtype=np.float64), np.array(codes, dtype=np.int64),
             tuple(action_codes),
         )
+        if span_totals is not None:
+            sp.set(**span_totals())
         _finish(sp, events, stage, start, span_count_key, len(states), arcs)
     return Lts(states, arcs, index=index)
 

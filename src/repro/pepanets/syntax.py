@@ -224,6 +224,12 @@ class PepaNet:
         """The canonical (definition) order of place names."""
         return tuple(self.places)
 
+    def cells(self) -> tuple[tuple[str, str], ...]:
+        """Every cell of the net as ``(place, family)``: place after
+        place in :meth:`place_order`, each place's in template order."""
+        return tuple((name, family) for name, place in self.places.items()
+                     for family in place.cell_families())
+
     def __str__(self) -> str:
         # _paren_seq wraps Choice contents in parentheses: the parser
         # reads each initial cell content as a seq *factor*, so a bare

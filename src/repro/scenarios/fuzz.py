@@ -16,7 +16,10 @@ action/firing throughputs and location occupancies must agree to a
 relative 1e-8.  The extracted net's marking space, derived by the
 compiled search, must also equal the term-level reference
 (:func:`repro.pepanets.semantics.explore_net_reference`) exactly:
-markings, arcs and float rates.  Any disagreement — or any crash along
+markings, arcs and float rates; and its location occupancies, which
+the measures read off the compiled marking rows, must agree with a
+token count over the reference's terms
+(:func:`term_location_distribution`).  Any disagreement — or any crash along
 either path — is a finding: the failing spec is structurally shrunk to a minimal
 still-failing form and dumped as a reproducer directory (spec + both
 sources + rates + report) that replays without the generator.
@@ -28,6 +31,8 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from repro.exceptions import BudgetExceededError, ReproError
 from repro.resilience.budget import ExecutionBudget
@@ -54,6 +59,7 @@ __all__ = [
     "run_sweep",
     "minimise_spec",
     "dump_reproducer",
+    "term_location_distribution",
     "within_tolerance",
 ]
 
@@ -161,6 +167,31 @@ def within_tolerance(a: float, b: float, tolerance: float = DEFAULT_TOLERANCE) -
 # ----------------------------------------------------------------------
 # The oracle
 # ----------------------------------------------------------------------
+def _token_count(marking, place: str, family: str | None) -> int:
+    """Filled cells at ``place`` (of ``family``, if given), counted on
+    the marking's term."""
+    from repro.pepanets.syntax import find_cells
+
+    n = 0
+    for _, cell in find_cells(marking.state_of(place)):
+        if cell.content is not None and (family is None or cell.family == family):
+            n += 1
+    return n
+
+
+def term_location_distribution(markings: Sequence, pi: np.ndarray,
+                               family: str | None = None) -> dict[str, float]:
+    """Expected occupied-cell count per place under ``pi``, from a
+    token count over the marking terms: the independent oracle for
+    :meth:`repro.pepanets.measures.NetAnalysis.location_distribution`,
+    which reads the compiled marking rows instead."""
+    return {
+        place: float(pi @ np.fromiter((_token_count(m, place, family) for m in markings),
+                                      dtype=float, count=len(markings)))
+        for place in markings[0].place_names
+    }
+
+
 def _analyse_both(spec: ScenarioSpec, *, solver: str | None, max_states: int,
                   budget: ExecutionBudget | None):
     from repro.extract import RateTable, extract_activity_diagram
@@ -208,7 +239,8 @@ def compare_spec(spec: ScenarioSpec, *, solver: str | None = None,
         return [Mismatch("pipeline-error", f"{type(exc).__name__}: {exc}")]
 
     mismatches: list[Mismatch] = []
-    if via_extract.space.markings != reference.markings:
+    same_markings = via_extract.space.markings == reference.markings
+    if not same_markings:
         mismatches.append(Mismatch(
             "compiled-markings",
             "compiled marking space differs from the term-level reference",
@@ -246,6 +278,9 @@ def compare_spec(spec: ScenarioSpec, *, solver: str | None = None,
                 via_direct.firing_throughputs())
     compare_map("location", via_extract.location_distribution(),
                 via_direct.location_distribution())
+    if same_markings:
+        compare_map("location-terms", via_extract.location_distribution(),
+                    term_location_distribution(reference.markings, via_extract.pi))
     return mismatches
 
 

@@ -397,10 +397,9 @@ class TestObservedRunRoot:
     @pytest.mark.parametrize("command, model, stages", [
         ("pepa", "file_protocol.pepa",
          ["pepa.parse", "pepa.statespace", "ctmc.assemble", "ctmc.solve"]),
-        # The place table reads the markings, which render on demand.
+        # The place table reads the occupied-cell matrix: nothing renders.
         ("net", "instant_message.pepanet",
-         ["pepanet.parse", "pepanet.markingspace", "ctmc.assemble", "ctmc.solve",
-          "lts.render"]),
+         ["pepanet.parse", "pepanet.markingspace", "ctmc.assemble", "ctmc.solve"]),
         ("analyse", "pda_project.xmi",
          ["pipeline.read", "diagram.activity", "diagram.statecharts",
           "pipeline.write"]),
