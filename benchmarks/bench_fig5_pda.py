@@ -54,11 +54,7 @@ def test_fig5_time_to_handover(benchmark, platform):
 
     from repro.ctmc.passage import passage_time_cdf
 
-    targets = [
-        i
-        for i, m in enumerate(analysis.space.markings)
-        if analysis._count(m, "transmitter_2", None) > 0
-    ]
+    targets = analysis.markings_at("transmitter_2")
 
     def measures():
         mean = analysis.mean_time_to_reach("transmitter_2")
