@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
+from repro.ctmc.steady import sparse_lu
 from repro.ctmc.transient import _initial_vector
 from repro.exceptions import SolverError
 
@@ -98,10 +98,7 @@ def reward_to_absorption(
     non_target = np.flatnonzero(~mask)
     Q_nn = chain.Q[non_target][:, non_target].tocsc()
     rhs = -rewards[non_target]
-    try:
-        m = np.asarray(spla.spsolve(Q_nn, rhs)).ravel()
-    except RuntimeError as exc:
-        raise SolverError(f"reward-to-absorption system is singular: {exc}") from exc
+    m = sparse_lu(Q_nn).solve(rhs)
     if not np.all(np.isfinite(m)):
         raise SolverError("reward-to-absorption solve produced non-finite values")
     if source is None:

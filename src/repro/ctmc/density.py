@@ -19,10 +19,10 @@ environment gets asked about a mobile application.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
 from repro.ctmc.passage import _absorbing_chain, _entry_arcs, _target_mask, passage_time_cdf
+from repro.ctmc.steady import sparse_lu
 from repro.exceptions import SolverError
 
 __all__ = ["passage_time_density", "passage_time_quantile", "passage_time_moments"]
@@ -114,7 +114,7 @@ def passage_time_moments(
     non_target = np.flatnonzero(~mask)
     pos = {int(s): k for k, s in enumerate(non_target)}
     Q_nn = chain.Q[non_target][:, non_target].tocsc()
-    lu = spla.splu(Q_nn)
+    lu = sparse_lu(Q_nn)
     previous = np.ones(len(non_target))
     moments: list[float] = []
     for k in range(1, n_moments + 1):

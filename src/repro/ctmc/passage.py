@@ -20,10 +20,9 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC, generator
-from repro.ctmc.steady import steady_state
+from repro.ctmc.steady import sparse_lu, steady_state
 from repro.exceptions import SolverError
 
 __all__ = [
@@ -55,11 +54,7 @@ def mean_passage_time(chain: CTMC, source: int, targets: Iterable[int]) -> float
     pos = {int(s): k for k, s in enumerate(non_target)}
     Q_nn = chain.Q[non_target][:, non_target].tocsc()
     rhs = -np.ones(len(non_target))
-    try:
-        m = spla.spsolve(Q_nn, rhs)
-    except RuntimeError as exc:  # singular: targets unreachable
-        raise SolverError(f"passage-time system is singular: {exc}") from exc
-    m = np.asarray(m).ravel()
+    m = sparse_lu(Q_nn).solve(rhs)  # singular when some state cannot reach a target
     if not np.all(np.isfinite(m)) or np.any(m < -1e-9):
         raise SolverError(
             "passage-time solve produced invalid times; are the targets "

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.ctmc.chain import CTMC
-from repro.ctmc.steady import _balance_system, steady_state
+from repro.ctmc.steady import _balance_system, sparse_lu, steady_state
 from repro.exceptions import SolverError
 
 __all__ = ["stationary_derivative", "measure_sensitivity"]
@@ -49,8 +48,7 @@ def stationary_derivative(chain: CTMC, dQ: sp.spmatrix, pi: np.ndarray | None = 
     A, _ = _balance_system(chain)
     b = np.asarray(-(pi @ dQ)).ravel()
     b[-1] = 0.0  # Σ dπ = 0
-    x = spla.spsolve(A, b)
-    return np.asarray(x).ravel()
+    return sparse_lu(A).solve(b)
 
 
 def measure_sensitivity(

@@ -5,12 +5,13 @@ several methods, mirroring the solver menu of the PEPA Workbench the
 paper builds on, and following the HPC guide's advice to prefer
 ``scipy.sparse`` solvers and to pick the method by problem size:
 
-* ``direct``  sparse LU on the normal system (exact; first in the
+* ``direct``  sparse LU (:func:`sparse_lu`) on the normal system, its
+  factor's fill reported as ``info["lu_fill"]`` (exact; first in the
   default chain below :data:`~repro.resilience.fallback.GMRES_FIRST_STATES`
   states — "exact solution is an advantage");
 * ``gmres``   Gauss–Seidel-preconditioned restarted GMRES (first in the
-  default chain at or above that size, where the LU factors' fill
-  dominates);
+  default chain at or above that size, where on most families the LU
+  factors' fill dominates);
 * ``jacobi``  damped Jacobi, the one stationary iteration (lowest
   memory footprint, the default chain's last resort).  It is a power
   iteration on the embedded jump chain, so unlike the power method on
@@ -42,6 +43,21 @@ chain; hand a reducible one to :func:`steady_state` and you get a
 :class:`SolverError` naming the offending structure (use
 :meth:`CTMC.bottom_sccs` to analyse further).
 
+Every direct solve with a generator-shaped matrix — ``direct`` and the
+sensitivity system on the balance matrix, the passage-time, moment and
+reward-to-absorption systems on ``Q`` restricted to the non-target
+states — factorises through :func:`sparse_lu`.  It orders the columns
+by minimum degree on the pattern of ``Aᵀ + A`` (SuperLU's
+``MMD_AT_PLUS_A``) and, in symmetric mode, pivots on the diagonal
+whenever that entry is at least 0.1 × the largest of its column.  A
+generator's diagonal dominates (``Qᵀ`` by columns, bar the
+normalisation row; ``Q`` restricted to the non-target states by rows),
+so the diagonal pivots nearly always stand and the symmetric ordering
+survives into the factors: on the 2,197-state
+``tandem_queue_model(3, 12)`` they hold 23.3 × nnz(A), against 67.1
+under SuperLU's default COLAMD ordering.  A diagonal that is too small
+is still pivoted off, and the residual check still judges the answer.
+
 Every solver callable takes ``(chain, tol, max_iterations, info)``;
 ``info`` is an optional dict the solver may write its diagnostics to.
 """
@@ -64,7 +80,7 @@ from repro.obs import get_events, get_metrics
 if TYPE_CHECKING:  # pragma: no cover — typing only; the import is circular
     from repro.resilience.fallback import FallbackPolicy
 
-__all__ = ["steady_state", "error_bound", "SOLVERS"]
+__all__ = ["steady_state", "error_bound", "sparse_lu", "SOLVERS"]
 
 _DEFAULT_TOL = 1e-12
 _DEFAULT_MAXITER = 200_000
@@ -147,12 +163,34 @@ def _balance_system(chain: CTMC):
     return A, b
 
 
+def sparse_lu(A: sp.csc_matrix) -> spla.SuperLU:
+    """The sparse LU factor of a generator-shaped CSC matrix ``A``.
+
+    Columns are ordered by minimum degree on ``Aᵀ + A`` in symmetric
+    mode, with threshold pivoting at 0.1 (see the module docstring).
+    An exactly singular factor — a reducible chain, a target set some
+    state cannot reach — raises :class:`SolverError`.
+    """
+    try:
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                         options={"SymmetricMode": True})
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise SolverError(f"singular system: {exc}") from exc
+
+
 def _solve_direct(chain: CTMC, tol: float, max_iterations: int,
                   info: dict | None = None) -> np.ndarray:
-    """Sparse LU on the :func:`_balance_system`."""
+    """Sparse LU on the :func:`_balance_system`; writes the factor's
+    fill to ``info["lu_fill"]``: the entries SuperLU stores for ``L``
+    and ``U`` (zeros inside dense supernodes included) over ``nnz(A)``.
+    That count is read off the factor; ``L.nnz + U.nnz`` would copy
+    both factors out, which costs as much as the whole solve on a small
+    chain."""
     A, b = _balance_system(chain)
-    pi = spla.spsolve(A, b)
-    return np.asarray(pi).ravel()
+    lu = sparse_lu(A)
+    if info is not None:
+        info["lu_fill"] = lu.nnz / A.nnz
+    return lu.solve(b)
 
 
 #: GMRES restart length: the Krylov basis kept between restarts.

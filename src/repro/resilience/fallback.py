@@ -55,9 +55,12 @@ __all__ = [
 #: bottom-SCC restriction), from which the default chain tries GMRES
 #: before sparse LU.  The crossover sweep in
 #: ``benchmarks/bench_solvers.py`` first put it between 2,200 and 2,900
-#: states.  Under the Gauss–Seidel preconditioner no one size separates
-#: the methods: GMRES wins on client/server chains from 576 states,
-#: sparse LU on a two-courier ring up to at least 4,186.
+#: states.  Under the Gauss–Seidel preconditioner and the minimum-degree
+#: LU ordering of :func:`repro.ctmc.steady.sparse_lu` no one size
+#: separates the methods: GMRES wins on client/server chains from 576
+#: states (at 6,144 the LU still takes about 2.2 s against 25 ms), sparse
+#: LU on tandem queues and the two-courier ring at every swept size, up
+#: to 4,913 and 4,186 states.
 GMRES_FIRST_STATES = 2_500
 
 #: The methods whose answers :func:`solve_with_fallback` certifies with
@@ -316,7 +319,8 @@ def run_chain(
     accepted answer.
 
     ``attempt(method, info)`` runs ``method`` once and returns a
-    candidate vector; it may write ``info["preconditioner"]``.  A
+    candidate vector; it may write ``info["preconditioner"]`` or
+    ``info["lu_fill"]``, which the attempt's span receives.  A
     candidate is accepted when ``residual(candidate)`` is finite and at
     most ``bound`` and ``certify(method, candidate)``, if given, does
     not return an ``"uncertified"`` :class:`Certificate` (``None`` means
@@ -371,6 +375,7 @@ def run_chain(
                     if cert is not None:
                         asp.set(**_certificate_attributes(cert.status, cert.gap,
                                                           cert.error_bound))
+                asp.set(**info)
             diag.record(method, outcome, time.monotonic() - t0,
                         residual=res, detail=detail,
                         preconditioner=info.get("preconditioner", ""),

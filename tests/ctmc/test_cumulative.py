@@ -84,6 +84,11 @@ class TestRewardToAbsorption:
         with pytest.raises(SolverError):
             reward_to_absorption(two_state(), [], np.ones(2))
 
+    def test_unreachable_target_is_a_singular_system(self):
+        chain = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 2.0, 0), (2, "c", 1.0, 0)])
+        with pytest.raises(SolverError, match="singular"):
+            reward_to_absorption(chain, [2], np.ones(3), source=0)
+
 
 class TestSensitivity:
     def test_two_state_analytic_derivative(self):

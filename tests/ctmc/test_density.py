@@ -103,3 +103,8 @@ class TestMoments:
     def test_zero_moments_rejected(self):
         with pytest.raises(SolverError):
             passage_time_moments(single_step(), 0, [1], 0)
+
+    def test_unreachable_target_is_a_singular_system(self):
+        chain = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 2.0, 0), (2, "c", 1.0, 0)])
+        with pytest.raises(SolverError, match="singular"):
+            passage_time_moments(chain, 0, [2], 2)

@@ -38,6 +38,12 @@ class TestMeanPassage:
         with pytest.raises(SolverError):
             mean_passage_time(three_cycle(), 0, [])
 
+    def test_unreachable_target_is_a_singular_system(self):
+        # {0, 1} is closed: state 2 is never reached from 0.
+        chain = build_ctmc(3, [(0, "a", 1.0, 1), (1, "b", 2.0, 0), (2, "c", 1.0, 0)])
+        with pytest.raises(SolverError, match="singular"):
+            mean_passage_time(chain, 0, [2])
+
     def test_out_of_range_target_rejected(self):
         with pytest.raises(SolverError):
             mean_passage_time(three_cycle(), 0, [99])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ctmc import build_ctmc, steady_state
+from repro.ctmc.steady import _balance_system, sparse_lu
 from repro.exceptions import SolverError
 from repro.obs import EventStream, ObsContext, Tracer, use_obs
 from repro.resilience import (
@@ -228,3 +229,14 @@ class TestPreconditionerDiagnostics:
     def test_non_krylov_attempts_leave_field_empty(self, chain):
         pi, diag = solve_with_fallback(chain, FallbackPolicy(methods=("direct",)))
         assert diag.attempts[0].preconditioner == ""
+
+    def test_attempt_spans_carry_the_lu_fill_and_the_preconditioner(self, chain):
+        tracer = Tracer()
+        with use_obs(ObsContext(tracer=tracer)):
+            solve_with_fallback(chain, "direct")
+            solve_with_fallback(chain, "gmres")
+        direct, gmres = (root.children[0].attributes for root in tracer.roots)
+        A, _ = _balance_system(chain)
+        assert direct["method"] == "direct"
+        assert direct["lu_fill"] == sparse_lu(A).nnz / A.nnz
+        assert gmres["preconditioner"] == "gs" and "lu_fill" not in gmres
