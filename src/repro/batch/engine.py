@@ -110,13 +110,6 @@ __all__ = [
     "run_batch",
 ]
 
-#: Environment override for the multiprocessing start method
-#: (``fork``/``spawn``/``forkserver``); default prefers ``fork`` where
-#: the platform offers it — workers inherit the warm interpreter — and
-#: falls back to ``spawn`` elsewhere.  ``reset_ambient`` makes both safe.
-MP_START_ENV = "REPRO_MP_START"
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """How the engine supervises one task's attempts.
@@ -556,7 +549,10 @@ class BatchEngine:
         self.profile = profile
 
     def _context(self) -> multiprocessing.context.BaseContext:
-        method = self.mp_start or os.environ.get(MP_START_ENV)
+        """The pool's start method: ``mp_start``, else ``fork`` where the
+        platform offers it (workers inherit the warm interpreter), else
+        ``spawn``.  ``reset_ambient`` makes both safe."""
+        method = self.mp_start
         if method is None:
             method = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
         return multiprocessing.get_context(method)

@@ -23,6 +23,7 @@ from repro.choreographer.workbench import PepaNetWorkbench, PepaWorkbench
 from repro.ctmc.export import write_prism_files
 from repro.exceptions import ReproError, SolverError
 from repro.extract.rates import RateTable, load_rates
+from repro.resilience.budget import ExecutionBudget
 from repro.resilience.fallback import GMRES_FIRST_STATES, FallbackPolicy
 from repro.uml.validate import validate_for_extraction
 from repro.utils.formatting import format_table
@@ -80,7 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_solver_flag(cmd)
         cmd.add_argument(
             "--deadline", type=float, metavar="SECONDS",
-            help="cooperative wall-clock budget for derivation")
+            help="cooperative wall-clock budget for every derivation of "
+                 "the invocation (one clock, started as the command starts)")
         cmd.add_argument(
             "-v", "--verbose", action="store_true",
             help="print the solver attempt table (SolveDiagnostics)")
@@ -413,9 +415,16 @@ def _print_diagnostics(analysis, verbose: bool) -> None:
         print()
 
 
+def _invocation_budget(args: argparse.Namespace) -> ExecutionBudget | None:
+    """The invocation's one wall clock, started now, from ``--deadline``."""
+    if args.deadline is None:
+        return None
+    return ExecutionBudget.of(deadline_seconds=args.deadline)
+
+
 def _cmd_analyse(args: argparse.Namespace) -> int:
     platform = Choreographer(
-        solver=args.solver, deadline=args.deadline, strict=args.strict,
+        solver=args.solver, strict=args.strict, budget=_invocation_budget(args),
     )
     text = args.model.read_text()
     result = platform.process_xmi(
@@ -460,7 +469,7 @@ def _cmd_pepa(args: argparse.Namespace) -> int:
               "drop --export-prism or --fluid", file=sys.stderr)
         return 2
     workbench = PepaWorkbench(
-        solver=args.solver, deadline=args.deadline,
+        solver=args.solver, budget=_invocation_budget(args),
         fluid=args.fluid, replicas=args.replicas,
     )
     analysis = workbench.solve_source(args.model.read_text())
@@ -517,7 +526,7 @@ def _cmd_fluid(args: argparse.Namespace) -> int:
 
 
 def _cmd_net(args: argparse.Namespace) -> int:
-    workbench = PepaNetWorkbench(solver=args.solver, deadline=args.deadline)
+    workbench = PepaNetWorkbench(solver=args.solver, budget=_invocation_budget(args))
     analysis = workbench.solve_source(args.model.read_text())
     print(f"{analysis.n_states} markings, solver={analysis.solver}")
     _print_diagnostics(analysis, args.verbose)

@@ -17,7 +17,9 @@ serialised once (:func:`~repro.uml.xmi.writer.serialise_xmi`).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 from repro.exceptions import ReproError
 from repro.extract.activity2pepanet import ExtractionResult, extract_activity_diagram
@@ -184,29 +186,26 @@ class Choreographer:
     :class:`~repro.resilience.fallback.FallbackPolicy`, parsed once into
     the policy every solve runs; ``max_states`` bounds derivation.
 
-    Resilience knobs: ``deadline`` (seconds) puts a cooperative budget
-    on each derivation — or pass a pre-built
-    :class:`~repro.resilience.budget.ExecutionBudget` as ``budget`` to
-    share one task-wide budget across every solve (the batch engine's
-    per-task budgets arrive this way); ``strict`` sets the default
-    failure policy of :meth:`process_xmi` — ``True``
-    fail-fast, ``False`` capture per-diagram failures into the
-    :class:`PipelineReport` and keep going.
+    Resilience knobs: ``budget`` is the one wall clock, a pre-built
+    :class:`~repro.resilience.budget.ExecutionBudget` charged by every
+    derivation of every diagram (the CLI builds one per invocation, the
+    batch engine one per task); ``strict`` sets the default failure
+    policy of :meth:`process_xmi` — ``True`` fail-fast, ``False``
+    capture per-diagram failures into the :class:`PipelineReport` and
+    keep going.
     """
 
     def __init__(self, *, solver=None, max_states: int = 1_000_000,
-                 deadline: float | None = None, strict: bool = True, budget=None):
+                 strict: bool = True, budget=None):
         self.max_states = max_states
-        self.deadline = deadline
         self.strict = strict
         self.budget = budget
         self.pepa_workbench = PepaWorkbench(
-            solver=solver, max_states=max_states, deadline=deadline, budget=budget,
+            solver=solver, max_states=max_states, budget=budget,
         )
         self.solver = self.pepa_workbench.solver
         self.net_workbench = PepaNetWorkbench(
-            solver=self.solver, max_states=max_states, deadline=deadline,
-            budget=budget,
+            solver=self.solver, max_states=max_states, budget=budget,
         )
 
     # ------------------------------------------------------------------
@@ -225,26 +224,17 @@ class Choreographer:
         Library errors are re-raised with ``stage`` and ``diagram``
         merged into their :attr:`~repro.exceptions.ReproError.context`.
         """
-        tracer = get_tracer()
-        with tracer.span("diagram.activity", diagram=graph.name) as dsp:
-            stage = "extract"
-            try:
-                with tracer.span("extract"):
-                    extraction = extract_activity_diagram(
-                        graph, rates, loop=loop, reset_rate=reset_rate
-                    )
-                stage = "solve"
-                with tracer.span("solve"):
-                    analysis = self.net_workbench.solve(extraction.net)
-                stage = "reflect"
-                with tracer.span("reflect"):
-                    results = results_of_net_analysis(extraction, analysis)
-                    reflect_activity_results(extraction, results)
-            except ReproError as exc:
-                dsp.set(failed_stage=stage)
-                exc.context["pipeline_stage"] = stage
-                raise exc.with_context(stage=stage, diagram=graph.name)
-            dsp.set(states=analysis.n_states)
+        with _diagram_stages("activity", graph.name) as (stage, span):
+            with stage("extract"):
+                extraction = extract_activity_diagram(
+                    graph, rates, loop=loop, reset_rate=reset_rate
+                )
+            with stage("solve"):
+                analysis = self.net_workbench.solve(extraction.net)
+            with stage("reflect"):
+                results = results_of_net_analysis(extraction, analysis)
+                reflect_activity_results(extraction, results)
+            span.set(states=analysis.n_states)
         return ActivityOutcome(
             extraction=extraction, analysis=analysis, results=results, graph=graph
         )
@@ -265,27 +255,18 @@ class Choreographer:
         merged into their :attr:`~repro.exceptions.ReproError.context`.
         """
         names = ",".join(m.name for m in machines)
-        tracer = get_tracer()
-        with tracer.span("diagram.statecharts", diagram=names) as dsp:
-            stage = "extract"
-            try:
-                with tracer.span("extract"):
-                    model, extractions = compose_state_machines(
-                        machines, rates, cooperation=cooperation
-                    )
-                stage = "solve"
-                with tracer.span("solve"):
-                    analysis = self.pepa_workbench.solve(model)
-                stage = "reflect"
-                with tracer.span("reflect"):
-                    results = results_of_model_analysis(extractions, analysis)
-                    for extraction in extractions:
-                        reflect_state_probabilities(extraction, results)
-            except ReproError as exc:
-                dsp.set(failed_stage=stage)
-                exc.context["pipeline_stage"] = stage
-                raise exc.with_context(stage=stage, diagram=names)
-            dsp.set(states=analysis.n_states)
+        with _diagram_stages("statecharts", names) as (stage, span):
+            with stage("extract"):
+                model, extractions = compose_state_machines(
+                    machines, rates, cooperation=cooperation
+                )
+            with stage("solve"):
+                analysis = self.pepa_workbench.solve(model)
+            with stage("reflect"):
+                results = results_of_model_analysis(extractions, analysis)
+                for extraction in extractions:
+                    reflect_state_probabilities(extraction, results)
+            span.set(states=analysis.n_states)
         return StatechartOutcome(
             extractions=extractions, analysis=analysis, results=results, machines=machines
         )
@@ -328,33 +309,27 @@ class Choreographer:
         report = PipelineReport()
 
         activity_outcomes: list[ActivityOutcome] = []
-        for graph in model.activity_graphs:
-            try:
-                activity_outcomes.append(
-                    self.analyse_activity_diagram(
-                        graph, rates, loop=loop, reset_rate=reset_rate
-                    )
-                )
-            except Exception as exc:
-                if strict:
-                    raise
-                ctx = getattr(exc, "context", {})
-                report.add(ctx.get("pipeline_stage", ctx.get("stage", "extract")),
-                           graph.name, exc)
-
         statechart_outcomes: list[StatechartOutcome] = []
+        diagrams = [
+            (graph.name, activity_outcomes,
+             partial(self.analyse_activity_diagram, graph, rates,
+                     loop=loop, reset_rate=reset_rate))
+            for graph in model.activity_graphs
+        ]
         if model.state_machines:
+            diagrams.append((
+                ",".join(m.name for m in model.state_machines), statechart_outcomes,
+                partial(self.analyse_state_diagrams, model.state_machines, rates),
+            ))
+        for diagram, outcomes, analyse in diagrams:
             try:
-                statechart_outcomes.append(
-                    self.analyse_state_diagrams(model.state_machines, rates)
-                )
+                outcomes.append(analyse())
             except Exception as exc:
                 if strict:
                     raise
                 ctx = getattr(exc, "context", {})
-                names = ",".join(m.name for m in model.state_machines)
                 report.add(ctx.get("pipeline_stage", ctx.get("stage", "extract")),
-                           names, exc)
+                           diagram, exc)
 
         with tracer.span("pipeline.write"):
             reflected = mdr_to_xmi(model_to_mdr(model))
@@ -372,6 +347,33 @@ class Choreographer:
         """Convenience: preprocess + MDR import of a Poseidon document,
         over one parse."""
         return _read_project(poseidon_text)[0]
+
+
+@contextmanager
+def _diagram_stages(kind: str, diagram: str):
+    """One diagram's analysis under a ``diagram.<kind>`` span.
+
+    Yields ``(stage, span)``: ``stage(name)`` opens the span of the
+    named tool-chain stage and makes it the current one.  A library
+    error escaping the block is re-raised with ``stage`` (the current
+    one) and ``diagram`` merged into its
+    :attr:`~repro.exceptions.ReproError.context`.
+    """
+    tracer = get_tracer()
+    current = "extract"
+
+    def stage(name: str):
+        nonlocal current
+        current = name
+        return tracer.span(name)
+
+    with tracer.span(f"diagram.{kind}", diagram=diagram) as span:
+        try:
+            yield stage, span
+        except ReproError as exc:
+            span.set(failed_stage=current)
+            exc.context["pipeline_stage"] = current
+            raise exc.with_context(stage=current, diagram=diagram)
 
 
 def _read_project(poseidon_text: str) -> tuple[UmlModel, dict]:

@@ -3,18 +3,18 @@
 The paper builds on two tools: the PEPA Workbench [20] for plain PEPA
 models and the PEPA Workbench for PEPA nets [23].  These classes are
 their API images: parse/check/derive/solve with a chosen numerical
-method, caching nothing, raising early.
+method, caching nothing, raising early.  One base, :class:`Workbench`,
+holds the pipeline; each facade names its formalism's parser, static
+checks and analysis.
 
 Both facades take the numerical method as ``solver``: a method name, a
 comma-separated fallback chain or a
 :class:`~repro.resilience.fallback.FallbackPolicy`, parsed and checked
 when the facade is built, so a typo fails before any model is read.
-``deadline`` (seconds) puts a fresh cooperative
-:class:`~repro.resilience.budget.ExecutionBudget` on each solve's
-state-space derivation.  Alternatively ``budget`` installs one
-*shared* pre-built budget across every solve of the workbench — the
-batch engine uses this to give each task a single task-wide budget
-whose clock started when the task did.
+``budget`` is the one wall clock: a pre-built
+:class:`~repro.resilience.budget.ExecutionBudget` shared by every
+derivation of the workbench, whose clock started when its owner built
+it (the CLI, once per invocation; the batch engine, once per task).
 """
 
 from __future__ import annotations
@@ -23,104 +23,89 @@ from repro.pepa.measures import ModelAnalysis, analyse
 from repro.pepa.environment import PepaModel
 from repro.pepa.parser import parse_model
 from repro.pepa.wellformed import assert_well_formed
-from repro.pepanets.measures import NetAnalysis, analyse_net
+from repro.pepanets.measures import analyse_net
 from repro.pepanets.parser import parse_net
-from repro.pepanets.syntax import PepaNet
 from repro.pepanets.wellformed import assert_net_well_formed
 from repro.resilience.budget import ExecutionBudget
 from repro.resilience.fallback import FallbackPolicy
 
-__all__ = ["PepaWorkbench", "PepaNetWorkbench"]
+__all__ = ["Workbench", "PepaWorkbench", "PepaNetWorkbench"]
 
 
-def _parse_solver(solver: FallbackPolicy | str | None) -> FallbackPolicy:
-    """Parse and check a ``solver`` argument (O(1), before any solve)."""
-    policy = FallbackPolicy.of(solver)
-    policy.validate()
-    return policy
+class Workbench:
+    """Parse → check → derive → solve for one formalism.
 
-
-class PepaWorkbench:
-    """Solve plain PEPA models (the Java-edition Workbench stand-in)."""
+    A subclass names its formalism's three steps as ``_read`` (source
+    text → model), ``_check`` (static well-formedness, raising) and
+    ``_analyse`` (derive and solve, returning the analysis object).
+    """
 
     def __init__(self, *, solver: FallbackPolicy | str | None = None,
                  max_states: int = 1_000_000, reducible: str = "error",
-                 deadline: float | None = None,
-                 budget: ExecutionBudget | None = None,
-                 fluid: bool = False, replicas: int | None = None):
-        self.solver = _parse_solver(solver)
+                 budget: ExecutionBudget | None = None):
+        self.solver = FallbackPolicy.of(solver)
+        self.solver.validate()
         self.max_states = max_states
         self.reducible = reducible
-        self.deadline = deadline
         self.budget = budget
-        #: Mean-field route: solve the fluid ODE limit instead of the
-        #: exact CTMC, scaling the population to ``replicas`` when set.
+
+    def parse(self, source: str):
+        """Parse source text and run the static well-formedness checks."""
+        model = self._read(source)
+        self._check(model)
+        return model
+
+    def solve(self, model):
+        """Check, derive and solve a model; returns the analysis object."""
+        self._check(model)
+        return self._analyse(
+            model, solver=self.solver, max_states=self.max_states,
+            reducible=self.reducible, budget=self.budget,
+        )
+
+    def solve_source(self, source: str):
+        """Parse + solve in one call."""
+        return self.solve(self.parse(source))
+
+
+class PepaWorkbench(Workbench):
+    """Solve plain PEPA models (the Java-edition Workbench stand-in).
+
+    ``fluid=True`` takes the mean-field route: :meth:`solve` returns a
+    :class:`~repro.fluid.ode.FluidAnalysis` of the fluid ODE limit,
+    with the population scaled to ``replicas`` when set.
+    """
+
+    _read = staticmethod(parse_model)
+    _check = staticmethod(assert_well_formed)
+    _analyse = staticmethod(analyse)
+
+    def __init__(self, *, fluid: bool = False, replicas: int | None = None, **knobs):
+        super().__init__(**knobs)
         self.fluid = fluid
         self.replicas = replicas
-
-    def _budget(self) -> ExecutionBudget | None:
-        if self.budget is not None:
-            return self.budget
-        if self.deadline is None:
-            return None
-        return ExecutionBudget.of(deadline_seconds=self.deadline)
-
-    def parse(self, source: str) -> PepaModel:
-        """Parse source text and run the static well-formedness checks."""
-        model = parse_model(source)
-        assert_well_formed(model)
-        return model
 
     def solve(self, model: PepaModel) -> ModelAnalysis:
         """Check, derive and solve a model; returns the analysis object
         (a :class:`~repro.fluid.ode.FluidAnalysis` on the fluid route)."""
-        assert_well_formed(model)
-        if self.fluid:
-            return analyse(model, fluid=True, replicas=self.replicas)
-        return analyse(
-            model, solver=self.solver, max_states=self.max_states,
-            reducible=self.reducible, budget=self._budget(),
-        )
+        if not self.fluid:
+            return super().solve(model)
+        from repro.fluid.ode import analyse_fluid
 
-    def solve_source(self, source: str) -> ModelAnalysis:
-        """Parse + solve in one call."""
-        return self.solve(self.parse(source))
+        self._check(model)
+        return analyse_fluid(model, replicas=self.replicas)
 
 
-class PepaNetWorkbench:
-    """Solve PEPA nets (the PEPA Workbench for PEPA nets stand-in)."""
+class PepaNetWorkbench(Workbench):
+    """Solve PEPA nets (the PEPA Workbench for PEPA nets stand-in).
 
-    def __init__(self, *, solver: FallbackPolicy | str | None = None,
-                 max_states: int = 1_000_000, reducible: str = "bscc",
-                 deadline: float | None = None,
-                 budget: ExecutionBudget | None = None):
-        self.solver = _parse_solver(solver)
-        self.max_states = max_states
-        self.reducible = reducible
-        self.deadline = deadline
-        self.budget = budget
+    Mobility models routinely have a transient start-up phase, so the
+    reducible policy defaults to ``"bscc"``.
+    """
 
-    def _budget(self) -> ExecutionBudget | None:
-        if self.budget is not None:
-            return self.budget
-        if self.deadline is None:
-            return None
-        return ExecutionBudget.of(deadline_seconds=self.deadline)
+    _read = staticmethod(parse_net)
+    _check = staticmethod(assert_net_well_formed)
+    _analyse = staticmethod(analyse_net)
 
-    def parse(self, source: str) -> PepaNet:
-        """Parse PEPA-net source and run the net-level static checks."""
-        net = parse_net(source)
-        assert_net_well_formed(net)
-        return net
-
-    def solve(self, net: PepaNet) -> NetAnalysis:
-        """Check, derive and solve a net; returns the analysis object."""
-        assert_net_well_formed(net)
-        return analyse_net(
-            net, solver=self.solver, max_states=self.max_states,
-            reducible=self.reducible, budget=self._budget(),
-        )
-
-    def solve_source(self, source: str) -> NetAnalysis:
-        """Parse + solve in one call."""
-        return self.solve(self.parse(source))
+    def __init__(self, *, reducible: str = "bscc", **knobs):
+        super().__init__(reducible=reducible, **knobs)

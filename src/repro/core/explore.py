@@ -134,7 +134,6 @@ def explore_lts(
     overflow: Callable[[int], str] | None = None,
     adjust_successor: Callable[[Any, int, Exploration], Any] | None = None,
     on_new_state: Callable[[Any, int, Exploration], None] | None = None,
-    progress_interval: int | None = None,
     span_totals: Callable[[], Mapping[str, Any]] | None = None,
 ) -> Lts:
     """Breadth-first exploration of the reachable state space, one state
@@ -163,7 +162,7 @@ def explore_lts(
     :class:`~repro.core.lts.Lts` numbers the initial state 0 and keeps
     arcs in generation order, which downstream golden tests pin.
     """
-    interval = PROGRESS_INTERVAL if progress_interval is None else progress_interval
+    interval = PROGRESS_INTERVAL
     index: dict[Hashable, int] = {initial: 0}
     states: list[Any] = [initial]
     sources, targets, codes = array("q"), array("q"), array("q")

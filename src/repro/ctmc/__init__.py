@@ -8,7 +8,6 @@ passage times, exact lumping and explicit-state export formats.
 from repro.ctmc.chain import CTMC, assemble_ctmc, build_ctmc
 from repro.ctmc.cumulative import accumulated_reward, reward_to_absorption, time_average_reward
 from repro.ctmc.sensitivity import measure_sensitivity, stationary_derivative
-from repro.ctmc.dtmc import ctmc_pi_from_embedded, dtmc_stationary, embedded_dtmc
 from repro.ctmc.export import to_dot, to_matrix_market, to_prism, write_prism_files
 from repro.ctmc.lumping import LumpedChain, coarsest_lumping, lump
 from repro.ctmc.passage import (
@@ -51,9 +50,6 @@ __all__ = [
     "lump",
     "coarsest_lumping",
     "LumpedChain",
-    "embedded_dtmc",
-    "dtmc_stationary",
-    "ctmc_pi_from_embedded",
     "to_prism",
     "write_prism_files",
     "to_matrix_market",

@@ -307,9 +307,7 @@ def _solve_gmres(chain: CTMC, tol: float, max_iterations: int,
                     )
                 return pi
     finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(iterations[0])
-        metrics.counter("spmv_count").inc(iterations[0])
+        get_metrics().counter("solver_iterations").inc(iterations[0])
     raise SolverError(
         f"gmres failed to converge ({iterations[0]} iterations, "
         f"preconditioners {info.get('preconditioner', 'none tried')})"
@@ -358,9 +356,7 @@ def _solve_jacobi(chain: CTMC, tol: float, max_iterations: int,
             if max_delta < tol:
                 return pi
     finally:
-        metrics = get_metrics()
-        metrics.counter("solver_iterations").inc(sweeps)
-        metrics.counter("spmv_count").inc(sweeps)
+        get_metrics().counter("solver_iterations").inc(sweeps)
     raise SolverError(
         f"jacobi did not converge in {max_iterations} sweeps"
     )

@@ -5,7 +5,7 @@ The numerical representation dominates the cost of the whole pipeline
 visible: hierarchical wall-clock spans over every stage (parse, derive,
 assemble, solve, reflect), a metrics registry for the vital counts
 (``states_explored``, ``transitions``, ``solver_iterations``,
-``spmv_count``, ``residual``), exporters to terminal trees and
+``residual``), exporters to terminal trees and
 standard formats, and one ``repro-run/1`` document per recorded run
 (:mod:`repro.obs.ledger`).
 
@@ -63,7 +63,6 @@ from repro.obs.metrics import (
     NULL_METRICS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     NullMetrics,
     nearest_rank,
@@ -90,7 +89,6 @@ __all__ = [
     "NULL_TRACER",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",

@@ -23,7 +23,6 @@ import json
 import re
 from typing import Any
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import NullTracer, Span, Tracer
 from repro.utils.formatting import format_table
 
@@ -81,15 +80,7 @@ def render_metrics(snapshot: dict[str, dict[str, Any]]) -> str:
         return "(no metrics recorded)"
     rows = []
     for name, data in snapshot.items():
-        kind = data.get("type", "?")
-        if kind == "histogram":
-            value = (
-                f"count={data['count']} sum={_format_value(data['sum'])} "
-                f"min={_format_value(data['min'])} max={_format_value(data['max'])}"
-            )
-        else:
-            value = _format_value(data.get("value"))
-        rows.append([name, kind, value])
+        rows.append([name, data.get("type", "?"), _format_value(data.get("value"))])
     return format_table(["metric", "type", "value"], rows)
 
 
@@ -235,13 +226,9 @@ def prometheus_text(metrics) -> str:
 
     Accepts a live :class:`~repro.obs.metrics.MetricsRegistry` or a
     ``repro-metrics/1`` snapshot (e.g. a merged batch one).  Counters
-    gain the conventional ``_total`` suffix; histograms render as
-    summaries (``_sum``/``_count`` plus ``quantile`` series when the
-    registry is live and retains samples — merged snapshots carry no
-    samples, so they expose sum/count/min/max only).  Instrument names
-    are sanitised (``cache.bytes`` → ``repro_cache_bytes``).
+    gain the conventional ``_total`` suffix.  Instrument names are
+    sanitised (``cache.bytes`` → ``repro_cache_bytes``).
     """
-    live = metrics if isinstance(metrics, MetricsRegistry) else None
     snapshot = metrics if isinstance(metrics, dict) else metrics.as_dict()
     lines: list[str] = []
     for name in sorted(snapshot.get("metrics", {})):
@@ -258,21 +245,4 @@ def prometheus_text(metrics) -> str:
             lines.append(f"# HELP {prom} repro gauge {name}")
             lines.append(f"# TYPE {prom} gauge")
             lines.append(f"{prom} {_prom_value(data['value'])}")
-        elif kind == "histogram":
-            lines.append(f"# HELP {prom} repro histogram {name}")
-            lines.append(f"# TYPE {prom} summary")
-            if live is not None and name in live:
-                histogram = live.histogram(name)
-                for q in (0.5, 0.9, 0.95, 0.99):
-                    value = histogram.percentile(q * 100)
-                    if value is not None:
-                        lines.append(
-                            f'{prom}{{quantile="{q}"}} {_prom_value(value)}'
-                        )
-            lines.append(f"{prom}_sum {_prom_value(data.get('sum', 0.0))}")
-            lines.append(f"{prom}_count {_prom_value(data.get('count', 0))}")
-            for bound in ("min", "max"):
-                if data.get(bound) is not None:
-                    lines.append(f"# TYPE {prom}_{bound} gauge")
-                    lines.append(f"{prom}_{bound} {_prom_value(data[bound])}")
     return "\n".join(lines) + ("\n" if lines else "")

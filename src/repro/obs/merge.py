@@ -10,8 +10,8 @@ a run document carries — a ``repro-trace/1`` forest, a
 back through ``choreographer runs``, exactly like a serial one.
 
 Merging is deterministic: snapshots are folded in the order given
-(task-submission order, not completion order), counters and histograms
-are commutative sums, and gauges resolve to the last non-``None`` value
+(task-submission order, not completion order), counters are
+commutative sums, and gauges resolve to the last non-``None`` value
 in fold order.
 """
 
@@ -38,13 +38,6 @@ def _merge_instrument(into: dict[str, Any], snap: dict[str, Any], name: str) -> 
     elif kind == "gauge":
         if snap.get("value") is not None:
             have["value"] = snap["value"]
-    elif kind == "histogram":
-        have["count"] = have["count"] + snap["count"]
-        have["sum"] = have["sum"] + snap["sum"]
-        for bound, pick in (("min", min), ("max", max)):
-            values = [v for v in (have.get(bound), snap.get(bound)) if v is not None]
-            have[bound] = pick(values) if values else None
-        have["mean"] = have["sum"] / have["count"] if have["count"] else None
     else:
         raise ValueError(f"metric {name!r} has unknown type {kind!r}")
 
@@ -52,8 +45,7 @@ def _merge_instrument(into: dict[str, Any], snap: dict[str, Any], name: str) -> 
 def merge_metrics(snapshots: Iterable[dict[str, Any]]) -> dict[str, Any]:
     """Fold ``repro-metrics/1`` snapshots into one combined snapshot.
 
-    Counters sum, histograms combine count/sum/min/max (mean is
-    recomputed), gauges keep the last non-``None`` value in fold order.
+    Counters sum, gauges keep the last non-``None`` value in fold order.
     """
     merged: dict[str, Any] = {}
     for snapshot in snapshots:

@@ -1,7 +1,7 @@
-"""A lightweight metrics registry: counters, gauges, histograms.
+"""A lightweight metrics registry: counters and gauges.
 
 The numerical pipeline's vital signs — ``states_explored``,
-``transitions``, ``solver_iterations``, ``spmv_count``, ``residual`` —
+``transitions``, ``solver_iterations``, ``residual`` —
 are recorded here by the instrumented layers.  The design mirrors the
 tracer: library code asks :func:`repro.obs.get_metrics` for the
 registry of the installed context, which defaults to the no-op
@@ -31,7 +31,6 @@ __all__ = [
     "nearest_rank",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "NullMetrics",
     "NULL_METRICS",
@@ -41,14 +40,11 @@ __all__ = [
 def nearest_rank(sorted_values: Sequence[float], q: float) -> float:
     """The nearest-rank ``q``-th percentile of an ascending sequence.
 
-    The one percentile definition used across ``repro.obs`` —
-    :meth:`Histogram.percentile` and
-    :func:`repro.obs.analysis.aggregate_spans` both call this — so a
-    p95 from the metrics registry and a p95 from a trace aggregate mean
-    the same thing.  Nearest rank: the smallest value with at least
-    ``q``% of the samples at or below it (rank ``ceil(q/100 · n)``,
-    clamped to the first value), so the result is always an observed
-    sample, never an interpolation.  ``n=1`` → the sample itself;
+    The one percentile definition used across ``repro.obs``
+    (:func:`repro.obs.analysis.aggregate_spans` calls it).  Nearest
+    rank: the smallest value with at least ``q``% of the samples at or
+    below it (rank ``ceil(q/100 · n)``, clamped to the first value), so
+    the result is always an observed sample, never an interpolation.  ``n=1`` → the sample itself;
     ``q=100`` → the maximum.
     """
     if not sorted_values:
@@ -97,97 +93,11 @@ class Gauge:
         return {"type": "gauge", "value": self.value}
 
 
-class Histogram:
-    """Summary statistics of an observed distribution.
-
-    Keeps count/sum/min/max for the snapshot plus the raw samples for
-    :meth:`percentile`/:meth:`summary` — nearest-rank percentiles with
-    exactly the semantics of :func:`repro.obs.analysis.aggregate_spans`
-    (both go through :func:`nearest_rank`).  Retention is bounded:
-    beyond ``sample_limit`` new samples stop being kept (count/sum/
-    min/max stay exact; percentiles degrade to the retained prefix and
-    :attr:`samples_dropped` says by how much), so a per-iteration
-    histogram in a million-step solve cannot grow memory without bound.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max",
-                 "_samples", "sample_limit", "samples_dropped")
-
-    #: Samples retained for percentile queries; plenty for per-stage
-    #: timings, bounded for per-iteration abuse.
-    DEFAULT_SAMPLE_LIMIT = 8192
-
-    def __init__(self, name: str, sample_limit: int = DEFAULT_SAMPLE_LIMIT):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min: float | None = None
-        self.max: float | None = None
-        self._samples: list[float] = []
-        self.sample_limit = sample_limit
-        self.samples_dropped = 0
-
-    def observe(self, value: float) -> None:
-        """Fold one sample into the summary (and the percentile store)."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None or value < self.min else self.min
-        self.max = value if self.max is None or value > self.max else self.max
-        if len(self._samples) < self.sample_limit:
-            self._samples.append(value)
-        else:
-            self.samples_dropped += 1
-
-    @property
-    def mean(self) -> float | None:
-        """Arithmetic mean of the samples (``None`` before the first)."""
-        return self.total / self.count if self.count else None
-
-    def percentile(self, q: float) -> float | None:
-        """Nearest-rank ``q``-th percentile (``None`` before the first
-        sample); see :func:`nearest_rank` for the exact semantics."""
-        if not self._samples:
-            return None
-        return nearest_rank(sorted(self._samples), q)
-
-    def summary(self) -> dict[str, Any]:
-        """count/sum/min/max/mean plus p50/p90/p95/p99 in one dict."""
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-            "p50": self.percentile(50),
-            "p90": self.percentile(90),
-            "p95": self.percentile(95),
-            "p99": self.percentile(99),
-            "samples_dropped": self.samples_dropped,
-        }
-
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-ready snapshot of the summary statistics.
-
-        Deliberately excludes percentiles: snapshots are merged across
-        workers by :func:`repro.obs.merge.merge_metrics`, and
-        percentiles do not merge (count/sum/min/max do).
-        """
-        return {
-            "type": "histogram",
-            "count": self.count,
-            "sum": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-
 class MetricsRegistry:
     """Name → instrument, created on first use, one kind per name."""
 
     def __init__(self):
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Gauge] = {}
 
     def _get(self, name: str, kind: type) -> Any:
         instrument = self._instruments.get(name)
@@ -208,10 +118,6 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         """The gauge called ``name``, created on first use."""
         return self._get(name, Gauge)
-
-    def histogram(self, name: str) -> Histogram:
-        """The histogram called ``name``, created on first use."""
-        return self._get(name, Histogram)
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
@@ -243,26 +149,12 @@ class _NullInstrument:
     __slots__ = ()
 
     value = 0
-    count = 0
-    total = 0.0
-    min = None
-    max = None
-    mean = None
 
     def inc(self, amount: int | float = 1) -> None:
         pass
 
     def set(self, value: float) -> None:
         pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def percentile(self, q: float) -> None:
-        return None
-
-    def summary(self) -> dict[str, Any]:
-        return {}
 
     def as_dict(self) -> dict[str, Any]:
         return {}
@@ -279,10 +171,6 @@ class NullMetrics:
         return _NULL_INSTRUMENT
 
     def gauge(self, name: str) -> _NullInstrument:
-        """The shared no-op instrument, whatever the name."""
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str) -> _NullInstrument:
         """The shared no-op instrument, whatever the name."""
         return _NULL_INSTRUMENT
 

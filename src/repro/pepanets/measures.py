@@ -20,9 +20,8 @@ import numpy as np
 
 from repro.core.ctmcgen import ctmc_from_lts
 from repro.core.explore import DEFAULT_MAX_STATES
-from repro.ctmc import rewards
 from repro.ctmc.chain import CTMC
-from repro.exceptions import SolverError
+from repro.pepa.measures import Analysis
 from repro.resilience.fallback import solve_with_fallback
 from repro.pepanets.semantics import NetStateSpace, explore_net
 from repro.pepanets.syntax import PepaNet
@@ -47,34 +46,18 @@ def ctmc_of_net(
     return space, ctmc_from_lts(space)
 
 
-class NetAnalysis:
-    """A solved PEPA net with measure accessors."""
+class NetAnalysis(Analysis):
+    """A solved PEPA net with measure accessors.
+
+    :meth:`throughput` covers a local activity *or* a firing type —
+    firings are activities too, so the same measure applies (this is
+    the number the reflector writes on ``<<move>>`` activities).
+    """
 
     def __init__(self, net: PepaNet, space: NetStateSpace, chain: CTMC, pi: np.ndarray,
                  solver: str = "direct", diagnostics=None):
+        super().__init__(space, chain, pi, solver, diagnostics)
         self.net = net
-        self.space = space
-        self.chain = chain
-        self.pi = pi
-        self.solver = solver
-        #: The :class:`~repro.resilience.fallback.SolveDiagnostics` of the
-        #: solve: winning method, every attempt, the residual.
-        self.diagnostics = diagnostics
-
-    @property
-    def n_states(self) -> int:
-        return self.chain.n_states
-
-    def throughput(self, action: str) -> float:
-        """Completions per time unit of a local activity *or* a firing
-        type — firings are activities too, so the same measure applies
-        (this is the number the reflector writes on ``<<move>>``
-        activities)."""
-        return rewards.throughput(self.chain, action, self.pi)
-
-    def all_throughputs(self) -> dict[str, float]:
-        """Throughput of every action (local and firing), keyed by name."""
-        return rewards.all_throughputs(self.chain, self.pi)
 
     def firing_throughputs(self) -> dict[str, float]:
         """Throughput of the firing (mobility) actions only."""
@@ -117,14 +100,6 @@ class NetAnalysis:
             place: self.occupancy(place, family) for place in self.net.place_order()
         }
 
-    def probability_of_local_state(self, name: str) -> float:
-        """Probability that ``name`` appears as a whole identifier in the
-        marking (some component is in that local state)."""
-        import re
-
-        pattern = rf"\b{re.escape(name)}\b"
-        return rewards.probability_by_label(self.chain, pattern, self.pi, regex=True)
-
     # ------------------------------------------------------------------
     # Time-dependent mobility measures
     # ------------------------------------------------------------------
@@ -134,22 +109,15 @@ class NetAnalysis:
         """P(at least one matching token is at ``place`` at time ``t``),
         from the net's initial marking — e.g. "has the PDA session
         reached transmitter_2 within 10 seconds?"."""
-        from repro.ctmc.transient import transient_distribution
-
-        dist = transient_distribution(self.chain, t, self.chain.initial)
-        return float(dist[self.markings_at(place, family)].sum())
+        return self._transient_mass(self.markings_at(place, family), t)
 
     def mean_time_to_reach(self, place: str, family: str | None = None) -> float:
         """Expected time until a matching token first occupies
         ``place``, from the initial marking."""
-        from repro.ctmc.passage import mean_passage_time
-
-        targets = self.markings_at(place, family)
-        if targets.size == 0:
-            raise SolverError(
-                f"no reachable marking puts a matching token at {place!r}"
-            )
-        return mean_passage_time(self.chain, self.chain.initial, targets)
+        return self._mean_time_to(
+            self.markings_at(place, family),
+            f"no reachable marking puts a matching token at {place!r}",
+        )
 
 
 def analyse_net(

@@ -257,6 +257,16 @@ class TestResilienceFlags:
         assert code == 2
         assert "budget" in capsys.readouterr().err
 
+    def test_analyse_deadline_zero_exits_2(self, xmi_file, capsys):
+        code = main(["analyse", str(xmi_file), "--deadline", "0"])
+        assert code == 2
+        assert "wall-clock budget of 0s exhausted" in capsys.readouterr().err
+
+    def test_net_deadline_zero_exits_2(self, net_file, capsys):
+        code = main(["net", str(net_file), "--deadline", "0"])
+        assert code == 2
+        assert "wall-clock budget of 0s exhausted" in capsys.readouterr().err
+
 
 @pytest.fixture()
 def pda_xmi_file(tmp_path):

@@ -8,10 +8,16 @@ import pytest
 from repro.choreographer import Choreographer, PipelineReport, PipelineResult
 from repro.exceptions import ReproError, SolverError
 from repro.resilience import FallbackPolicy, FaultSpec, inject_fault
+from repro.resilience.budget import ExecutionBudget
 from repro.uml.activity import ActivityGraph
 from repro.uml.model import UmlModel
 from repro.uml.xmi import add_synthetic_layout, write_model
-from repro.workloads import IM_RATES, build_instant_message_diagram
+from repro.workloads import (
+    IM_RATES,
+    PDA_RATES,
+    build_instant_message_diagram,
+    build_pda_activity_diagram,
+)
 
 
 def build_poisoned_graph() -> ActivityGraph:
@@ -128,7 +134,7 @@ class TestFallbackThroughPlatform:
         assert platform.solver.methods == ("jacobi", "direct")
 
     def test_deadline_zero_turns_into_budget_error(self):
-        platform = Choreographer(deadline=0.0)
+        platform = Choreographer(budget=ExecutionBudget.of(deadline_seconds=0.0))
         model = UmlModel(name="project")
         model.add_activity_graph(build_instant_message_diagram())
         document = add_synthetic_layout(write_model(model))
@@ -137,3 +143,33 @@ class TestFallbackThroughPlatform:
         [failure] = result.report.failures
         assert failure.stage == "solve"
         assert "budget" in str(failure.error) or "deadline" in str(failure.error)
+
+
+class CountingBudget(ExecutionBudget):
+    """A budget that never expires and records every checkpoint."""
+
+    def __init__(self):
+        super().__init__(math.inf)
+        self.stages: list[str] = []
+
+    def checkpoint(self, *, stage: str, explored: int, frontier: int = 0) -> None:
+        self.stages.append(stage)
+        super().checkpoint(stage=stage, explored=explored, frontier=frontier)
+
+
+class TestOneClockPerDocument:
+    def test_two_diagrams_charge_one_budget(self):
+        model = UmlModel(name="project")
+        model.add_activity_graph(build_instant_message_diagram())
+        model.add_activity_graph(build_pda_activity_diagram())
+        document = add_synthetic_layout(write_model(model))
+        budget = CountingBudget()
+        platform = Choreographer(budget=budget)
+        assert platform.net_workbench.budget is budget
+        assert platform.pepa_workbench.budget is budget
+
+        result = platform.process_xmi(document, {**IM_RATES, **PDA_RATES})
+        first, second = result.activity_outcomes
+        # the net search checkpoints once per expanded marking, so the
+        # one clock saw every marking of both diagrams
+        assert len(budget.stages) >= first.analysis.n_states + second.analysis.n_states

@@ -152,11 +152,13 @@ class TestObservability:
         assert span.attributes["states"] == 2
         assert span.attributes["error"] == "StateSpaceError"
 
-    def test_progress_events_every_interval_and_final(self):
+    def test_progress_events_every_interval_and_final(self, monkeypatch):
+        from repro.core import explore
+
+        monkeypatch.setattr(explore, "PROGRESS_INTERVAL", 2)
         stream = EventStream()
         with use_obs(ObsContext(events=stream)):
-            explore_lts(0, counter_chain(6), stage="test.explore",
-                        progress_interval=2)
+            explore_lts(0, counter_chain(6), stage="test.explore")
         progress = stream.by_name("explore.progress")
         # intermediate events at discovered indices 2, 4, 6 + final flush
         assert len(progress) == 4

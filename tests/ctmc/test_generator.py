@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 from repro.ctmc import build_ctmc, lump
 from repro.ctmc.chain import CTMC, assemble_ctmc, generator
-from repro.ctmc.dtmc import embedded_dtmc
 from repro.ctmc.passage import _absorbing_chain, _entry_arcs, visit_frequency
 from repro.ctmc.steady import _balance_system, steady_state
 from repro.pepa import parse_model
@@ -270,26 +269,6 @@ class TestAbsorbingChain:
 
 
 class TestOtherArrayBuilt:
-    @pytest.mark.parametrize("seed", range(20))
-    def test_embedded_dtmc_equals_the_loop(self, seed):
-        chain = random_chain(seed)
-        exit_rates = chain.exit_rates()
-        coo = chain.Q.tocoo()
-        rows, cols, vals = [], [], []
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            if i != j and v > 0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(v / exit_rates[i])
-        for i in np.flatnonzero(exit_rates == 0.0):
-            rows.append(int(i))
-            cols.append(int(i))
-            vals.append(1.0)
-        n = chain.n_states
-        P = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        P.sum_duplicates()
-        assert_same_arrays(embedded_dtmc(chain), P)
-
     def test_action_derivative_is_the_generator_of_its_arcs(self):
         space = derive(parse_model("""
             P = (a, 1.0).Q + (a, 2.0).Q + (b, 3.0).P;

@@ -147,5 +147,4 @@ class TestLibraryRouting:
         with use_obs(context):
             analyse(parse_model(TWO_STATE), solver="jacobi")
         assert context.metrics.counter("solver_iterations").value > 0
-        assert context.metrics.counter("spmv_count").value > 0
         assert context.events.by_name("solver.convergence")

@@ -21,14 +21,12 @@ from repro.obs import (
 )
 
 
-def _metrics_snapshot(counter=0, gauge=None, histogram=()):
+def _metrics_snapshot(counter=0, gauge=None):
     registry = MetricsRegistry()
     if counter:
         registry.counter("requests").inc(counter)
     if gauge is not None:
         registry.gauge("residual").set(gauge)
-    for value in histogram:
-        registry.histogram("latency").observe(value)
     return registry.as_dict()
 
 
@@ -41,18 +39,6 @@ def test_merge_metrics_sums_counters():
 def test_merge_metrics_gauge_takes_last_non_none():
     merged = merge_metrics([_metrics_snapshot(gauge=1.5), _metrics_snapshot(counter=1)])
     assert merged["metrics"]["residual"]["value"] == 1.5
-
-
-def test_merge_metrics_combines_histograms():
-    merged = merge_metrics([
-        _metrics_snapshot(histogram=[1.0, 3.0]),
-        _metrics_snapshot(histogram=[5.0]),
-    ])
-    histogram = merged["metrics"]["latency"]
-    assert histogram["count"] == 3
-    assert histogram["min"] == 1.0
-    assert histogram["max"] == 5.0
-    assert histogram["mean"] == pytest.approx(3.0)
 
 
 def test_merge_metrics_rejects_foreign_schema():

@@ -8,7 +8,6 @@ from repro.obs import (
     NULL_METRICS,
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     ObsContext,
     get_metrics,
@@ -48,30 +47,6 @@ class TestGauge:
         assert g.as_dict() == {"type": "gauge", "value": 1e-12}
 
 
-class TestHistogram:
-    def test_summary_statistics(self):
-        h = Histogram("t")
-        for v in (2.0, 8.0, 5.0):
-            h.observe(v)
-        assert h.count == 3
-        assert h.total == 15.0
-        assert h.min == 2.0
-        assert h.max == 8.0
-        assert h.mean == 5.0
-
-    def test_empty_histogram(self):
-        h = Histogram("t")
-        assert h.mean is None
-        assert h.as_dict() == {
-            "type": "histogram",
-            "count": 0,
-            "sum": 0.0,
-            "min": None,
-            "max": None,
-            "mean": None,
-        }
-
-
 class TestMetricsRegistry:
     def test_get_or_create_returns_same_instrument(self):
         reg = MetricsRegistry()
@@ -85,8 +60,6 @@ class TestMetricsRegistry:
         reg.counter("x")
         with pytest.raises(TypeError, match="Counter"):
             reg.gauge("x")
-        with pytest.raises(TypeError):
-            reg.histogram("x")
 
     def test_container_protocol(self):
         reg = MetricsRegistry()
@@ -114,15 +87,12 @@ class TestNullMetrics:
     def test_every_lookup_is_the_shared_sink(self):
         assert NULL_METRICS.counter("a") is _NULL_INSTRUMENT
         assert NULL_METRICS.gauge("b") is _NULL_INSTRUMENT
-        assert NULL_METRICS.histogram("c") is _NULL_INSTRUMENT
 
     def test_sink_swallows_everything(self):
         sink = NULL_METRICS.counter("a")
         sink.inc(10)
         sink.set(3.0)
-        sink.observe(1.0)
         assert sink.value == 0
-        assert sink.count == 0
         assert sink.as_dict() == {}
 
     def test_empty_registry_protocol(self):
@@ -173,60 +143,13 @@ class TestNearestRank:
         with pytest.raises(ValueError):
             nearest_rank([1.0], 101)
 
-
-class TestHistogramPercentiles:
-    def test_percentile_matches_nearest_rank(self):
-        histogram = Histogram("t")
-        for value in (0.4, 0.1, 0.3, 0.2):  # unsorted on purpose
-            histogram.observe(value)
-        assert histogram.percentile(50) == 0.2
-        assert histogram.percentile(95) == 0.4
-        assert histogram.percentile(100) == 0.4
-
-    def test_percentile_before_first_sample_is_none(self):
-        assert Histogram("t").percentile(95) is None
-
-    def test_summary_keys_and_values(self):
-        histogram = Histogram("t")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.observe(value)
-        summary = histogram.summary()
-        assert summary == {
-            "count": 4, "sum": 10.0, "min": 1.0, "max": 4.0, "mean": 2.5,
-            "p50": 2.0, "p90": 4.0, "p95": 4.0, "p99": 4.0,
-            "samples_dropped": 0,
-        }
-
-    def test_sample_limit_degrades_percentiles_not_totals(self):
-        histogram = Histogram("t", sample_limit=3)
-        for value in (1.0, 2.0, 3.0, 100.0, 200.0):
-            histogram.observe(value)
-        # count/sum/min/max stay exact past the retention bound
-        assert histogram.count == 5
-        assert histogram.total == 306.0
-        assert histogram.max == 200.0
-        assert histogram.samples_dropped == 2
-        # percentiles degrade to the retained prefix, flagged above
-        assert histogram.percentile(100) == 3.0
-        assert histogram.summary()["samples_dropped"] == 2
-
-    def test_as_dict_still_excludes_percentiles(self):
-        # snapshots merge across workers; percentiles don't merge
-        histogram = Histogram("t")
-        histogram.observe(1.0)
-        assert "p95" not in histogram.as_dict()
-        assert set(histogram.as_dict()) == \
-               {"type", "count", "sum", "min", "max", "mean"}
-
-    def test_aggregate_spans_and_histogram_agree_on_p95(self):
+    def test_aggregate_spans_p95_is_nearest_rank(self):
         from repro.obs.analysis import aggregate_spans
 
         durations = [0.01 * i for i in range(1, 8)]
-        histogram = Histogram("t")
-        trace = {"schema": "repro-trace/1", "traces": []}
-        for duration in durations:
-            histogram.observe(duration)
-            trace["traces"].append({"name": "stage", "duration_s": duration,
-                                    "children": []})
+        trace = {"schema": "repro-trace/1", "traces": [
+            {"name": "stage", "duration_s": duration, "children": []}
+            for duration in durations
+        ]}
         aggregate = aggregate_spans(trace)
-        assert aggregate["stage"]["p95_s"] == histogram.percentile(95)
+        assert aggregate["stage"]["p95_s"] == nearest_rank(durations, 95)

@@ -69,7 +69,7 @@ def test_disabled_singletons_are_shared_and_allocation_free():
     # every disabled call hands back the same shared object — the
     # "no allocation when off" contract the envelope rests on
     assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
-    assert NULL_METRICS.counter("x") is NULL_METRICS.histogram("y")
+    assert NULL_METRICS.counter("x") is NULL_METRICS.gauge("y")
     assert NULL_TRACER.span("a").set(k=1) is NULL_TRACER.span("a")
 
 
